@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-json bench-compare bench-gate determinism daemon-smoke obs-smoke crash-smoke fleet-smoke paper-golden ci
+.PHONY: all build test race vet lint bench bench-json bench-compare bench-gate bench-smoke determinism daemon-smoke obs-smoke crash-smoke fleet-smoke paper-golden ci
 
 all: build test
 
@@ -72,6 +72,13 @@ bench-gate:
 		>> /tmp/sliceaware-bench-head.json
 	$(GO) run ./cmd/benchcompare -gate BENCH_10.json /tmp/sliceaware-bench-head.json
 
+# The repository's benchmark (BENCHMARK.json, bench/) at its smallest
+# size: builds the harness and every binary it drives, runs all four
+# workloads once, and fails unless each one's correctness checks hold.
+# bench/ is a module of its own, so nothing else here compiles it.
+bench-smoke:
+	bash bench/run.sh -smoke
+
 # Parallel determinism gate: the full quick reproduction must be
 # byte-identical at -jobs 1 and -jobs 4 (timestamps and wall-clock
 # footers filtered out).
@@ -137,4 +144,4 @@ paper-golden:
 		-out /tmp/sliceaware-paper-golden
 	@echo "paper-quick goldens byte-identical on the batch core"
 
-ci: build vet race determinism bench-gate daemon-smoke obs-smoke crash-smoke fleet-smoke paper-golden
+ci: build vet race determinism bench-gate bench-smoke daemon-smoke obs-smoke crash-smoke fleet-smoke paper-golden

@@ -1,11 +1,13 @@
 // Command slicekvsd serves the simulated slice-aware key-value store over
-// a memcached-style text protocol: one supervised, goroutine-pinned shard
-// worker per simulated core, an overload guard (priority shedding, AQM on
-// the shard inboxes, per-shard circuit breakers, a degradation ladder) on
-// the admission path, and a health + Prometheus sidecar. SIGTERM drains
-// gracefully: admission stops with a retryable refusal, in-flight
-// requests finish (bounded), shard statistics checkpoint to disk, and the
-// process exits 0.
+// a memcached-style text protocol: one supervised shard worker per
+// simulated core (the core is the shard's cpusim core; the worker is an
+// ordinary goroutine, since pinning a host thread to a core that is only
+// simulated costs a cross-thread wake per request and models nothing), an
+// overload guard (priority shedding, AQM on the shard inboxes, per-shard
+// circuit breakers, a degradation ladder) on the admission path, and a
+// health + Prometheus sidecar. SIGTERM drains gracefully: admission stops
+// with a retryable refusal, in-flight requests finish (bounded), shard
+// statistics checkpoint to disk, and the process exits 0.
 //
 // With -wal-dir set the daemon is crash-consistent: every acked SET is
 // journaled (group-committed within -wal-flush-every), periodic atomic

@@ -2,10 +2,10 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"log"
 	"net"
@@ -578,7 +578,31 @@ func (s *server) closeConns() {
 	s.connsMu.Unlock()
 }
 
-// handleConn speaks the memcached text protocol on one connection.
+// connState is what a connection handler carries from one request to the
+// next, so that the admitted path allocates nothing per request: the
+// buffered reader and writer, the priority class `prio` selected, one
+// request slot, and scratch for building replies.
+type connState struct {
+	br    *bufio.Reader
+	bw    *bufio.Writer
+	class int
+	slot  *reqSlot
+	out   []byte // reply scratch
+	hits  []hit  // keys a get has been granted so far
+}
+
+// hit is one granted key of a get. key aliases the command line in br's
+// buffer, which stays valid because a get reads nothing more.
+type hit struct {
+	key  []byte
+	rank uint64
+}
+
+func newConnState(r io.Reader, w io.Writer) *connState {
+	return &connState{br: bufio.NewReader(r), bw: bufio.NewWriter(w), slot: newReqSlot()}
+}
+
+// handleConn owns one accepted connection's bookkeeping around serveConn.
 func (s *server) handleConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -592,33 +616,41 @@ func (s *server) handleConn(conn net.Conn) {
 	if s.lc.State() != daemon.StateReady {
 		s.ctrConn["refused_draining"].Inc(0)
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.writeTimeout))
-		io.WriteString(conn, protoErr(errDraining)+"\r\n")
+		io.WriteString(conn, "SERVER_ERROR "+errDraining.Error()+"\r\n")
 		return
 	}
+	s.serveConn(conn)
+}
 
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	class := 0
+// serveConn speaks the memcached text protocol on one connection until
+// the peer quits, errs, or the daemon stops being ready.
+func (s *server) serveConn(conn net.Conn) {
+	c := newConnState(conn, conn)
 	for {
 		// A connection that outlives readiness is told to go away as soon
 		// as its current request cycle finishes.
 		if s.lc.State() != daemon.StateReady {
-			bw.WriteString(protoErr(errDraining) + "\r\n")
+			writeErr(c.bw, errDraining)
 			conn.SetWriteDeadline(time.Now().Add(s.cfg.writeTimeout))
-			bw.Flush()
+			c.bw.Flush()
 			return
 		}
 		conn.SetReadDeadline(time.Now().Add(s.cfg.readTimeout))
-		line, err := readLine(br)
+		line, err := readLine(c.br)
 		if err != nil {
+			if errors.Is(err, bufio.ErrBufferFull) {
+				c.bw.WriteString("CLIENT_ERROR line too long\r\n")
+				conn.SetWriteDeadline(time.Now().Add(s.cfg.writeTimeout))
+				c.bw.Flush()
+			}
 			return
 		}
-		quit, tr := s.dispatch(line, br, bw, &class)
+		quit, tr := s.dispatch(c, line)
 		// The reply-write stage is the socket flush: serialization into bw
 		// is buffered and negligible, the flush is where the wall time goes.
 		tr.StageStart(obs.StageReplyWrite)
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.writeTimeout))
-		ferr := bw.Flush()
+		ferr := c.bw.Flush()
 		tr.StageEnd(obs.StageReplyWrite)
 		s.tracer.Finish(tr)
 		if ferr != nil || quit {
@@ -627,151 +659,182 @@ func (s *server) handleConn(conn net.Conn) {
 	}
 }
 
-// readLine reads one CRLF-terminated protocol line, bounded at 4 KiB.
-func readLine(br *bufio.Reader) (string, error) {
-	line, err := br.ReadString('\n')
+// readLine returns one protocol line without its CRLF. The bytes are br's
+// own buffer and die at the next read. br's size (4 KiB) is the bound: a
+// longer line is bufio.ErrBufferFull before any more of it is buffered.
+func readLine(br *bufio.Reader) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	if len(line) > 4096 {
-		return "", errors.New("line too long")
+	return bytes.TrimRight(line, "\r\n"), nil
+}
+
+func isSpace(c byte) bool { return c == ' ' || (c >= '\t' && c <= '\r') }
+
+// nextField splits the first whitespace-separated field off line, in
+// place; an empty field means line had none left.
+func nextField(line []byte) (field, rest []byte) {
+	i := 0
+	for i < len(line) && isSpace(line[i]) {
+		i++
 	}
-	return strings.TrimRight(line, "\r\n"), nil
+	j := i
+	for j < len(line) && !isSpace(line[j]) {
+		j++
+	}
+	return line[i:j], line[j:]
 }
 
 // dispatch executes one command line. It returns true when the
 // connection should close after the pending flush, plus the request's
 // span record when the tracer sampled it (nil otherwise — the caller
-// owns finishing it after the flush).
-func (s *server) dispatch(line string, br *bufio.Reader, bw *bufio.Writer, class *int) (bool, *obs.ReqTrace) {
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
-		return false, nil
-	}
-	switch fields[0] {
+// owns finishing it after the flush). The key-value verbs parse line in
+// place; the rest are rare enough to go through strings.
+func (s *server) dispatch(c *connState, line []byte) (bool, *obs.ReqTrace) {
+	verb, args := nextField(line)
+	switch string(verb) {
+	case "": // blank line: no reply
 	case "get", "gets":
-		tr := s.tracer.Begin("get", *class)
+		tr := s.tracer.Begin("get", c.class)
 		tr.StageStart(obs.StageParse)
-		s.cmdGet(fields[1:], bw, *class, tr)
+		s.cmdGet(c, args, tr)
 		return false, tr
-	case "set":
-		tr := s.tracer.Begin("set", *class)
+	case "set", "setv":
+		// setv is the verbose SET for durability verification: the ack
+		// carries the shard, write seqno and resulting version, so a
+		// client-side ledger can check acked writes against recovered state.
+		tr := s.tracer.Begin("set", c.class)
 		tr.StageStart(obs.StageParse)
-		return s.cmdSet(fields[1:], br, bw, *class, tr, false), tr
-	case "setv":
-		// Verbose SET for durability verification: the ack carries the
-		// shard, write seqno and resulting version, so a client-side
-		// ledger can check acked writes against recovered state.
-		tr := s.tracer.Begin("set", *class)
-		tr.StageStart(obs.StageParse)
-		return s.cmdSet(fields[1:], br, bw, *class, tr, true), tr
+		return s.cmdSet(c, args, tr, string(verb) == "setv"), tr
 	case "getv":
-		tr := s.tracer.Begin("get", *class)
+		tr := s.tracer.Begin("get", c.class)
 		tr.StageStart(obs.StageParse)
-		s.cmdGetV(fields[1:], bw, *class, tr)
+		s.cmdGetV(c, args, tr)
 		return false, tr
 	case "prio":
-		if len(fields) != 2 {
-			bw.WriteString("CLIENT_ERROR usage: prio <class>\r\n")
+		fields := strings.Fields(string(args))
+		if len(fields) != 1 {
+			c.bw.WriteString("CLIENT_ERROR usage: prio <class>\r\n")
 			return false, nil
 		}
-		c, err := strconv.Atoi(fields[1])
-		if err != nil || c < 0 || c >= s.cfg.classes {
-			fmt.Fprintf(bw, "CLIENT_ERROR class must be 0..%d\r\n", s.cfg.classes-1)
+		class, err := strconv.Atoi(fields[0])
+		if err != nil || class < 0 || class >= s.cfg.classes {
+			fmt.Fprintf(c.bw, "CLIENT_ERROR class must be 0..%d\r\n", s.cfg.classes-1)
 			return false, nil
 		}
-		*class = c
-		bw.WriteString("OK\r\n")
+		c.class = class
+		c.bw.WriteString("OK\r\n")
 	case "chaos":
-		s.cmdChaos(fields[1:], bw)
+		s.cmdChaos(strings.Fields(string(args)), c.bw)
 	case "stats":
-		s.cmdStats(bw)
+		s.cmdStats(c.bw)
 	case "version":
-		bw.WriteString("VERSION slicekvsd-0.8 (sliceaware)\r\n")
+		c.bw.WriteString("VERSION slicekvsd-0.8 (sliceaware)\r\n")
 	case "quit":
 		return true, nil
 	default:
-		bw.WriteString("ERROR\r\n")
+		c.bw.WriteString("ERROR\r\n")
 	}
 	return false, nil
 }
 
-// protoErr renders an admission error as a protocol error line.
-func protoErr(err error) string {
-	return "SERVER_ERROR " + err.Error()
+// appendField appends a space and n to a reply line under construction.
+func appendField(dst []byte, n uint64) []byte {
+	return strconv.AppendUint(append(dst, ' '), n, 10)
 }
 
-func (s *server) cmdGet(keys []string, bw *bufio.Writer, class int, tr *obs.ReqTrace) {
+// writeErr renders an admission error as a protocol error line.
+func writeErr(bw *bufio.Writer, err error) {
+	bw.WriteString("SERVER_ERROR ")
+	bw.WriteString(err.Error())
+	bw.WriteString("\r\n")
+}
+
+func (s *server) cmdGet(c *connState, keys []byte, tr *obs.ReqTrace) {
 	tr.StageEnd(obs.StageParse)
-	if len(keys) == 0 {
-		bw.WriteString("CLIENT_ERROR usage: get <key> [key...]\r\n")
-		return
-	}
-	type hit struct {
-		key  string
-		rank uint64
-	}
-	var hits []hit
-	for _, k := range keys {
-		rank := s.keyRank(k)
+	c.hits = c.hits[:0]
+	for {
+		var key []byte
+		if key, keys = nextField(keys); len(key) == 0 {
+			break
+		}
+		rank := s.keyRank(key)
 		s.ctrOps["get"].Inc(int(rank % uint64(s.cfg.shards)))
-		_, err := s.serveRequest(class, rank, true, tr)
+		_, err := s.serveRequest(c, rank, true, tr)
 		switch {
 		case err == nil:
-			hits = append(hits, hit{k, rank})
+			c.hits = append(c.hits, hit{key, rank})
 		case errors.Is(err, errSilentDrop):
 			// A lost packet answers with nothing, END included: the
 			// client's timeout owns this failure.
 			return
 		default:
-			bw.WriteString(protoErr(err) + "\r\n")
+			writeErr(c.bw, err)
 			return
 		}
 	}
-	for _, h := range hits {
-		v := valueBytes(h.rank)
-		fmt.Fprintf(bw, "VALUE %s 0 %d\r\n", h.key, len(v))
-		bw.Write(v)
-		bw.WriteString("\r\n")
+	if len(c.hits) == 0 {
+		c.bw.WriteString("CLIENT_ERROR usage: get <key> [key...]\r\n")
+		return
 	}
-	bw.WriteString("END\r\n")
+	for _, h := range c.hits {
+		out := append(append(c.out[:0], "VALUE "...), h.key...)
+		out = strconv.AppendUint(append(out, " 0 "...), valueLen, 10)
+		out = append(appendValue(append(out, "\r\n"...), h.rank), "\r\n"...)
+		c.bw.Write(out)
+		c.out = out
+	}
+	c.bw.WriteString("END\r\n")
 }
 
 // cmdSet parses `set <key> <flags> <exptime> <bytes>` plus the data
 // block. The data block is consumed before any admission decision so the
 // stream stays framed even when the request is refused. verbose is the
 // setv variant: the ack reports shard, seqno and version.
-func (s *server) cmdSet(args []string, br *bufio.Reader, bw *bufio.Writer, class int, tr *obs.ReqTrace, verbose bool) bool {
-	if len(args) < 4 {
-		bw.WriteString("CLIENT_ERROR usage: set <key> <flags> <exptime> <bytes>\r\n")
+func (s *server) cmdSet(c *connState, args []byte, tr *obs.ReqTrace, verbose bool) bool {
+	key, args := nextField(args)
+	_, args = nextField(args) // flags
+	_, args = nextField(args) // exptime
+	size, _ := nextField(args)
+	if len(size) == 0 {
+		c.bw.WriteString("CLIENT_ERROR usage: set <key> <flags> <exptime> <bytes>\r\n")
 		return false
 	}
-	n, err := strconv.Atoi(args[3])
+	n, err := strconv.Atoi(string(size))
 	if err != nil || n < 0 || n > 1<<20 {
-		bw.WriteString("CLIENT_ERROR bad data chunk length\r\n")
+		c.bw.WriteString("CLIENT_ERROR bad data chunk length\r\n")
 		return true // framing unknown: close
 	}
-	buf := make([]byte, n+2)
-	if _, err := io.ReadFull(br, buf); err != nil {
+	// key dies with the command line at the data-block read: resolve it first.
+	rank := s.keyRank(key)
+	if _, err := c.br.Discard(n); err != nil {
 		return true
 	}
-	if string(buf[n:]) != "\r\n" {
-		bw.WriteString("CLIENT_ERROR bad data chunk\r\n")
+	tail, err := c.br.Peek(2)
+	if err != nil {
 		return true
 	}
+	if string(tail) != "\r\n" {
+		c.bw.WriteString("CLIENT_ERROR bad data chunk\r\n")
+		return true
+	}
+	c.br.Discard(2)
 	tr.StageEnd(obs.StageParse) // parse includes the data-block read
 
-	rank := s.keyRank(args[0])
-	s.ctrOps["set"].Inc(int(rank % uint64(s.cfg.shards)))
-	r, err := s.serveRequest(class, rank, false, tr)
+	shard := rank % uint64(s.cfg.shards)
+	s.ctrOps["set"].Inc(int(shard))
+	r, err := s.serveRequest(c, rank, false, tr)
 	switch {
 	case err == nil && verbose:
-		fmt.Fprintf(bw, "STORED %d %d %d\r\n", rank%uint64(s.cfg.shards), r.seq, r.ver)
+		out := appendField(append(c.out[:0], "STORED"...), shard)
+		c.out = append(appendField(appendField(out, r.seq), r.ver), "\r\n"...)
+		c.bw.Write(c.out)
 	case err == nil:
-		bw.WriteString("STORED\r\n")
+		c.bw.WriteString("STORED\r\n")
 	case errors.Is(err, errSilentDrop):
 	default:
-		bw.WriteString(protoErr(err) + "\r\n")
+		writeErr(c.bw, err)
 	}
 	return false
 }
@@ -779,55 +842,67 @@ func (s *server) cmdSet(args []string, br *bufio.Reader, bw *bufio.Writer, class
 // cmdGetV answers `getv <key>` with `VER <key> <shard> <version>` — the
 // read half of the durability-verification protocol. Every rank exists,
 // so there is no miss case; version 0 means never written.
-func (s *server) cmdGetV(args []string, bw *bufio.Writer, class int, tr *obs.ReqTrace) {
+func (s *server) cmdGetV(c *connState, args []byte, tr *obs.ReqTrace) {
 	tr.StageEnd(obs.StageParse)
-	if len(args) != 1 {
-		bw.WriteString("CLIENT_ERROR usage: getv <key>\r\n")
+	key, args := nextField(args)
+	if extra, _ := nextField(args); len(key) == 0 || len(extra) != 0 {
+		c.bw.WriteString("CLIENT_ERROR usage: getv <key>\r\n")
 		return
 	}
-	rank := s.keyRank(args[0])
-	s.ctrOps["get"].Inc(int(rank % uint64(s.cfg.shards)))
-	r, err := s.serveRequest(class, rank, true, tr)
+	rank := s.keyRank(key)
+	shard := rank % uint64(s.cfg.shards)
+	s.ctrOps["get"].Inc(int(shard))
+	r, err := s.serveRequest(c, rank, true, tr)
 	switch {
 	case err == nil:
-		fmt.Fprintf(bw, "VER %s %d %d\r\n", args[0], rank%uint64(s.cfg.shards), r.ver)
+		out := append(append(c.out[:0], "VER "...), key...)
+		c.out = append(appendField(appendField(out, shard), r.ver), "\r\n"...)
+		c.bw.Write(c.out)
 	case errors.Is(err, errSilentDrop):
 	default:
-		bw.WriteString(protoErr(err) + "\r\n")
+		writeErr(c.bw, err)
 	}
 }
 
 // keyRank maps a protocol key to a global key rank: "k<n>" keys map
 // straight to rank n (preserving the Zipf popularity order the stores
-// are laid out for), anything else hashes uniformly.
-func (s *server) keyRank(key string) uint64 {
+// are laid out for), anything else hashes uniformly (FNV-1a).
+func (s *server) keyRank(key []byte) uint64 {
 	if len(key) > 1 && key[0] == 'k' {
-		if n, err := strconv.ParseUint(key[1:], 10, 64); err == nil {
+		if n, err := strconv.ParseUint(string(key[1:]), 10, 64); err == nil {
 			return n % s.cfg.keys
 		}
 	}
-	h := fnv.New64a()
-	io.WriteString(h, key)
-	return h.Sum64() % s.cfg.keys
+	h := uint64(14695981039346656037)
+	for _, b := range key {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	return h % s.cfg.keys
 }
 
-// valueBytes synthesizes the 64-byte value body for a rank —
-// deterministic, so clients can verify payload integrity.
-func valueBytes(rank uint64) []byte {
-	v := make([]byte, 64)
-	copy(v, fmt.Sprintf("rank=%d;", rank))
-	for i := len(fmt.Sprintf("rank=%d;", rank)); i < 64; i++ {
-		v[i] = '.'
+// valueLen is the size of every value body.
+const valueLen = 64
+
+// appendValue appends the value body synthesized for a rank: "rank=<n>;"
+// padded with dots — deterministic, so clients can verify payload
+// integrity.
+func appendValue(dst []byte, rank uint64) []byte {
+	end := len(dst) + valueLen
+	dst = append(strconv.AppendUint(append(dst, "rank="...), rank, 10), ';')
+	for len(dst) < end {
+		dst = append(dst, '.')
 	}
-	return v
+	return dst
 }
 
 // serveRequest runs one request through the admission guard and a shard:
 // drain gate → priority shed → degradation ladder → per-shard breaker →
 // bounded inbox → wait for the worker (bounded by requestTimeout). On
 // success the returned respMsg carries cycles plus the version/seqno the
-// verbose verbs report.
-func (s *server) serveRequest(class int, rank uint64, isGet bool, tr *obs.ReqTrace) (respMsg, error) {
+// verbose verbs report. The request travels in c's slot; a timeout
+// replaces that slot, because the worker may yet answer into the old one.
+func (s *server) serveRequest(c *connState, rank uint64, isGet bool, tr *obs.ReqTrace) (respMsg, error) {
+	class := c.class
 	sh := s.shards[rank%uint64(len(s.shards))]
 	local := rank / uint64(len(s.shards))
 	tr.SetShard(sh.id)
@@ -875,7 +950,10 @@ func (s *server) serveRequest(class int, rank uint64, isGet bool, tr *obs.ReqTra
 		return respMsg{}, errBreaker
 	}
 
-	req := &request{rank: local, isGet: isGet, class: class, enqueued: time.Now(), resp: make(chan respMsg, 1), tr: tr}
+	sl := c.slot
+	req := &sl.req
+	enqueued := time.Now()
+	req.rank, req.isGet, req.class, req.enqueued, req.tr = local, isGet, class, enqueued, tr
 	tr.StageStart(obs.StageInboxWait)
 	select {
 	case sh.inbox <- req:
@@ -887,11 +965,15 @@ func (s *server) serveRequest(class int, rank uint64, isGet bool, tr *obs.ReqTra
 		return respMsg{}, errInbox
 	}
 
-	timer := time.NewTimer(s.cfg.requestTimeout)
-	defer timer.Stop()
+	sl.timer.Reset(s.cfg.requestTimeout)
 	select {
 	case r := <-req.resp:
-		latency := time.Since(req.enqueued)
+		// go.mod predates Go 1.23's timers: one that fired while the reply
+		// was taken holds a stale tick that must go before the next Reset.
+		if !sl.timer.Stop() {
+			<-sl.timer.C
+		}
+		latency := time.Since(enqueued)
 		switch {
 		case r.silent:
 			sh.breaker.Record(s.wallNs(), true) // the shard did its job
@@ -914,12 +996,13 @@ func (s *server) serveRequest(class int, rank uint64, isGet bool, tr *obs.ReqTra
 			s.account(tr, class, "ok", latency)
 			return r, nil
 		}
-	case <-timer.C:
+	case <-sl.timer.C:
 		// The worker is wedged or dead (crash mid-request loses the
 		// inbox'd work): a real dispatch failure the breaker should see.
 		// The worker may still stamp shard-side stages into tr after this
 		// point — stage stamps are atomic, so the late writes are safe and
 		// simply miss the already-finished trace.
+		c.slot = newReqSlot()
 		sh.breaker.Record(s.wallNs(), false)
 		s.account(tr, class, "timeout", 0)
 		return respMsg{}, errTimeout

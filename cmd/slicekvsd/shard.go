@@ -6,7 +6,6 @@ import (
 	"log"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,6 +43,23 @@ type request struct {
 	tr       *obs.ReqTrace // nil unless the tracer sampled this request
 }
 
+// reqSlot is the request a connection reuses for every command it sends:
+// the request with its reply channel, and the timer that bounds the wait
+// for the worker. Between requests the timer is stopped and its channel
+// empty. A slot whose wait timed out is never reused — the worker may
+// still read the request and answer into resp — so the connection drops
+// it and takes a fresh one.
+type reqSlot struct {
+	req   request
+	timer *time.Timer
+}
+
+func newReqSlot() *reqSlot {
+	t := time.NewTimer(time.Hour)
+	t.Stop() // cannot have fired yet: nothing to drain
+	return &reqSlot{req: request{resp: make(chan respMsg, 1)}, timer: t}
+}
+
 // respMsg is the worker's answer. ver/seq carry the key's version and the
 // shard's write seqno for the verbose (setv/getv) protocol verbs; seq is
 // zero when journaling is disabled.
@@ -55,12 +71,15 @@ type respMsg struct {
 	silent bool // injected NIC drop: reply with nothing at all
 }
 
-// shard is one goroutine-pinned slice of the keyspace: its own simulated
-// machine, its own slice-aware store, a bounded inbox, an AQM on that
-// inbox, a circuit breaker guarding dispatch, and an optional fault
-// injector. Only the worker goroutine touches machine/store/aqm/injector;
-// everything the connection handlers read is a channel, an atomic, or the
-// SyncBreaker.
+// shard is one worker-owned slice of the keyspace: its own simulated
+// machine, its own slice-aware store pinned to core sh.core of that
+// machine, a bounded inbox, an AQM on that inbox, a circuit breaker
+// guarding dispatch, and an optional fault injector. The pinning is the
+// model's: the host goroutine is an ordinary one, because locking it to an
+// OS thread would buy the simulated core nothing and cost every request a
+// cross-thread futex wake. Only the worker goroutine touches
+// machine/store/aqm/injector; everything the connection handlers read is
+// a channel, an atomic, or the SyncBreaker.
 type shard struct {
 	id    int
 	core  int
@@ -225,13 +244,11 @@ func (sh *shard) getInjector() *faults.Injector {
 	return sh.injector
 }
 
-// run is the supervised worker loop: one goroutine, pinned to an OS
-// thread the way a DPDK lcore is pinned to a physical core. When the
-// shard journals, the loop also owns the group-commit clock: a flush
-// ticker bounds how long an acked SET can sit in the unflushed tail.
+// run is the supervised worker loop: one goroutine, the only one that
+// touches the shard's simulated machine. When the shard journals, the
+// loop also owns the group-commit clock: a flush ticker bounds how long
+// an acked SET can sit in the unflushed tail.
 func (sh *shard) run(stop <-chan struct{}) error {
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
 	var flushC <-chan time.Time
 	if sh.jr != nil && sh.flushEvery > 0 {
 		t := time.NewTicker(sh.flushEvery)
