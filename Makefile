@@ -37,10 +37,11 @@ bench:
 # serve benchmark in ./cmd/slicekvsd/ are the proofs that tracing off
 # and journaling off mean zero hot-path cost.
 # BENCH_10.json in the repo root is a committed snapshot of this output.
-# The list now covers the batch-core hot paths too (dpdk steering and
-# presteered delivery, batched cache lookup/insert, batched slice hash)
-# and the multi-core scaling curve (BenchmarkJobsScaling, whose jobs>1
-# points only record on multi-core machines).
+# The list covers the run path's array passes too (dpdk steering and
+# presteered delivery, batched slice hash) and the multi-core scaling
+# curve (BenchmarkJobsScaling, whose jobs>1 points only record on
+# multi-core machines). BenchmarkRunRateForwarding times netsim's one
+# run path.
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -json \
 		./internal/chash/ ./internal/cachesim/ ./internal/netsim/ \
@@ -55,11 +56,12 @@ NEW ?= BENCH_10.json
 bench-compare:
 	$(GO) run ./cmd/benchcompare $(OLD) $(NEW)
 
-# Perf-regression gate (CI): re-measure the headline forwarding
-# benchmark and the zero-alloc batch paths on this machine, then compare
-# against the committed BENCH_10.json snapshot. Fails on a >20% ns/op
-# regression of BenchmarkRunRateForwarding or on any benchmark that was
-# zero-alloc in the snapshot reporting allocations now. The headline
+# Perf-regression gate, run by hand (CI does not run it: the box drifts
+# 10-30% on unchanged code, see ROADMAP item 3): re-measure the headline
+# forwarding benchmark and the zero-alloc batch paths on this machine,
+# then compare against the committed BENCH_10.json snapshot. Fails on a
+# >20% ns/op regression of BenchmarkRunRateForwarding or on any benchmark
+# that was zero-alloc in the snapshot reporting allocations now. The headline
 # runs at full benchtime (the conditions the snapshot was recorded
 # under — short runs read up to 30% high and trip the gate on noise);
 # the batch micro-benchmarks run 100 iterations, enough for their
@@ -68,7 +70,7 @@ bench-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunRateForwarding$$' -benchmem -json \
 		./internal/netsim/ > /tmp/sliceaware-bench-head.json
 	$(GO) test -run '^$$' -bench 'Batch' -benchmem -benchtime=100x -json \
-		./internal/dpdk/ ./internal/cachesim/ ./internal/chash/ \
+		./internal/dpdk/ ./internal/chash/ \
 		>> /tmp/sliceaware-bench-head.json
 	$(GO) run ./cmd/benchcompare -gate BENCH_10.json /tmp/sliceaware-bench-head.json
 
@@ -133,15 +135,15 @@ fleet-smoke:
 		echo "fleet-smoke: failure-demo exited non-zero as expected"; \
 	fi
 
-# Paper-figure golden gate on the batch core: the full paper-quick
-# scenario matrix runs through fleet with SLICEAWARE_CORE=batch forced
-# via the scenario file's env block, and every figure must match its
-# committed golden byte-for-byte. This pins the batch pipeline to the
-# exact numbers the scalar oracle produced when the goldens were cut.
+# Paper-figure golden gate (CI): the full paper-quick scenario matrix
+# runs through fleet, and every figure must match its committed golden
+# byte-for-byte. The goldens were cut on the per-packet loop that is now
+# netsim's test-only reference, so this pins the one run path to those
+# exact numbers.
 paper-golden:
 	$(GO) build -o /tmp/sliceaware-fleet ./cmd/fleet
 	/tmp/sliceaware-fleet -f scenarios/paper-quick.json -workers 2 \
 		-out /tmp/sliceaware-paper-golden
-	@echo "paper-quick goldens byte-identical on the batch core"
+	@echo "paper-quick goldens byte-identical"
 
 ci: build vet race determinism bench-gate bench-smoke daemon-smoke obs-smoke crash-smoke fleet-smoke paper-golden

@@ -93,7 +93,6 @@ func main() {
 	faultSlowdownP := flag.Float64("fault-slowdown-p", 0.5, "per-packet probability of the slowdown (with -fault-slowdown > 1)")
 	faultSeed := flag.Int64("fault-seed", 1, "fault injector seed (same seed, same chaos)")
 	mispredict := flag.Float64("mispredict", 0, "fraction of lines the deployed slice-hash profile gets wrong")
-	coreFlag := flag.String("core", os.Getenv("SLICEAWARE_CORE"), "simulator core: batch (struct-of-arrays, default) or scalar (per-packet reference)")
 	watchdog := flag.Bool("watchdog", false, "arm CacheDirector's placement watchdog (degraded-mode fallback)")
 	metricsOut := flag.String("metrics-out", "", "write the metrics registry here (Prometheus text; .json = combined JSON)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics over HTTP at this address during the run (GET /metrics)")
@@ -110,12 +109,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "nfvbench: unknown steering %q\n", *steeringFlag)
 		os.Exit(2)
 	}
-	coreMode, err := netsim.ParseCoreMode(*coreFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "nfvbench: %v\n", err)
-		os.Exit(2)
-	}
-	netsim.SetDefaultCoreMode(coreMode)
 	if *chainKind != "fwd" && *chainKind != "stateful" {
 		fmt.Fprintf(os.Stderr, "nfvbench: unknown chain %q\n", *chainKind)
 		os.Exit(2)
@@ -285,9 +278,9 @@ func main() {
 		}
 		var out netsim.Result
 		if *pps > 0 {
-			out, err = netsim.RunPPSMode(coreMode, b.dut, gen, *packets, *pps)
+			out, err = netsim.RunPPS(b.dut, gen, *packets, *pps)
 		} else {
-			out, err = netsim.RunRateMode(coreMode, b.dut, gen, *packets, *gbps)
+			out, err = netsim.RunRate(b.dut, gen, *packets, *gbps)
 		}
 		if err != nil {
 			return netsim.Result{}, err

@@ -48,7 +48,6 @@ import (
 	"time"
 
 	"sliceaware/internal/experiments"
-	"sliceaware/internal/netsim"
 	"sliceaware/internal/prof"
 	"sliceaware/internal/telemetry"
 )
@@ -74,16 +73,8 @@ func main() {
 	jobsFlag := flag.Int("jobs", 1, "workers for independent trials (0 = GOMAXPROCS); output is byte-identical for any value")
 	metricsDir := flag.String("metrics-dir", "", "dump per-figure telemetry (Prometheus text + slice timeline JSON) into this directory")
 	listFlag := flag.Bool("list", false, "print the experiment catalog (IDs, kinds, scales) as JSON and exit")
-	coreFlag := flag.String("core", os.Getenv("SLICEAWARE_CORE"), "simulator core: batch (struct-of-arrays, default) or scalar (per-packet reference); output is byte-identical for either")
 	profFlags := prof.Register(flag.CommandLine)
 	flag.Parse()
-
-	coreMode, err := netsim.ParseCoreMode(*coreFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
-		os.Exit(2)
-	}
-	netsim.SetDefaultCoreMode(coreMode)
 
 	if *listFlag {
 		enc := json.NewEncoder(os.Stdout)

@@ -131,16 +131,10 @@ var (
 
 // TestAdmittedPathAllocs pins the allocation contract of the request
 // path: with the tracer and the journal off, an admitted get or set costs
-// the daemon no allocation from command line to reply. What remains is
-// the simulated store op's own (kvs.ServeOne takes its RX burst in a fresh
-// slice), measured here on a store of its own so the pin stays exact
-// whichever way that number moves.
+// no allocation from command line to reply, the simulated store op
+// included.
 func TestAdmittedPathAllocs(t *testing.T) {
 	s := benchServer(t)
-	store, _, _, err := buildStore(0, s.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	m := newMemConn()
 	serve := func(isGet bool) func() {
 		return func() {
@@ -150,19 +144,17 @@ func TestAdmittedPathAllocs(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		name  string
-		isGet bool
-		run   func()
+		name string
+		run  func()
 	}{
-		{"serveRequest get", true, serve(true)},
-		{"serveRequest set", false, serve(false)},
-		{"dispatch get", true, func() { m.roundTrip(t, s, getRequest, getReply) }},
-		{"dispatch set", false, func() { m.roundTrip(t, s, setRequest, setReply) }},
-		{"dispatch getv", true, func() { m.roundTrip(t, s, getvRequest, getvReply) }},
+		{"serveRequest get", serve(true)},
+		{"serveRequest set", serve(false)},
+		{"dispatch get", func() { m.roundTrip(t, s, getRequest, getReply) }},
+		{"dispatch set", func() { m.roundTrip(t, s, setRequest, setReply) }},
+		{"dispatch getv", func() { m.roundTrip(t, s, getvRequest, getvReply) }},
 	} {
-		storeOp := testing.AllocsPerRun(2000, func() { store.ServeOne(7, tc.isGet) })
-		if allocs := testing.AllocsPerRun(2000, tc.run); allocs != storeOp {
-			t.Errorf("%s: %v allocs/op, want the store op's %v and none of the daemon's", tc.name, allocs, storeOp)
+		if allocs := testing.AllocsPerRun(2000, tc.run); allocs != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", tc.name, allocs)
 		}
 	}
 }

@@ -42,7 +42,7 @@ func AblationDDIOWays(scale Scale) ([]DDIOWaysPoint, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := netsim.RunRateAuto(setup.dut, g, count, 100)
+		res, err := netsim.RunRate(setup.dut, g, count, 100)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -126,7 +126,7 @@ func AblationPlacement(scale Scale) ([]PlacementPoint, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := netsim.RunRateAuto(dut, g, count, 100)
+		res, err := netsim.RunRate(dut, g, count, 100)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -173,7 +173,7 @@ func AblationSteering(scale Scale) ([]SteeringPoint, *Table, error) {
 		// Count per-queue load during the run.
 		perQueue := make([]int, 8)
 		gcount := &countingGen{inner: g, port: setup.dut.Port(), perQueue: perQueue}
-		res, err := netsim.RunRateAuto(setup.dut, gcount, count, 100)
+		res, err := netsim.RunRate(setup.dut, gcount, count, 100)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -243,7 +243,7 @@ func AblationReplacement(scale Scale) ([]ReplacementPoint, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := netsim.RunRateAuto(setup.dut, g, count, 100)
+		res, err := netsim.RunRate(setup.dut, g, count, 100)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -150,7 +150,7 @@ func SkylakeCacheDirector(scale Scale) (*SkylakeCDResult, *Table, error) {
 			if err != nil {
 				return 0, 0, err
 			}
-			out, err := netsim.RunRateAuto(dut, g, count, 100)
+			out, err := netsim.RunRate(dut, g, count, 100)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -364,7 +364,7 @@ func OffsetTarget(scale Scale) ([]OffsetTargetRow, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := netsim.RunRateAuto(dut, g, count, 54)
+		res, err := netsim.RunRate(dut, g, count, 54)
 		if err != nil {
 			return nil, nil, err
 		}

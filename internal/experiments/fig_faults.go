@@ -135,7 +135,7 @@ func FigFaults(scale Scale) ([]FigFaultsPoint, *Table, error) {
 		if err != nil {
 			return FigFaultsPoint{}, err
 		}
-		res, err := netsim.RunRateAuto(dut, g, count, 100)
+		res, err := netsim.RunRate(dut, g, count, 100)
 		if err != nil {
 			return FigFaultsPoint{}, err
 		}

@@ -145,9 +145,9 @@ func latencyCompare(kind ChainKind, steering dpdk.Steering, runs, count int, off
 			}
 			var out netsim.Result
 			if pps > 0 {
-				out, err = netsim.RunPPSAuto(setup.dut, g, count, pps)
+				out, err = netsim.RunPPS(setup.dut, g, count, pps)
 			} else {
-				out, err = netsim.RunRateAuto(setup.dut, g, count, offeredGbps)
+				out, err = netsim.RunRate(setup.dut, g, count, offeredGbps)
 			}
 			if err != nil {
 				return side{}, err
@@ -381,7 +381,7 @@ func Figure15(scale Scale) (*KneeResult, *Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			out, err := netsim.RunRateAuto(setup.dut, g, count, rate)
+			out, err := netsim.RunRate(setup.dut, g, count, rate)
 			if err != nil {
 				return nil, err
 			}

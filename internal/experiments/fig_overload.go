@@ -124,7 +124,7 @@ func overloadPoint(c overloadCase, dut *netsim.DuT, dir *cachedirector.Director,
 	if err != nil {
 		return FigOverloadPoint{}, err
 	}
-	res, err := netsim.RunRateAuto(dut, gen, count, offered)
+	res, err := netsim.RunRate(dut, gen, count, offered)
 	if err != nil {
 		return FigOverloadPoint{}, err
 	}
@@ -183,7 +183,7 @@ func FigOverload(scale Scale) ([]FigOverloadPoint, *Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	cal, err := netsim.RunRateAuto(calDut, gen, count, netsim.NICCapGbps)
+	cal, err := netsim.RunRate(calDut, gen, count, netsim.NICCapGbps)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,14 +1,13 @@
-// Batch-structured run path: the LoadGen's packets move through the
-// simulator as a struct-of-arrays Burst — parallel arrays of packets,
-// arrival times, pre-resolved RX queues and per-packet verdicts — instead
-// of one packet threading the whole stack at a time. Whole-array passes
-// (generation/pacing, then RSS steering via dpdk.SteerBatch) run before
-// the event loop; the per-arrival work that must stay interleaved with
-// simulated time (shedding, AQM, DMA, service) runs through the same
-// d.arrive core as the scalar path, so the two paths are byte-identical
-// by construction. The scalar RunRate/RunPPS remain the reference
-// implementation; the equivalence property tests hold the batch path to
-// their output bit for bit.
+// The run path: the LoadGen's packets move through the simulator as a
+// struct-of-arrays Burst — parallel arrays of packets, arrival times,
+// pre-resolved RX queues and per-packet verdicts — instead of one packet
+// threading the whole stack at a time. Whole-array passes (generation/
+// pacing, then RSS steering via dpdk.SteerBatch) run before the event
+// loop; the per-arrival work that must stay interleaved with simulated
+// time (shedding, AQM, DMA, service) runs through d.arrive, the same core
+// the per-packet DuT.Arrive uses. A per-packet reference loop lives in the
+// tests, and the equivalence property tests hold this path to its output
+// bit for bit.
 
 package netsim
 
@@ -34,9 +33,9 @@ const (
 
 // Burst is a struct-of-arrays load segment: position i across all four
 // arrays describes one offered packet. Fill with FillRate/FillPPS (or by
-// hand for custom pacing), run with RunBurst or DuT.ArriveBurst. A Burst
-// is reusable: refilling and rerunning allocates nothing once the arrays
-// have grown to the working size.
+// hand for custom pacing), run with RunBurst. A Burst is reusable:
+// refilling and rerunning allocates nothing once the arrays have grown to
+// the working size.
 type Burst struct {
 	// Pkts holds the offered packets. The run stamps each packet's
 	// Timestamp with its arrival instant, mutating this array.
@@ -44,17 +43,16 @@ type Burst struct {
 	// TimesNs holds each packet's wire-arrival instant (ns, ascending).
 	TimesNs []float64
 	// Queues holds each packet's pre-resolved RX queue (-1 = steer at
-	// delivery). RunBurst and ArriveBurst overwrite it: filled by
-	// dpdk.SteerBatch when the port's steering is pure (RSS), forced to -1
-	// when it is stateful (FlowDirector installs a rule on first sight, so
-	// steering must happen at the packet's own arrival instant).
+	// delivery). RunBurst overwrites it: filled by dpdk.SteerBatch when
+	// the port's steering is pure (RSS), forced to -1 when it is stateful
+	// (FlowDirector installs a rule on first sight, so steering must happen
+	// at the packet's own arrival instant).
 	Queues []int32
 	// Verdicts records, after a run, what became of each packet.
 	Verdicts []Verdict
 
 	count       int
 	endNs       float64 // time cursor after the last arrival's gap
-	offeredBits float64
 	offeredGbps float64 // what Result.OfferedGbps should report
 
 	// latNs is the latency storage handed back and forth with the DuT when
@@ -68,9 +66,8 @@ type Burst struct {
 // runs: after a DuT.Reset, the next RunBurst with this Burst reuses the
 // previous run's latency array — zero steady-state allocations, but the
 // previous Result's LatenciesNs is overwritten. Callers that keep Results
-// alive across runs should use RunRateBatch/RunPPSBatch (or a zero-value
-// Burst), which allocate fresh latency storage per run like the scalar
-// path does.
+// alive across runs should use RunRate/RunPPS (or a zero-value Burst),
+// which allocate fresh latency storage per run.
 func NewBurst(n int) *Burst {
 	b := &Burst{recycle: true}
 	if n > 0 {
@@ -99,8 +96,7 @@ func (b *Burst) ensure(n int) {
 }
 
 // FillRate loads the Burst with count packets from gen, paced by wire size
-// at offeredGbps and capped by the NIC ingress model — the batch analogue
-// of RunRate's pacing, producing identical arrival times.
+// at offeredGbps and capped by the NIC ingress model (RunRate's pacing).
 func (b *Burst) FillRate(gen trace.Generator, count int, offeredGbps float64) error {
 	if count <= 0 || offeredGbps <= 0 {
 		return fmt.Errorf("netsim: need positive count and rate: %w", ErrInvalidRun)
@@ -112,10 +108,8 @@ func (b *Burst) FillRate(gen trace.Generator, count int, offeredGbps float64) er
 	minGapNs := 1e9 / NICCapPPS
 	b.ensure(count)
 	t := 0.0
-	var bits float64
 	for i := 0; i < count; i++ {
 		pkt := gen.Next()
-		bits += float64(pkt.Size * 8)
 		b.Pkts[i] = pkt
 		b.TimesNs[i] = t
 		wireNs := float64(pkt.Size*8) / rate // Gbps ⇒ bits/ns
@@ -125,13 +119,12 @@ func (b *Burst) FillRate(gen trace.Generator, count int, offeredGbps float64) er
 		t += wireNs
 	}
 	b.endNs = t
-	b.offeredBits = bits
 	b.offeredGbps = offeredGbps
 	return nil
 }
 
 // FillPPS loads the Burst with count packets from gen at a fixed packet
-// rate, the batch analogue of RunPPS.
+// rate (RunPPS's pacing).
 func (b *Burst) FillPPS(gen trace.Generator, count int, pps float64) error {
 	if count <= 0 || pps <= 0 {
 		return fmt.Errorf("netsim: need positive count and rate: %w", ErrInvalidRun)
@@ -151,7 +144,6 @@ func (b *Burst) FillPPS(gen trace.Generator, count int, pps float64) error {
 		t += gap
 	}
 	b.endNs = t
-	b.offeredBits = bits
 	b.offeredGbps = bits / (float64(count) * gap)
 	return nil
 }
@@ -169,35 +161,15 @@ func (d *DuT) presteer(b *Burst) {
 	}
 }
 
-// ArriveBurst lands every packet of the Burst in order at its TimesNs
-// instant, recording per-packet Verdicts, and returns the number
-// delivered. It is Arrive unrolled over the arrays — byte-identical
-// simulator state — with the steering pass hoisted out when the port
-// allows it.
-func (d *DuT) ArriveBurst(b *Burst) int {
-	if b.count == 0 {
-		return 0
-	}
-	d.presteer(b)
-	return d.arriveRange(b, 0, b.count)
-}
-
 // arriveRange lands packets [lo, hi) through the shared arrival core.
-func (d *DuT) arriveRange(b *Burst, lo, hi int) int {
-	delivered := 0
+func (d *DuT) arriveRange(b *Burst, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		v := d.arrive(&b.Pkts[i], b.TimesNs[i], int(b.Queues[i]))
-		b.Verdicts[i] = v
-		if v == VerdictDelivered {
-			delivered++
-		}
+		b.Verdicts[i] = d.arrive(&b.Pkts[i], b.TimesNs[i], int(b.Queues[i]))
 	}
-	return delivered
 }
 
-// RunBurst offers a filled Burst to the DuT and returns the same Result
-// the scalar runLoop would produce for the same packets and pacing: the
-// steady-state throughput window opens after the first quarter of
+// RunBurst offers a filled Burst to the DuT and returns the run's Result:
+// the steady-state throughput window opens after the first quarter of
 // arrivals and closes at the last arrival, and every counter diff is the
 // shared beginRun/endRun bookkeeping.
 func RunBurst(d *DuT, b *Burst) (Result, error) {
@@ -225,7 +197,7 @@ func RunBurst(d *DuT, b *Burst) (Result, error) {
 	return res, nil
 }
 
-// scratchBurst returns the DuT-owned Burst backing RunRateBatch/RunPPSBatch.
+// scratchBurst returns the DuT-owned Burst backing RunRate/RunPPS.
 func (d *DuT) scratchBurst() *Burst {
 	if d.burstScratch == nil {
 		d.burstScratch = &Burst{}
@@ -233,10 +205,11 @@ func (d *DuT) scratchBurst() *Burst {
 	return d.burstScratch
 }
 
-// RunRateBatch is the batch-path drop-in for RunRate: same packets, same
-// pacing, same Result, with generation and steering done as array passes
-// over a DuT-owned reusable Burst.
-func RunRateBatch(d *DuT, gen trace.Generator, count int, offeredGbps float64) (Result, error) {
+// RunRate offers count packets from gen at offeredGbps, paced by wire size
+// and capped by the NIC ingress model, and returns the collected result:
+// FillRate into the DuT-owned scratch Burst, then RunBurst. The Result's
+// LatenciesNs is fresh storage that later runs never overwrite.
+func RunRate(d *DuT, gen trace.Generator, count int, offeredGbps float64) (Result, error) {
 	b := d.scratchBurst()
 	if err := b.FillRate(gen, count, offeredGbps); err != nil {
 		return Result{}, err
@@ -244,8 +217,8 @@ func RunRateBatch(d *DuT, gen trace.Generator, count int, offeredGbps float64) (
 	return RunBurst(d, b)
 }
 
-// RunPPSBatch is the batch-path drop-in for RunPPS.
-func RunPPSBatch(d *DuT, gen trace.Generator, count int, pps float64) (Result, error) {
+// RunPPS offers count packets at a fixed packet rate (Fig 12's 1000 pps).
+func RunPPS(d *DuT, gen trace.Generator, count int, pps float64) (Result, error) {
 	b := d.scratchBurst()
 	if err := b.FillPPS(gen, count, pps); err != nil {
 		return Result{}, err

@@ -17,11 +17,12 @@ import (
 	"sliceaware/internal/trace"
 )
 
-// The contract under test in this file: the scalar per-packet path
-// (Arrive/RunRate/RunPPS) is the reference implementation, and the batch
-// path must reproduce it bit for bit — same Result (latencies included)
-// AND same final simulator state, because the machine's caches carry over
-// between back-to-back runs and any divergence would compound.
+// The contract under test in this file: the per-packet reference path
+// (runRateScalar/runPPSScalar over DuT.Arrive, scalar_test.go) is the
+// oracle, and the one production path (RunRate/RunPPS over a Burst) must
+// reproduce it bit for bit — same Result (latencies included) AND same
+// final simulator state, because the machine's caches carry over between
+// back-to-back runs and any divergence would compound.
 
 type batchBedConfig struct {
 	queues   int
@@ -87,8 +88,9 @@ func machineDigest(d *DuT) string {
 	return sb.String()
 }
 
-// runEquivalence runs the same workload scalar and batch on identical
-// fresh testbeds and requires bit-identical Results and end state.
+// runEquivalence runs the same workload through the reference (scalar)
+// and the production (batch) path on identical fresh testbeds and
+// requires bit-identical Results and end state.
 func runEquivalence(t *testing.T, name string, cfg batchBedConfig, seed int64, count int, run func(*DuT, trace.Generator) (Result, error), runBatch func(*DuT, trace.Generator) (Result, error)) {
 	t.Helper()
 	t.Run(name, func(t *testing.T) {
@@ -126,8 +128,8 @@ func TestBatchMatchesScalarSizes(t *testing.T) {
 	for _, count := range []int{1, 2, 3, 31, 32, 33, 63, 500, 2000} {
 		cfg := batchBedConfig{steering: dpdk.RSS}
 		runEquivalence(t, fmt.Sprintf("count=%d", count), cfg, int64(count), count,
+			func(d *DuT, g trace.Generator) (Result, error) { return runRateScalar(d, g, count, 100) },
 			func(d *DuT, g trace.Generator) (Result, error) { return RunRate(d, g, count, 100) },
-			func(d *DuT, g trace.Generator) (Result, error) { return RunRateBatch(d, g, count, 100) },
 		)
 	}
 }
@@ -136,8 +138,8 @@ func TestBatchMatchesScalarSizes(t *testing.T) {
 func TestBatchMatchesScalarPPS(t *testing.T) {
 	cfg := batchBedConfig{steering: dpdk.RSS}
 	runEquivalence(t, "pps", cfg, 11, 800,
+		func(d *DuT, g trace.Generator) (Result, error) { return runPPSScalar(d, g, 800, 2e6) },
 		func(d *DuT, g trace.Generator) (Result, error) { return RunPPS(d, g, 800, 2e6) },
-		func(d *DuT, g trace.Generator) (Result, error) { return RunPPSBatch(d, g, 800, 2e6) },
 	)
 }
 
@@ -148,8 +150,8 @@ func TestBatchMatchesScalarPPS(t *testing.T) {
 func TestBatchMatchesScalarFlowDirector(t *testing.T) {
 	cfg := batchBedConfig{steering: dpdk.FlowDirector}
 	runEquivalence(t, "fdir", cfg, 7, 1500,
+		func(d *DuT, g trace.Generator) (Result, error) { return runRateScalar(d, g, 1500, 100) },
 		func(d *DuT, g trace.Generator) (Result, error) { return RunRate(d, g, 1500, 100) },
-		func(d *DuT, g trace.Generator) (Result, error) { return RunRateBatch(d, g, 1500, 100) },
 	)
 	port, err := dpdk.NewPort(func() *cpusim.Machine {
 		m, _ := cpusim.NewMachine(arch.HaswellE52667v3())
@@ -174,8 +176,8 @@ func TestBatchMatchesScalarUnderFaults(t *testing.T) {
 			faults:   func() *faults.Injector { return faults.MustNewInjector(chaosPlan(42)) },
 		}
 		runEquivalence(t, fmt.Sprintf("faults-count=%d", count), cfg, 9, count,
+			func(d *DuT, g trace.Generator) (Result, error) { return runRateScalar(d, g, count, 100) },
 			func(d *DuT, g trace.Generator) (Result, error) { return RunRate(d, g, count, 100) },
-			func(d *DuT, g trace.Generator) (Result, error) { return RunRateBatch(d, g, count, 100) },
 		)
 	}
 }
@@ -207,8 +209,8 @@ func overloadBed() batchBedConfig {
 // backpressure read at each arrival depends on exact ring state.
 func TestBatchMatchesScalarUnderOverload(t *testing.T) {
 	runEquivalence(t, "overload", overloadBed(), 13, 4000,
+		func(d *DuT, g trace.Generator) (Result, error) { return runRateScalar(d, g, 4000, 80) },
 		func(d *DuT, g trace.Generator) (Result, error) { return RunRate(d, g, 4000, 80) },
-		func(d *DuT, g trace.Generator) (Result, error) { return RunRateBatch(d, g, 4000, 80) },
 	)
 }
 
@@ -261,17 +263,17 @@ func TestBatchFuzzEquivalence(t *testing.T) {
 		}
 		seed := rng.Int63()
 		runEquivalence(t, fmt.Sprintf("fuzz-%d", i), cfg, seed, count,
+			func(d *DuT, g trace.Generator) (Result, error) { return runRateScalar(d, g, count, rate) },
 			func(d *DuT, g trace.Generator) (Result, error) { return RunRate(d, g, count, rate) },
-			func(d *DuT, g trace.Generator) (Result, error) { return RunRateBatch(d, g, count, rate) },
 		)
 	}
 }
 
 // TestResetRerunMatchesScalar is the Reset regression test: after a run
-// and a Reset, a second batch run must still match a scalar DuT that did
-// the same run/Reset/run sequence. The scalar path has no batch scratch,
-// so any state leaking across Reset (stale next-due bound, stale burst
-// fill) diverges here.
+// and a Reset, a second RunRate must still match a reference DuT that did
+// the same run/Reset/run sequence. The reference path has no burst
+// scratch, so any state leaking across Reset (stale next-due bound, stale
+// burst fill) diverges here.
 func TestResetRerunMatchesScalar(t *testing.T) {
 	cfg := batchBedConfig{steering: dpdk.RSS}
 	scalar := buildBatchBed(t, cfg)
@@ -285,11 +287,11 @@ func TestResetRerunMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := RunRate(scalar, gs, count, rate)
+		rs, err := runRateScalar(scalar, gs, count, rate)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := RunRateBatch(batch, gb, count, rate)
+		rb, err := RunRate(batch, gb, count, rate)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,25 +312,57 @@ func TestResetRerunMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestBurstEdgeCases pins the degenerate inputs: empty bursts error like
-// the scalar validators, ArriveBurst on an unfilled burst is a no-op, and
-// a recycled NewBurst run is refillable.
+// TestRunRateResultsSurviveNextRun pins that RunRate's DuT-owned scratch
+// Burst never recycles latency storage: a Result kept from one run is
+// untouched by a Reset and a second run on the same DuT.
+func TestRunRateResultsSurviveNextRun(t *testing.T) {
+	dut := buildBatchBed(t, batchBedConfig{steering: dpdk.RSS})
+	run := func(seed int64) Result {
+		g, err := trace.NewCampusMix(rand.New(rand.NewSource(seed)), 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunRate(dut, g, 600, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	first := run(31)
+	kept := append([]float64(nil), first.LatenciesNs...)
+	dut.Reset()
+	second := run(32)
+	if !reflect.DeepEqual(first.LatenciesNs, kept) {
+		t.Fatal("second RunRate overwrote the first Result's LatenciesNs")
+	}
+	if reflect.DeepEqual(second.LatenciesNs, kept) {
+		t.Fatal("second run reproduced the first run's latencies; the check above proves nothing")
+	}
+}
+
+// TestBurstEdgeCases pins the degenerate inputs: an invalid count or rate
+// returns ErrInvalidRun on the production path and the reference alike,
+// an empty burst errors, and a recycled NewBurst run is refillable.
 func TestBurstEdgeCases(t *testing.T) {
 	dut := buildBatchBed(t, batchBedConfig{steering: dpdk.RSS})
 	if _, err := RunBurst(dut, NewBurst(0)); !errors.Is(err, ErrInvalidRun) {
 		t.Errorf("RunBurst(empty) = %v, want ErrInvalidRun", err)
 	}
-	if _, err := RunRateBatch(dut, nil, 0, 100); !errors.Is(err, ErrInvalidRun) {
-		t.Errorf("RunRateBatch(count=0) = %v, want ErrInvalidRun", err)
-	}
-	if _, err := RunRateBatch(dut, nil, 100, 0); !errors.Is(err, ErrInvalidRun) {
-		t.Errorf("RunRateBatch(rate=0) = %v, want ErrInvalidRun", err)
-	}
-	if _, err := RunPPSBatch(dut, nil, 100, -1); !errors.Is(err, ErrInvalidRun) {
-		t.Errorf("RunPPSBatch(pps<0) = %v, want ErrInvalidRun", err)
-	}
-	if got := dut.ArriveBurst(NewBurst(0)); got != 0 {
-		t.Errorf("ArriveBurst(empty) delivered %d", got)
+	for _, run := range []struct {
+		name string
+		fn   func(*DuT, trace.Generator, int, float64) (Result, error)
+	}{
+		{"RunRate", RunRate}, {"runRateScalar", runRateScalar},
+		{"RunPPS", RunPPS}, {"runPPSScalar", runPPSScalar},
+	} {
+		for _, bad := range []struct {
+			count int
+			rate  float64
+		}{{0, 100}, {100, 0}, {100, -1}} {
+			if _, err := run.fn(dut, nil, bad.count, bad.rate); !errors.Is(err, ErrInvalidRun) {
+				t.Errorf("%s(count=%d, rate=%v) = %v, want ErrInvalidRun", run.name, bad.count, bad.rate, err)
+			}
+		}
 	}
 
 	// A NewBurst must be refillable and rerunnable after Reset without

@@ -73,25 +73,3 @@ func BenchmarkRunRateForwarding(b *testing.B) {
 	}
 	b.ReportMetric(float64(packets), "pkts/op")
 }
-
-// BenchmarkRunRateForwardingScalar is the reference per-packet path
-// (RunRate, generation inside the loop), kept as the oracle the batch
-// numbers are compared against.
-func BenchmarkRunRateForwardingScalar(b *testing.B) {
-	const packets = 2000
-	dut := benchDuT(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g, err := trace.NewCampusMix(rand.New(rand.NewSource(1)), 1024)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := RunRate(dut, g, packets, 100); err != nil {
-			b.Fatal(err)
-		}
-		dut.Reset()
-		dut.Port().ResetStats()
-	}
-	b.ReportMetric(float64(packets), "pkts/op")
-}

@@ -138,7 +138,6 @@ type DuT struct {
 	recHead []int
 
 	rxScratch []*dpdk.Mbuf // PMD burst buffer, reused across RxBurstInto calls
-	txScratch [1]*dpdk.Mbuf
 
 	// nextDue is a lower bound on the earliest instant any queued packet's
 	// service could begin (+Inf when all rings are empty). advanceTo skips
@@ -147,8 +146,8 @@ type DuT struct {
 	// between consecutive service completions.
 	nextDue float64
 
-	// burstScratch backs RunRateBatch/RunPPSBatch so repeated batch runs
-	// reuse one Burst's arrays instead of allocating per run.
+	// burstScratch backs RunRate/RunPPS so repeated runs reuse one Burst's
+	// arrays instead of allocating per run.
 	burstScratch *Burst
 
 	latencies []float64 // ns residency per processed packet
@@ -257,7 +256,7 @@ func (d *DuT) Arrive(pkt trace.Packet, t float64) bool {
 	return d.arrive(&pkt, t, -1) == VerdictDelivered
 }
 
-// arrive is the shared arrival path behind Arrive and ArriveBurst. preQ,
+// arrive is the shared arrival path behind Arrive and RunBurst. preQ,
 // when >= 0, is the RX queue already resolved by dpdk.SteerBatch (pure RSS
 // steering only); -1 makes the port steer at delivery. The packet is
 // mutated in place (timestamped), which lets the burst path stamp its
@@ -403,15 +402,11 @@ func (d *DuT) advanceQueue(q int, t float64) {
 			n = avail
 		}
 		d.rxScratch = d.port.RxBurstInto(q, n, d.rxScratch[:0])
-		ms := d.rxScratch
 		core := d.machine.Core(d.coreOffset + q)
-		if d.tele == nil {
-			d.serviceBurst(q, core, ms)
-			continue
-		}
-		for _, mb := range ms {
+		for _, mb := range d.rxScratch {
 			arr := d.arrivals[q][d.arrHead[q]]
 			d.arrHead[q]++
+			// The packet's flight record (none when telemetry is off).
 			var rec *telemetry.PacketRecord
 			if len(d.recs[q]) > d.recHead[q] {
 				rec = d.recs[q][d.recHead[q]]
@@ -444,15 +439,20 @@ func (d *DuT) advanceQueue(q int, t float64) {
 			d.coreFree[q] = begin + serviceNs
 			d.latencies = append(d.latencies, d.coreFree[q]-arr)
 			d.processed++
-			d.txScratch[0] = mb
-			d.port.TxBurst(q, d.txScratch[:])
-			if rec != nil {
-				d.finishRecord(rec, q, before, begin, scale)
+			if d.tele != nil {
+				if rec != nil {
+					d.finishRecord(rec, q, before, begin, scale)
+				}
+				d.histResd.Observe(q, d.coreFree[q]-arr)
+				d.histSvc.Observe(q, serviceNs)
+				d.ctrDone.Inc(q)
 			}
-			d.histResd.Observe(q, d.coreFree[q]-arr)
-			d.histSvc.Observe(q, serviceNs)
-			d.ctrDone.Inc(q)
 		}
+		// One transmit per PMD burst: TxBurst draws no fault RNG and returns
+		// the mbufs to their pools in slice order, and no mempool Get
+		// intervenes before the next delivery, so pool and RNG state match
+		// per-packet transmits exactly.
+		d.port.TxBurst(q, d.rxScratch)
 	}
 	// Queue drained: rewind the FIFOs so their capacity is reused by the
 	// next arrivals instead of growing behind an ever-advancing head.
@@ -460,38 +460,6 @@ func (d *DuT) advanceQueue(q int, t float64) {
 	d.arrHead[q] = 0
 	d.recs[q] = d.recs[q][:0]
 	d.recHead[q] = 0
-}
-
-// serviceBurst is the telemetry-off service loop: the same per-packet
-// driver reads, chain run, overhead and timing arithmetic as the
-// instrumented loop — minus the record/histogram bookkeeping (all no-ops
-// when telemetry is off) — and one TxBurst for the whole PMD burst instead
-// of one per packet. TxBurst only counts bytes and returns mbufs to their
-// pools in slice order, and no mempool Get or injector draw intervenes
-// before the next delivery, so the batched transmit leaves pool and RNG
-// state byte-identical to per-packet transmits.
-func (d *DuT) serviceBurst(q int, core *cpusim.Core, ms []*dpdk.Mbuf) {
-	for _, mb := range ms {
-		arr := d.arrivals[q][d.arrHead[q]]
-		d.arrHead[q]++
-
-		before := core.Cycles()
-		core.Read(mb.BaseVA())
-		core.Read(mb.BaseVA() + 64)
-		d.chain.Process(core, mb)
-		core.AddCycles(d.overhead)
-		serviceNs := float64(core.Cycles()-before) / d.freq * 1e9
-		serviceNs *= d.faults.ServiceScale(q)
-
-		begin := d.coreFree[q]
-		if arr > begin {
-			begin = arr
-		}
-		d.coreFree[q] = begin + serviceNs
-		d.latencies = append(d.latencies, d.coreFree[q]-arr)
-		d.processed++
-	}
-	d.port.TxBurst(q, ms)
 }
 
 // finishRecord closes a packet's flight record: cycle-denominated NF
@@ -605,33 +573,6 @@ type Result struct {
 	FaultCounts faults.Counts
 }
 
-// runLoop is the shared offered-load loop behind RunRate and RunPPS:
-// gap(pkt) returns the inter-arrival spacing in ns for the packet just
-// offered. The steady-state throughput window skips the first quarter
-// (warm-up) and stops at the last arrival (excluding the drain tail).
-func runLoop(d *DuT, gen trace.Generator, count int, gap func(trace.Packet) float64) (Result, float64) {
-	base := d.beginRun(count)
-	t := 0.0
-	var offeredBits float64
-	var windowStartNs float64
-	var windowStartTx uint64
-	for i := 0; i < count; i++ {
-		pkt := gen.Next()
-		offeredBits += float64(pkt.Size * 8)
-		d.Arrive(pkt, t)
-		if i == count/4 {
-			windowStartNs = t
-			windowStartTx = d.port.Stats().TxBytes
-		}
-		t += gap(pkt)
-	}
-	// Advance the cores to the end of the arrival window before closing
-	// the throughput measurement, then drain the leftovers.
-	d.advanceTo(t)
-	windowTx := d.port.Stats().TxBytes - windowStartTx
-	return d.endRun(base, count, t, windowStartNs, windowTx), offeredBits
-}
-
 // runBaseline snapshots the cumulative counters a run's Result is diffed
 // against (counters survive across back-to-back runs; Results don't).
 type runBaseline struct {
@@ -641,7 +582,6 @@ type runBaseline struct {
 
 // beginRun snapshots counters and reserves latency storage for count
 // packets so the per-packet append in advanceQueue never regrows mid-run.
-// Shared by the scalar runLoop and RunBurst.
 func (d *DuT) beginRun(count int) runBaseline {
 	base := runBaseline{port: d.port.Stats(), shed: d.shedTotal}
 	copy(d.shedBaseline, d.shedByClass)
@@ -655,7 +595,7 @@ func (d *DuT) beginRun(count int) runBaseline {
 
 // endRun drains the DuT and assembles the Result for a run whose last
 // arrival was at t, diffing cumulative counters against the beginRun
-// snapshot. Shared by the scalar runLoop and RunBurst.
+// snapshot.
 func (d *DuT) endRun(base runBaseline, count int, t, windowStartNs float64, windowTx uint64) Result {
 	end := d.Drain()
 	if end < t {
@@ -688,40 +628,4 @@ func (d *DuT) endRun(base runBaseline, count int, t, windowStartNs float64, wind
 		res.AchievedGbps = float64(windowTx) * 8 / window
 	}
 	return res
-}
-
-// RunRate offers count packets from gen at offeredGbps, paced by wire size
-// and capped by the NIC ingress model, and returns the collected result.
-func RunRate(d *DuT, gen trace.Generator, count int, offeredGbps float64) (Result, error) {
-	if count <= 0 || offeredGbps <= 0 {
-		return Result{}, fmt.Errorf("netsim: need positive count and rate: %w", ErrInvalidRun)
-	}
-	rate := offeredGbps
-	if rate > NICCapGbps {
-		rate = NICCapGbps
-	}
-	minGapNs := 1e9 / NICCapPPS
-	res, _ := runLoop(d, gen, count, func(pkt trace.Packet) float64 {
-		wireNs := float64(pkt.Size*8) / rate // Gbps ⇒ bits/ns
-		if wireNs < minGapNs {
-			wireNs = minGapNs
-		}
-		return wireNs
-	})
-	res.OfferedGbps = offeredGbps
-	return res, nil
-}
-
-// RunPPS offers count packets at a fixed packet rate (Fig 12's 1000 pps).
-func RunPPS(d *DuT, gen trace.Generator, count int, pps float64) (Result, error) {
-	if count <= 0 || pps <= 0 {
-		return Result{}, fmt.Errorf("netsim: need positive count and rate: %w", ErrInvalidRun)
-	}
-	if pps > NICCapPPS {
-		pps = NICCapPPS
-	}
-	gap := 1e9 / pps
-	res, offeredBits := runLoop(d, gen, count, func(trace.Packet) float64 { return gap })
-	res.OfferedGbps = offeredBits / (float64(count) * gap)
-	return res, nil
 }

@@ -3,6 +3,7 @@ package netsim
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -162,10 +163,12 @@ func TestTelemetryStageCoverage(t *testing.T) {
 }
 
 // TestTelemetryIsObservationOnly pins the determinism contract: the same
-// workload produces bit-identical latencies and outcomes whether or not a
-// collector is armed.
+// workload produces a bit-identical Result and end state whether or not a
+// collector is armed. One service loop runs both modes, so the whole
+// Result (latencies, window, drop breakdown, fault counts) and the machine
+// digest are compared, not just the outcome counts.
 func TestTelemetryIsObservationOnly(t *testing.T) {
-	run := func(c *telemetry.Collector) Result {
+	run := func(c *telemetry.Collector) (Result, string) {
 		dut := buildTelemetryDuT(t, c, 0.02)
 		gen, err := trace.NewCampusMix(rand.New(rand.NewSource(9)), 1024)
 		if err != nil {
@@ -175,22 +178,15 @@ func TestTelemetryIsObservationOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, machineDigest(dut)
 	}
-	plain := run(nil)
-	instrumented := run(telemetry.New(telemetry.Config{Shards: 8, SampleEvery: 1}))
-	if plain.Delivered != instrumented.Delivered || plain.Dropped != instrumented.Dropped {
-		t.Fatalf("outcomes diverge: %d/%d delivered, %d/%d dropped",
-			plain.Delivered, instrumented.Delivered, plain.Dropped, instrumented.Dropped)
+	plain, plainState := run(nil)
+	instrumented, instrState := run(telemetry.New(telemetry.Config{Shards: 8, SampleEvery: 1}))
+	if !reflect.DeepEqual(plain, instrumented) {
+		t.Fatalf("telemetry perturbed the Result:\nplain:        %+v\ninstrumented: %+v", plain, instrumented)
 	}
-	if len(plain.LatenciesNs) != len(instrumented.LatenciesNs) {
-		t.Fatalf("latency counts diverge: %d vs %d", len(plain.LatenciesNs), len(instrumented.LatenciesNs))
-	}
-	for i := range plain.LatenciesNs {
-		if plain.LatenciesNs[i] != instrumented.LatenciesNs[i] {
-			t.Fatalf("latency %d diverges: %v vs %v — telemetry perturbed the simulation",
-				i, plain.LatenciesNs[i], instrumented.LatenciesNs[i])
-		}
+	if plainState != instrState {
+		t.Fatalf("telemetry perturbed the end state:\n--- plain ---\n%s\n--- instrumented ---\n%s", plainState, instrState)
 	}
 }
 
