@@ -83,15 +83,19 @@ bench-smoke:
 
 # Parallel determinism gate: the full quick reproduction must be
 # byte-identical at -jobs 1 and -jobs 4 (timestamps and wall-clock
-# footers filtered out).
+# footers filtered out). The -jobs 4 side is built with -race: it runs
+# whole experiments concurrently, so any mutable state two experiments
+# share makes the race detector fail the run (exit 66) before the
+# outputs are even compared.
 determinism:
 	$(GO) build -o /tmp/sliceaware-reproduce ./cmd/reproduce
-	/tmp/sliceaware-reproduce -scale quick -seed 1 -all -jobs 1 \
-		| grep -v '^# Reproduction run' | grep -Ev '^\(.* in .*\)$$' > /tmp/sliceaware-j1.txt
-	/tmp/sliceaware-reproduce -scale quick -seed 1 -all -jobs 4 \
-		| grep -v '^# Reproduction run' | grep -Ev '^\(.* in .*\)$$' > /tmp/sliceaware-j4.txt
+	$(GO) build -race -o /tmp/sliceaware-reproduce-race ./cmd/reproduce
+	/tmp/sliceaware-reproduce -scale quick -seed 1 -all -jobs 1 > /tmp/sliceaware-j1.raw
+	/tmp/sliceaware-reproduce-race -scale quick -seed 1 -all -jobs 4 > /tmp/sliceaware-j4.raw
+	grep -v '^# Reproduction run' /tmp/sliceaware-j1.raw | grep -Ev '^\(.* in .*\)$$' > /tmp/sliceaware-j1.txt
+	grep -v '^# Reproduction run' /tmp/sliceaware-j4.raw | grep -Ev '^\(.* in .*\)$$' > /tmp/sliceaware-j4.txt
 	cmp /tmp/sliceaware-j1.txt /tmp/sliceaware-j4.txt
-	@echo "reproduce output byte-identical at -jobs 1 and -jobs 4"
+	@echo "reproduce output byte-identical at -jobs 1 and -jobs 4 (race-built), race-clean"
 
 # End-to-end daemon smoke: slicekvsd under past-saturation load with a
 # seeded fault plan must hold the chaos acceptance (top-class p99 within
@@ -146,4 +150,4 @@ paper-golden:
 		-out /tmp/sliceaware-paper-golden
 	@echo "paper-quick goldens byte-identical"
 
-ci: build vet race determinism bench-gate bench-smoke daemon-smoke obs-smoke crash-smoke fleet-smoke paper-golden
+ci: build vet race determinism bench-smoke daemon-smoke obs-smoke crash-smoke fleet-smoke paper-golden

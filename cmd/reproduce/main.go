@@ -13,17 +13,21 @@
 // validated against the same catalog: an unknown ID is a hard error
 // (exit 2) listing the valid set, never a silent no-op run.
 //
-// -jobs fans each figure's independent trials across N workers (0 =
-// GOMAXPROCS). Trials derive their randomness from fixed per-stream
-// seeds and results are collected in trial order, so the printed tables
-// are byte-identical for every -jobs value.
+// -jobs fans the selected experiments, and each experiment's independent
+// trials, across N workers (0 = GOMAXPROCS). Experiments are dispatched
+// in catalog order and each one's output is printed as soon as it and
+// every experiment before it are done. Trials derive their randomness
+// from fixed per-stream seeds and results are collected in trial order,
+// so the printed tables are byte-identical for every -jobs value. Only
+// the "(ID in T)" footers differ: under -jobs > 1 each is that
+// experiment's own elapsed time while it shared the CPUs with others.
 //
 // -metrics-dir arms telemetry on every experiment DuT and dumps one
 // Prometheus text file per figure (DIR/<id>.prom) plus the figure's
 // slice heat timeline (DIR/<id>.timeline.json). Telemetry is
 // observation-only: the printed tables are byte-identical with and
 // without it. An armed collector forces -jobs down to 1 (its timeline
-// is single-writer).
+// is single-writer, and each dump must cover one figure only).
 //
 // Paper artifacts: T1 F4 F5 F6 F7 F8 HR F12 F13 F14 T3 F15 F16 T4 F17
 // (T3 is derived from F13+F14 and runs them if not already selected).
@@ -65,12 +69,108 @@ func writeTo(path string, fn func(io.Writer) error) error {
 	return f.Close()
 }
 
+// tableOf is the task body of an experiment that prints only its table.
+func tableOf[R any](fn func(experiments.Scale) (R, *experiments.Table, error), scale experiments.Scale) func(io.Writer) (*experiments.Table, error) {
+	return func(io.Writer) (*experiments.Table, error) {
+		_, t, err := fn(scale)
+		return t, err
+	}
+}
+
+// plan builds the ordered task list of one run: the paper artifacts
+// selected by want (all of them when want is empty), then the ablations
+// and extensions selected by want or by all. fig13 and fig14 compute the
+// two NFV figures Table 3 is derived from. With every experiment
+// selected, the list is the experiment catalog in its order; the tests
+// hold plan to that, so -list and -only validation cannot drift from
+// what runs.
+func plan(scale experiments.Scale, want map[string]bool, all bool, fig13, fig14 nfvRunner) (tasks []task) {
+	selected := func(id string) bool { return len(want) == 0 || want[id] }
+	show := func(id string, run func(io.Writer) (*experiments.Table, error)) {
+		if selected(id) {
+			tasks = append(tasks, task{id: id, run: run})
+		}
+	}
+
+	show("T1", func(io.Writer) (*experiments.Table, error) { return experiments.Table1(), nil })
+	show("F4", tableOf(experiments.Figure4, scale))
+	show("F5", tableOf(experiments.Figure5, scale))
+	show("F6", tableOf(experiments.Figure6, scale))
+	show("F7", tableOf(experiments.Figure7, scale))
+	show("F8", tableOf(experiments.Figure8, scale))
+	show("HR", tableOf(experiments.Headroom, scale))
+	show("F12", tableOf(experiments.Figure12, scale))
+
+	f13, f14 := newNFVFigure(fig13, selected("F13")), newNFVFigure(fig14, selected("F14"))
+	show("F13", func(io.Writer) (*experiments.Table, error) { return f13.own(scale) })
+	show("F14", func(w io.Writer) (*experiments.Table, error) {
+		t, err := f14.own(scale)
+		if err == nil {
+			experiments.CDFTable(f14.res, 12).Fprint(w)
+			fmt.Fprintln(w, experiments.CDFPlot(f14.res, 64, 64, 16))
+		}
+		return t, err
+	})
+	show("T3", func(io.Writer) (*experiments.Table, error) {
+		r13, err := f13.result(scale)
+		if err != nil {
+			return nil, err
+		}
+		r14, err := f14.result(scale)
+		if err != nil {
+			return nil, err
+		}
+		_, t := experiments.Table3From(r13, r14)
+		return t, nil
+	})
+	show("F15", func(w io.Writer) (*experiments.Table, error) {
+		res, t, err := experiments.Figure15(scale)
+		if err == nil {
+			fmt.Fprintln(w, experiments.KneePlot(res, 64, 16))
+		}
+		return t, err
+	})
+	show("F16", tableOf(experiments.Figure16, scale))
+	show("T4", func(io.Writer) (*experiments.Table, error) {
+		_, t, err := experiments.Table4()
+		return t, err
+	})
+	show("F17", tableOf(experiments.Figure17, scale))
+
+	// Ablations and extensions (run when selected explicitly, or with -all).
+	selected = func(id string) bool { return want[id] || (all && len(want) == 0) }
+	show("A-DDIO", tableOf(experiments.AblationDDIOWays, scale))
+	show("A-PLACE", tableOf(experiments.AblationPlacement, scale))
+	show("A-STEER", tableOf(experiments.AblationSteering, scale))
+	show("A-MULTI", tableOf(experiments.AblationMultiSlice, scale))
+	show("A-PF", tableOf(experiments.AblationPrefetch, scale))
+	show("A-RP", tableOf(experiments.AblationReplacement, scale))
+	show("S6", tableOf(experiments.SkylakeCacheDirector, scale))
+	show("S8V", tableOf(experiments.LargeValueKVS, scale))
+	show("S8M", tableOf(experiments.HotMigration, scale))
+	show("S9C", func(io.Writer) (*experiments.Table, error) { return experiments.PageColoringDemo() })
+	show("S7H", tableOf(experiments.VMIsolation, scale))
+	show("S8S", tableOf(experiments.SharedDataPlacement, scale))
+	show("S4V", tableOf(experiments.OffsetTarget, scale))
+	show("F-FAULTS", tableOf(experiments.FigFaults, scale))
+	show("F-OVERLOAD", func(w io.Writer) (*experiments.Table, error) {
+		_, t, err := experiments.FigOverload(scale)
+		if err != nil {
+			return nil, err
+		}
+		t.Fprint(w)
+		return experiments.OverloadBreakerStorm(scale)
+	})
+	show("F-TENANT", tableOf(experiments.FigTenant, scale))
+	return tasks
+}
+
 func main() {
 	scaleFlag := flag.String("scale", "quick", "sample counts: quick or full")
 	onlyFlag := flag.String("only", "", "comma-separated experiment IDs (default: all paper artifacts)")
 	allFlag := flag.Bool("all", false, "also run ablations and extensions (A-*, S*)")
 	seedFlag := flag.Int64("seed", 1, "run-wide seed; same seed reproduces the same numbers")
-	jobsFlag := flag.Int("jobs", 1, "workers for independent trials (0 = GOMAXPROCS); output is byte-identical for any value")
+	jobsFlag := flag.Int("jobs", 1, "workers for experiments and their independent trials (0 = GOMAXPROCS); tables are byte-identical for any value")
 	metricsDir := flag.String("metrics-dir", "", "dump per-figure telemetry (Prometheus text + slice timeline JSON) into this directory")
 	listFlag := flag.Bool("list", false, "print the experiment catalog (IDs, kinds, scales) as JSON and exit")
 	profFlags := prof.Register(flag.CommandLine)
@@ -120,24 +220,23 @@ func main() {
 			want[id] = true
 		}
 	}
-	selected := func(id string) bool { return len(want) == 0 || want[id] }
 
 	fmt.Printf("# Reproduction run (%s scale) — %s\n\n", scale, time.Now().Format(time.RFC3339))
 
+	workers, after := experiments.Jobs(), (func(id string))(nil)
 	if *metricsDir != "" {
 		if err := os.MkdirAll(*metricsDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
 			os.Exit(1)
 		}
-	}
-	// dumpTelemetry writes one figure's metrics + timeline and re-arms a
-	// fresh collector for the next, so each dump covers one figure only.
-	dumpTelemetry := func(id string) {
-		if *metricsDir == "" {
-			return
-		}
-		c := experiments.Collector()
-		if c != nil {
+		// The collector is one package-level value, swapped once per
+		// figure, so the figures run one at a time: each runs, prints and
+		// dumps before the next one starts.
+		workers = 1
+		// after writes one figure's metrics + timeline and re-arms a fresh
+		// collector for the next, so each dump covers one figure only.
+		after = func(id string) {
+			c := experiments.Collector()
 			base := filepath.Join(*metricsDir, strings.ToLower(id))
 			if err := writeTo(base+".prom", c.Registry().WritePrometheus); err != nil {
 				fmt.Fprintf(os.Stderr, "reproduce: telemetry dump %s: %v\n", id, err)
@@ -145,146 +244,13 @@ func main() {
 			if err := writeTo(base+".timeline.json", c.Timeline().WriteJSON); err != nil {
 				fmt.Fprintf(os.Stderr, "reproduce: telemetry dump %s: %v\n", id, err)
 			}
+			experiments.SetCollector(telemetry.New(telemetry.Config{Shards: 8}))
 		}
 		experiments.SetCollector(telemetry.New(telemetry.Config{Shards: 8}))
 	}
-	if *metricsDir != "" {
-		experiments.SetCollector(telemetry.New(telemetry.Config{Shards: 8}))
-	}
 
-	exit := 0
-	// registered collects every experiment ID this binary can run so the
-	// shared catalog (reproduce -list, scenario validation) provably
-	// matches the dispatch below.
-	registered := map[string]bool{}
-	show := func(id string, run func() (*experiments.Table, error)) {
-		registered[id] = true
-		if !selected(id) {
-			return
-		}
-		start := time.Now()
-		tab, err := run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "reproduce: %s failed: %v\n", id, err)
-			exit = 1
-			return
-		}
-		tab.Fprint(os.Stdout)
-		fmt.Printf("(%s in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
-		dumpTelemetry(id)
-	}
-
-	show("T1", func() (*experiments.Table, error) { return experiments.Table1(), nil })
-	show("F4", func() (*experiments.Table, error) { _, t, err := experiments.Figure4(scale); return t, err })
-	show("F5", func() (*experiments.Table, error) { _, t, err := experiments.Figure5(scale); return t, err })
-	show("F6", func() (*experiments.Table, error) { _, t, err := experiments.Figure6(scale); return t, err })
-	show("F7", func() (*experiments.Table, error) { _, t, err := experiments.Figure7(scale); return t, err })
-	show("F8", func() (*experiments.Table, error) { _, t, err := experiments.Figure8(scale); return t, err })
-	show("HR", func() (*experiments.Table, error) { _, t, err := experiments.Headroom(scale); return t, err })
-	show("F12", func() (*experiments.Table, error) { _, t, err := experiments.Figure12(scale); return t, err })
-
-	var f13, f14 *experiments.NFVLatencyResult
-	show("F13", func() (*experiments.Table, error) {
-		res, t, err := experiments.Figure13(scale)
-		f13 = res
-		return t, err
-	})
-	show("F14", func() (*experiments.Table, error) {
-		res, t, err := experiments.Figure14(scale)
-		f14 = res
-		if err == nil {
-			experiments.CDFTable(res, 12).Fprint(os.Stdout)
-			fmt.Println(experiments.CDFPlot(res, 64, 64, 16))
-		}
-		return t, err
-	})
-	show("T3", func() (*experiments.Table, error) {
-		var err error
-		if f13 == nil {
-			f13, _, err = experiments.Figure13(scale)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if f14 == nil {
-			f14, _, err = experiments.Figure14(scale)
-			if err != nil {
-				return nil, err
-			}
-		}
-		_, t := experiments.Table3From(f13, f14)
-		return t, nil
-	})
-	show("F15", func() (*experiments.Table, error) {
-		res, t, err := experiments.Figure15(scale)
-		if err == nil {
-			fmt.Println(experiments.KneePlot(res, 64, 16))
-		}
-		return t, err
-	})
-	show("F16", func() (*experiments.Table, error) { _, t, err := experiments.Figure16(scale); return t, err })
-	show("T4", func() (*experiments.Table, error) { _, t, err := experiments.Table4(); return t, err })
-	show("F17", func() (*experiments.Table, error) { _, t, err := experiments.Figure17(scale); return t, err })
-
-	// Ablations and extensions (run when selected explicitly, or with -all).
-	extSelected := func(id string) bool { return want[id] || (*allFlag && len(want) == 0) }
-	showExt := func(id string, run func() (*experiments.Table, error)) {
-		registered[id] = true
-		if !extSelected(id) {
-			return
-		}
-		start := time.Now()
-		tab, err := run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "reproduce: %s failed: %v\n", id, err)
-			exit = 1
-			return
-		}
-		tab.Fprint(os.Stdout)
-		fmt.Printf("(%s in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
-		dumpTelemetry(id)
-	}
-	showExt("A-DDIO", func() (*experiments.Table, error) { _, t, err := experiments.AblationDDIOWays(scale); return t, err })
-	showExt("A-PLACE", func() (*experiments.Table, error) { _, t, err := experiments.AblationPlacement(scale); return t, err })
-	showExt("A-STEER", func() (*experiments.Table, error) { _, t, err := experiments.AblationSteering(scale); return t, err })
-	showExt("A-MULTI", func() (*experiments.Table, error) { _, t, err := experiments.AblationMultiSlice(scale); return t, err })
-	showExt("A-PF", func() (*experiments.Table, error) { _, t, err := experiments.AblationPrefetch(scale); return t, err })
-	showExt("A-RP", func() (*experiments.Table, error) { _, t, err := experiments.AblationReplacement(scale); return t, err })
-	showExt("S6", func() (*experiments.Table, error) {
-		_, t, err := experiments.SkylakeCacheDirector(scale)
-		return t, err
-	})
-	showExt("S8V", func() (*experiments.Table, error) { _, t, err := experiments.LargeValueKVS(scale); return t, err })
-	showExt("S8M", func() (*experiments.Table, error) { _, t, err := experiments.HotMigration(scale); return t, err })
-	showExt("S9C", func() (*experiments.Table, error) { return experiments.PageColoringDemo() })
-	showExt("S7H", func() (*experiments.Table, error) { _, t, err := experiments.VMIsolation(scale); return t, err })
-	showExt("S8S", func() (*experiments.Table, error) { _, t, err := experiments.SharedDataPlacement(scale); return t, err })
-	showExt("S4V", func() (*experiments.Table, error) { _, t, err := experiments.OffsetTarget(scale); return t, err })
-	showExt("F-FAULTS", func() (*experiments.Table, error) { _, t, err := experiments.FigFaults(scale); return t, err })
-	showExt("F-OVERLOAD", func() (*experiments.Table, error) {
-		_, t, err := experiments.FigOverload(scale)
-		if err != nil {
-			return nil, err
-		}
-		t.Fprint(os.Stdout)
-		return experiments.OverloadBreakerStorm(scale)
-	})
-	showExt("F-TENANT", func() (*experiments.Table, error) { _, t, err := experiments.FigTenant(scale); return t, err })
-
-	// Catalog drift guard: every catalog entry must be runnable here and
-	// vice versa, or -list/-only validation would lie to scenario files.
-	for _, e := range experiments.Catalog() {
-		if !registered[e.ID] {
-			fmt.Fprintf(os.Stderr, "reproduce: BUG: catalog lists %s but no harness is registered for it\n", e.ID)
-			exit = 1
-		}
-	}
-	for id := range registered {
-		if !experiments.IsExperiment(id) {
-			fmt.Fprintf(os.Stderr, "reproduce: BUG: harness %s is not in the experiment catalog\n", id)
-			exit = 1
-		}
-	}
+	tasks := plan(scale, want, *allFlag, experiments.Figure13, experiments.Figure14)
+	exit := runTasks(tasks, workers, os.Stdout, os.Stderr, after)
 
 	// Stop explicitly: os.Exit skips defers, and the CPU profile is only
 	// valid once StopCPUProfile has flushed it.

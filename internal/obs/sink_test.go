@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"net"
+	"sync"
 	"testing"
 	"time"
 )
@@ -33,7 +34,8 @@ func TestSinkClientDelivers(t *testing.T) {
 	}()
 
 	c := DialSink(ln.Addr().String(), "test-src")
-	defer c.Close()
+	closeClient := sync.OnceFunc(c.Close)
+	defer closeClient()
 	if !c.Send(WideEvent{Kind: KindStats, Num: map[string]float64{"rps": 42}}) {
 		t.Fatal("Send returned false with room in the buffer")
 	}
@@ -52,6 +54,10 @@ func TestSinkClientDelivers(t *testing.T) {
 			t.Fatalf("event %d never arrived", i)
 		}
 	}
+	// The writer counts an event as sent only after Encode returns, which
+	// can be after the reader above already has it; Close waits for the
+	// writer loop to finish.
+	closeClient()
 	if c.Sent() != 2 || c.Dropped() != 0 {
 		t.Fatalf("Sent=%d Dropped=%d, want 2/0", c.Sent(), c.Dropped())
 	}
