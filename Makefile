@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-json bench-compare bench-gate bench-smoke determinism daemon-smoke obs-smoke crash-smoke fleet-smoke paper-golden ci
+.PHONY: all build test race race-serving vet lint bench bench-json bench-compare bench-gate bench-smoke determinism daemon-smoke obs-smoke crash-smoke fleet-smoke paper-golden ci
 
 all: build test
 
@@ -12,6 +12,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The journal's two goroutines under the race detector, twenty times
+# over: the Detach/Commit split in internal/wal and slicekvsd's per-shard
+# committer (hand-off, one batch in flight, snapshot/drain/restart waits,
+# poisoning). The committer tests hold commits open on channels, so
+# repetition varies the interleavings rather than the sleeps.
+race-serving:
+	$(GO) test -race -count=20 -run '^Test(Commit|Detach|Flush|WriteFileAtomic)' \
+		./internal/wal ./cmd/slicekvsd
 
 vet:
 	$(GO) vet ./...
@@ -150,4 +159,4 @@ paper-golden:
 		-out /tmp/sliceaware-paper-golden
 	@echo "paper-quick goldens byte-identical"
 
-ci: build vet race determinism bench-smoke daemon-smoke obs-smoke crash-smoke fleet-smoke paper-golden
+ci: build vet race race-serving determinism bench-smoke daemon-smoke obs-smoke crash-smoke fleet-smoke paper-golden

@@ -10,7 +10,6 @@ import (
 	"log"
 	"net"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -22,6 +21,7 @@ import (
 	"sliceaware/internal/obs"
 	"sliceaware/internal/overload"
 	"sliceaware/internal/telemetry"
+	"sliceaware/internal/wal"
 )
 
 // config carries every slicekvsd knob. Durations are wall-clock: the
@@ -58,8 +58,9 @@ type config struct {
 	checkpoint string // drain checkpoint path ("" disables)
 
 	// Durability. walDir enables per-shard journaling + snapshots; the
-	// loss window for acked writes is bounded by walFlushEvery wall time
-	// or walFlushRecs records, whichever closes first.
+	// loss window for acked writes is the buffered tail plus at most one
+	// batch being committed: ≤ 2 × walFlushRecs records, or walFlushEvery
+	// wall time plus one fsync.
 	walDir         string
 	walFlushEvery  time.Duration // group-commit flush interval
 	walFlushRecs   int           // group-commit record threshold
@@ -359,16 +360,10 @@ func (s *server) initMetrics() {
 		s.reg.GaugeFunc("slicekvsd_shard_served", "Requests served per shard", lbl,
 			func() float64 { return float64(sh.served.Load()) })
 		if s.cfg.walDir != "" {
-			s.reg.GaugeFunc("slicekvsd_wal_pending_records", "Acked SETs not yet group-committed", lbl,
-				func() float64 { return float64(sh.pendingA.Load()) })
-			s.reg.GaugeFunc("slicekvsd_wal_flush_lag_seconds", "Age of the oldest unflushed acked SET", lbl,
-				func() float64 {
-					first := sh.firstPendingNs.Load()
-					if first == 0 {
-						return 0
-					}
-					return time.Since(time.Unix(0, first)).Seconds()
-				})
+			s.reg.GaugeFunc("slicekvsd_wal_pending_records", "Acked SETs not yet durable (buffered or in flight)", lbl,
+				func() float64 { return float64(sh.walPending()) })
+			s.reg.GaugeFunc("slicekvsd_wal_flush_lag_seconds", "Age of the oldest acked SET not yet durable", lbl,
+				func() float64 { return sh.walFlushLag().Seconds() })
 			s.reg.GaugeFunc("slicekvsd_wal_durable_seq", "Last fsynced write seqno", lbl,
 				func() float64 { return float64(sh.durableSeqA.Load()) })
 			s.reg.GaugeFunc("slicekvsd_wal_recovered_seq", "Seqno recovery rebuilt through at last boot/restart", lbl,
@@ -1267,36 +1262,14 @@ func (s *server) writeCheckpoint(path string) error {
 	doc.Ladder.Recoveries = st.Recoveries
 	doc.Workers = s.sup.Snapshot()
 
-	// Atomic replace: temp file in the target's directory, fsync, rename.
-	// A crash mid-checkpoint must leave the previous checkpoint (or none),
-	// never a torn JSON document a post-mortem script chokes on.
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmpName := f.Name()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return nil
+	// Atomic replace: a crash mid-checkpoint must leave the previous
+	// checkpoint (or none), never a torn JSON document a post-mortem
+	// script chokes on.
+	return wal.WriteFileAtomic(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(doc)
+	})
 }
 
 // writeTraceFile dumps the retained sampled traces as a chrome://tracing

@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sliceaware/internal/wal"
 )
 
 // testConfig is a small, fast server for in-process tests.
@@ -31,11 +33,21 @@ func testConfig() config {
 
 func startServer(t *testing.T, cfg config) *server {
 	t.Helper()
+	return startServerWith(t, cfg, nil)
+}
+
+// startServerWith is startServer with a hook that runs on the built
+// server before it serves — where a test swaps a shard's commit function.
+func startServerWith(t *testing.T, cfg config, before func(*server)) *server {
+	t.Helper()
 	s, err := newServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.logf = t.Logf
+	if before != nil {
+		before(s)
+	}
 	if err := s.Serve(); err != nil {
 		t.Fatal(err)
 	}
@@ -222,17 +234,32 @@ func TestHealthAndMetricsSidecar(t *testing.T) {
 	}
 }
 
-// TestGracefulDrain is the satellite-3 coverage: an in-flight request
+// TestGracefulDrain checks the drain contract: an in-flight request
 // completes, new connections are refused with a retryable error, and the
 // whole drain finishes within its deadline.
 func TestGracefulDrain(t *testing.T) {
-	cfg := testConfig()
+	cfg := walConfig(t)
+	cfg.walFlushRecs = 1           // every SET hands its record to the committer
 	cfg.lameDuck = 2 * time.Second // keep the refusal window observable
 	cfg.checkpoint = filepath.Join(t.TempDir(), "checkpoint.json")
-	s := startServer(t, cfg)
+	// A SET reaches the committer from inside the worker's serve, before
+	// the reply: the hand-off is the signal that the request is admitted
+	// and in flight.
+	handedOff := make(chan struct{}, 1)
+	s := startServerWith(t, cfg, func(s *server) {
+		for _, sh := range s.shards {
+			sh.commit = func(j *wal.Journal, b wal.Batch) error {
+				select {
+				case handedOff <- struct{}{}:
+				default:
+				}
+				return j.Commit(b)
+			}
+		}
+	})
 
-	// Slow every request so one is plausibly in flight when the drain
-	// starts; correctness does not depend on winning that race.
+	// Slow every request so the SET is still in flight when the drain
+	// starts: the slowdown runs after the journal append.
 	admin := dialClient(t, s.Addr())
 	admin.send("chaos arm 42 slowdown:1:2000000")
 	if got := admin.line(); !strings.HasPrefix(got, "OK") {
@@ -240,46 +267,41 @@ func TestGracefulDrain(t *testing.T) {
 	}
 
 	inflight := dialClient(t, s.Addr())
-	type result struct{ lines []string }
-	done := make(chan result, 1)
+	done := make(chan string, 1)
 	go func() {
-		done <- result{inflight.get("k9")}
+		done <- inflight.set("k9", "v")
 	}()
 
-	time.Sleep(50 * time.Millisecond)
+	select {
+	case <-handedOff:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the SET never reached its shard")
+	}
 	drained := make(chan struct{})
 	go func() { s.Drain(); close(drained) }()
 
 	// New connections must be refused with a retryable error while
 	// draining (the listener stays open through the lame-duck window).
-	deadline := time.Now().Add(5 * time.Second)
-	refused := false
-	for time.Now().Before(deadline) && !refused {
-		conn, err := net.Dial("tcp", s.Addr())
-		if err != nil {
-			break // listener closed: drain finished before we observed it
-		}
-		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		line, err := bufio.NewReader(conn).ReadString('\n')
-		conn.Close()
-		if err == nil && strings.Contains(line, "draining") {
-			if !strings.Contains(line, "retryable") {
-				t.Fatalf("drain refusal %q not marked retryable", line)
-			}
-			refused = true
-		}
-		time.Sleep(10 * time.Millisecond)
+	<-s.lc.Draining()
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatalf("dial while draining: %v", err)
 	}
-	if !refused {
-		t.Fatal("never observed a draining refusal on a new connection")
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	line, err := bufio.NewReader(conn).ReadString('\n')
+	conn.Close()
+	if err != nil || !strings.Contains(line, "draining") {
+		t.Fatalf("new connection while draining read %q (%v), want a draining refusal", line, err)
+	}
+	if !strings.Contains(line, "retryable") {
+		t.Fatalf("drain refusal %q not marked retryable", line)
 	}
 
 	// The in-flight request must have completed with a real response.
 	select {
 	case r := <-done:
-		last := r.lines[len(r.lines)-1]
-		if last != "END" {
-			t.Fatalf("in-flight request ended %v, want END", r.lines)
+		if r != "STORED" {
+			t.Fatalf("in-flight request ended %q, want STORED", r)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("in-flight request never completed")
@@ -303,7 +325,7 @@ func TestGracefulDrain(t *testing.T) {
 	if len(doc.Shards) != cfg.shards {
 		t.Fatalf("checkpoint has %d shards, want %d", len(doc.Shards), cfg.shards)
 	}
-	wantTransitions := []string{"starting", "ready", "draining", "stopped"}
+	wantTransitions := []string{"starting", "recovering", "ready", "draining", "stopped"}
 	if len(doc.Transitions) != len(wantTransitions) {
 		t.Fatalf("transitions = %v, want %v", doc.Transitions, wantTransitions)
 	}
@@ -578,21 +600,15 @@ func TestWarmRestartPreservesVersions(t *testing.T) {
 		t.Fatalf("crash request = %v, want SERVER_ERROR", lines)
 	}
 
-	// Wait for the warm restart, then verify acked state survived.
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		c.send("getv k0")
-		got := c.line()
-		if got == "VER k0 0 5" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("shard 0 never recovered to VER k0 0 5; last %q", got)
-		}
-		if !strings.HasPrefix(got, "SERVER_ERROR") && !strings.HasPrefix(got, "VER") {
-			t.Fatalf("unexpected reply %q", got)
-		}
-		time.Sleep(50 * time.Millisecond)
+	// Wait for the supervisor to finish the warm restart, then verify the
+	// acked state survived it.
+	until(t, "shard 0 restored and up", func() bool {
+		w := s.sup.Snapshot()[0]
+		return w.Up && w.Restarts >= 1
+	})
+	c.send("getv k0")
+	if got := c.line(); got != "VER k0 0 5" {
+		t.Fatalf("after warm restart getv k0 = %q, want VER k0 0 5", got)
 	}
 	c.send("getv k2")
 	if got := c.line(); got != "VER k2 0 1" {

@@ -102,10 +102,11 @@ type shard struct {
 	// Durability. vers is the per-key version table (always maintained —
 	// one increment per SET); jr is the write journal, nil when -wal-dir is
 	// unset, and then the SET path pays exactly one nil check (the wal
-	// nil-is-free contract). vers/jr/seq/setsSinceSnap are worker-owned:
-	// the worker loop, the restore hook, and drain-time closeWAL all run
-	// sequenced on or after the supervision goroutine. The atomics below
-	// mirror journal state for stats/metrics read from other goroutines.
+	// nil-is-free contract). vers/jr/seq/setsSinceSnap/inFlight are
+	// worker-owned: the worker loop, the restore hook, and drain-time
+	// closeWAL all run sequenced on or after the supervision goroutine.
+	// The atomics below mirror journal state for stats/metrics read from
+	// other goroutines.
 	vers          []uint64
 	jr            *wal.Journal
 	seq           uint64
@@ -114,16 +115,26 @@ type shard struct {
 	flushRecs     int
 	snapEvery     int
 
-	seqA           atomic.Uint64 // last assigned seqno
-	durableSeqA    atomic.Uint64 // last fsynced seqno
-	recoveredSeqA  atomic.Uint64 // seqno recovery rebuilt through (this boot/restart)
-	pendingA       atomic.Int64  // records appended but not yet flushed
-	firstPendingNs atomic.Int64  // unix ns of the oldest unflushed append (0 = none)
-	walFlushesA    atomic.Uint64
-	walSnapsA      atomic.Uint64
-	walReplayedA   atomic.Uint64
-	walQuarantineA atomic.Uint64
-	restoresA      atomic.Uint64
+	// The committer: one goroutine per open journal, which runs commit
+	// (the write + fsync) on each batch the worker detaches. commitC
+	// carries at most one batch at a time — inFlight is set from the
+	// hand-off until commitDone answers it — and commitDone closes when
+	// the committer exits. commit is (*wal.Journal).Commit; tests swap it
+	// to hold a commit open.
+	commit     func(*wal.Journal, wal.Batch) error
+	commitC    chan wal.Batch
+	commitDone chan struct{}
+	inFlight   bool
+
+	seqA            atomic.Uint64 // last assigned seqno
+	durableSeqA     atomic.Uint64 // last fsynced seqno, advanced by the committer
+	recoveredSeqA   atomic.Uint64 // seqno recovery rebuilt through (this boot/restart)
+	tailSinceNs     atomic.Int64  // unix ns of the first buffered, undetached append (0 = none)
+	inFlightSinceNs atomic.Int64  // unix ns of the first detached append not yet durable (0 = none)
+	walSnapsA       atomic.Uint64
+	walReplayedA    atomic.Uint64
+	walQuarantineA  atomic.Uint64
+	restoresA       atomic.Uint64
 
 	logf func(format string, args ...any)
 
@@ -187,6 +198,7 @@ func newShard(id int, cfg config, start time.Time) (*shard, error) {
 		flushEvery: cfg.walFlushEvery,
 		flushRecs:  cfg.walFlushRecs,
 		snapEvery:  cfg.walSnapEvery,
+		commit:     (*wal.Journal).Commit,
 		logf:       log.Printf,
 	}
 	switch cfg.aqm {
@@ -247,7 +259,8 @@ func (sh *shard) getInjector() *faults.Injector {
 // run is the supervised worker loop: one goroutine, the only one that
 // touches the shard's simulated machine. When the shard journals, the
 // loop also owns the group-commit clock: a flush ticker bounds how long
-// an acked SET can sit in the unflushed tail.
+// an acked SET can sit in the buffered tail. Stopping commits the tail
+// and waits for it.
 func (sh *shard) run(stop <-chan struct{}) error {
 	var flushC <-chan time.Time
 	if sh.jr != nil && sh.flushEvery > 0 {
@@ -259,6 +272,7 @@ func (sh *shard) run(stop <-chan struct{}) error {
 		select {
 		case <-stop:
 			sh.flushWAL()
+			sh.waitCommit()
 			return nil
 		case <-flushC:
 			sh.flushWAL()
@@ -289,29 +303,99 @@ func (sh *shard) drainBurst() {
 	}
 }
 
-// flushWAL is the group commit: write + fsync every buffered record.
-// Worker-goroutine only (or sequenced after it: restore/drain).
+// flushWAL is the worker's half of the group commit: detach the buffered
+// records and hand them to the committer, which does the write + fsync.
+// At most one batch is in flight, so if the previous one is still
+// committing this waits for it — the only time the worker waits on the
+// disk. Worker-goroutine only (or sequenced after it: restore/drain).
 func (sh *shard) flushWAL() {
 	if sh.jr == nil || sh.jr.Pending() == 0 {
 		return
 	}
-	if err := sh.jr.Flush(); err != nil {
-		sh.logf("slicekvsd: shard %d wal flush: %v", sh.id, err)
-		return
+	sh.waitCommit()
+	// Keep an older stamp: it belongs to a batch whose commit failed, and
+	// its records are still the oldest that are not durable.
+	sh.inFlightSinceNs.CompareAndSwap(0, sh.tailSinceNs.Load())
+	sh.tailSinceNs.Store(0)
+	sh.inFlight = true
+	sh.commitC <- sh.jr.Detach()
+}
+
+// waitCommit returns once no batch is in flight.
+func (sh *shard) waitCommit() {
+	if sh.inFlight {
+		<-sh.commitDone
+		sh.inFlight = false
 	}
-	sh.walFlushesA.Add(1)
-	sh.durableSeqA.Store(sh.jr.DurableSeq())
-	sh.pendingA.Store(0)
-	sh.firstPendingNs.Store(0)
+}
+
+// startCommitter starts the committer of the journal just opened.
+func (sh *shard) startCommitter() {
+	sh.commitC = make(chan wal.Batch, 1)
+	sh.commitDone = make(chan struct{}, 1)
+	go sh.runCommitter(sh.jr, sh.commitC, sh.commitDone)
+}
+
+// runCommitter commits each batch it is handed, in hand-off order, and
+// publishes the durable seqno. While a batch is in flight it is the only
+// writer of durableSeqA and inFlightSinceNs; a failed commit leaves both,
+// because those records are not durable (and the journal is poisoned, so
+// the next SET is refused). It exits when the journal closes.
+func (sh *shard) runCommitter(jr *wal.Journal, batches <-chan wal.Batch, done chan<- struct{}) {
+	defer close(done)
+	for b := range batches {
+		if err := sh.commit(jr, b); err != nil {
+			sh.logf("slicekvsd: shard %d wal flush: %v", sh.id, err)
+		} else {
+			sh.durableSeqA.Store(b.Last())
+			sh.inFlightSinceNs.Store(0)
+		}
+		done <- struct{}{}
+	}
+}
+
+// closeJournal commits the buffered tail, stops the committer and closes
+// the journal. The worker is down, so the caller owns the journal.
+func (sh *shard) closeJournal() {
+	sh.flushWAL()
+	sh.waitCommit()
+	close(sh.commitC)
+	<-sh.commitDone // closed once the committer has exited
+	if err := sh.jr.Close(); err != nil {
+		sh.logf("slicekvsd: shard %d wal close: %v", sh.id, err)
+	}
+	sh.jr = nil
+}
+
+// walPending counts acked SETs that are not durable yet: buffered or in
+// flight.
+func (sh *shard) walPending() uint64 {
+	durable := sh.durableSeqA.Load() // first: seqA never falls below it
+	return sh.seqA.Load() - durable
+}
+
+// walFlushLag is the age of the oldest acked SET that is not durable yet.
+func (sh *shard) walFlushLag() time.Duration {
+	// The tail stamp first: a detach moves it to the in-flight stamp.
+	first := sh.tailSinceNs.Load()
+	if f := sh.inFlightSinceNs.Load(); f != 0 {
+		first = f
+	}
+	if first == 0 {
+		return 0
+	}
+	return time.Since(time.Unix(0, first))
 }
 
 // snapshotWAL writes an atomic full-state snapshot and truncates the
 // journal. The snapshot covers every append so far (flushed or not), so
-// pending records need no flush first — they become redundant.
+// buffered records need no flush first — they become redundant. An
+// in-flight batch is waited for: its write must not race the truncation.
 func (sh *shard) snapshotWAL() {
 	if sh.jr == nil {
 		return
 	}
+	sh.waitCommit()
 	gets, sets := sh.store.Counts()
 	snap := &wal.Snapshot{
 		Shard: sh.id, LastSeq: sh.seq,
@@ -331,8 +415,8 @@ func (sh *shard) snapshotWAL() {
 	sh.walSnapsA.Add(1)
 	sh.setsSinceSnap = 0
 	sh.durableSeqA.Store(sh.seq)
-	sh.pendingA.Store(0)
-	sh.firstPendingNs.Store(0)
+	sh.tailSinceNs.Store(0)
+	sh.inFlightSinceNs.Store(0)
 }
 
 // journalSet appends one acked SET to the journal, group-committing at
@@ -346,8 +430,8 @@ func (sh *shard) journalSet(rank, ver uint64) error {
 		return err
 	}
 	sh.seqA.Store(sh.seq)
-	if sh.pendingA.Add(1) == 1 {
-		sh.firstPendingNs.Store(time.Now().UnixNano())
+	if sh.jr.Pending() == 1 {
+		sh.tailSinceNs.Store(time.Now().UnixNano())
 	}
 	sh.setsSinceSnap++
 	if sh.snapEvery > 0 && sh.setsSinceSnap >= sh.snapEvery {
@@ -379,30 +463,29 @@ func (sh *shard) recoverState() (wal.Report, error) {
 		return rep, err
 	}
 	sh.jr = jr
+	sh.startCommitter()
 	sh.setsSinceSnap = 0
 	sh.seqA.Store(st.LastSeq)
 	sh.durableSeqA.Store(st.LastSeq)
 	sh.recoveredSeqA.Store(st.LastSeq)
-	sh.pendingA.Store(0)
-	sh.firstPendingNs.Store(0)
+	sh.tailSinceNs.Store(0)
+	sh.inFlightSinceNs.Store(0)
 	sh.walReplayedA.Add(uint64(rep.Replayed))
 	sh.walQuarantineA.Add(uint64(rep.Quarantined))
 	return rep, nil
 }
 
-// restore is the supervisor's warm-restart hook: flush whatever acked
-// tail survived in memory, rebuild the store from scratch, and replay
-// snapshot+journal into it. Runs on the supervision goroutine while the
-// worker is down (ladder floor pinned), before the worker restarts.
+// restore is the supervisor's warm-restart hook: commit whatever acked
+// tail survived in memory (after the batch in flight), rebuild the store
+// from scratch, and replay snapshot+journal into it. Runs on the
+// supervision goroutine while the worker is down (ladder floor pinned),
+// before the worker restarts.
 func (sh *shard) restore() error {
 	sh.restoresA.Add(1)
 	if sh.jr != nil {
 		// The process survived the crash, so the unflushed tail is still
 		// in memory — make it durable rather than losing it.
-		if err := sh.jr.Close(); err != nil {
-			sh.logf("slicekvsd: shard %d wal close before restore: %v", sh.id, err)
-		}
-		sh.jr = nil
+		sh.closeJournal()
 	}
 	store, core, freq, err := buildStore(sh.id, sh.cfg)
 	if err != nil {
@@ -422,18 +505,15 @@ func (sh *shard) restore() error {
 }
 
 // closeWAL is the drain-time finalization: flush the tail, snapshot, and
-// close. Called after the supervisor stopped, so single ownership has
-// passed to the draining goroutine.
+// close, stopping the committer. Called after the supervisor stopped, so
+// single ownership has passed to the draining goroutine.
 func (sh *shard) closeWAL() {
 	if sh.jr == nil {
 		return
 	}
 	sh.flushWAL()
 	sh.snapshotWAL()
-	if err := sh.jr.Close(); err != nil {
-		sh.logf("slicekvsd: shard %d wal close: %v", sh.id, err)
-	}
-	sh.jr = nil
+	sh.closeJournal()
 }
 
 // sojournEwma reads the smoothed queue-wait estimate in nanoseconds.

@@ -34,10 +34,9 @@ var ErrNoSnapshot = errors.New("wal: no snapshot")
 // recovery falls back to journal-only replay.
 var ErrSnapshotCorrupt = errors.New("wal: snapshot corrupt")
 
-// WriteSnapshot atomically replaces the shard's snapshot: the image is
-// written to a temp file in the same directory, fsynced, renamed over the
-// real name, and the directory fsynced — a crash at any point leaves
-// either the previous snapshot or this one, never a torn file.
+// WriteSnapshot atomically replaces the shard's snapshot (WriteFileAtomic):
+// a crash at any point leaves either the previous snapshot or this one,
+// never a torn file.
 func WriteSnapshot(dir string, s *Snapshot) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("wal: %w", err)
@@ -54,29 +53,40 @@ func WriteSnapshot(dir string, s *Snapshot) error {
 		buf = binary.LittleEndian.AppendUint64(buf, v)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	return WriteFileAtomic(snapshotPath(dir, s.Shard), func(w io.Writer) error {
+		_, err := w.Write(buf)
+		return err
+	})
+}
 
-	path := snapshotPath(dir, s.Shard)
+// WriteFileAtomic replaces path with what write produces: write goes to a
+// temp file in path's directory, which is fsynced, closed, renamed over
+// path, and the directory fsynced so the rename itself is durable. A crash
+// at any point leaves either the old file or the new one; on any error the
+// temp file is removed and path is untouched.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("wal: snapshot temp: %w", err)
+		return fmt.Errorf("wal: atomic write temp: %w", err)
 	}
 	tmpName := tmp.Name()
-	cleanup := func() { tmp.Close(); os.Remove(tmpName) }
-	if _, err := tmp.Write(buf); err != nil {
-		cleanup()
-		return fmt.Errorf("wal: snapshot write: %w", err)
+	fail := func(step string, err error) error {
+		tmp.Close()
+		os.Remove(tmpName)
+		return fmt.Errorf("wal: atomic write %s: %s: %w", filepath.Base(path), step, err)
+	}
+	if err := write(tmp); err != nil {
+		return fail("write", err)
 	}
 	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("wal: snapshot sync: %w", err)
+		return fail("sync", err)
 	}
 	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("wal: snapshot close: %w", err)
+		return fail("close", err)
 	}
 	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("wal: snapshot rename: %w", err)
+		return fail("rename", err)
 	}
 	return syncDir(dir)
 }

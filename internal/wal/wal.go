@@ -8,15 +8,18 @@
 //
 //   - Every acked SET appends one fixed-size record {seqno, key, version}
 //     protected by a per-record CRC32. Records buffer in memory and reach
-//     disk in group commits (write + fsync) — the documented loss window
-//     is exactly the unflushed tail, bounded by the caller's flush
-//     interval and record threshold.
+//     disk in group commits (write + fsync), split across two goroutines:
+//     the shard appends and Detaches the buffered tail as a Batch, and a
+//     committer Commits it. At most one batch is in flight, so the
+//     documented loss window is the buffered tail plus that one batch,
+//     bounded by the caller's flush interval and record threshold.
 //   - Snapshots are a full image of the durable state (per-key versions,
-//     counters, last seqno) written via temp-file + fsync + rename, so a
-//     crash at any byte leaves either the old snapshot or the new one,
-//     never a torn hybrid. After a snapshot lands, the journal is
-//     truncated; records at or below the snapshot seqno are skipped on
-//     replay, so a crash between snapshot and truncation is harmless.
+//     counters, last seqno) written via WriteFileAtomic: temp file, fsync,
+//     rename, directory fsync. A crash at any byte leaves either the
+//     old snapshot or the new one, never a torn hybrid. After a snapshot
+//     lands, the journal is truncated; records at or below the snapshot
+//     seqno are skipped on replay, so a crash between snapshot and
+//     truncation is harmless.
 //   - Recovery loads the snapshot, replays the journal in seqno order, and
 //     repairs the journal file in place: a torn tail (partial final
 //     record — the signature of a crash mid-write) is silently truncated,
@@ -35,6 +38,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 )
 
 // Op identifies a journal record type.
@@ -117,22 +121,43 @@ func decodeRecord(src []byte) (Record, string) {
 	return r, ""
 }
 
-// Journal is one shard's append-only write journal. It is single-owner:
-// exactly one goroutine (the shard worker) appends and flushes. Appends
-// buffer in memory; Flush is the group commit that makes them durable.
+// Journal is one shard's append-only write journal, shared by two
+// goroutines. The shard owns the append side: Append, Detach, Reset,
+// DropPending, Pending, LastSeq and Close run on it (or sequenced after
+// it). A committer owns the disk side: Commit writes and fsyncs one
+// detached Batch. The caller keeps at most one Batch in flight — the next
+// Detach waits until the previous Commit returned — which is what lets the
+// two buffers ping-pong without a lock. DurableSeq, Flushes and the
+// poisoned state are safe to read from any goroutine.
 type Journal struct {
 	f       *os.File
 	path    string
 	shard   int
-	buf     []byte // encoded, unflushed records
+	buf     []byte // encoded records not yet detached
+	spare   []byte // the buffer of the last detached Batch, reused next
 	pending int    // records in buf
+	first   uint64 // seqno of buf's first record
 	lastSeq uint64 // last appended seqno (durable or not)
-	durable uint64 // last fsynced seqno
-
 	appends uint64
-	flushes uint64
-	broken  bool // a failed write poisons the journal until reopen
+
+	durable atomic.Uint64 // last fsynced seqno
+	flushes atomic.Uint64
+	broken  atomic.Bool // a failed write poisons the journal until reopen
 }
+
+// Batch is a detached group of records on its way to disk: the encoded
+// bytes and the seqno range they cover.
+type Batch struct {
+	buf         []byte
+	first, last uint64
+}
+
+// Len reports the records in the batch.
+func (b Batch) Len() int { return len(b.buf) / recordSize }
+
+// Last reports the batch's last seqno: the journal's durable seqno once
+// it commits.
+func (b Batch) Last() uint64 { return b.last }
 
 // OpenJournal opens (creating if needed) a shard's journal for appending.
 // lastSeq seeds the monotonicity check — pass the recovered state's last
@@ -166,15 +191,21 @@ func OpenJournal(dir string, shard int, lastSeq uint64) (*Journal, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	return &Journal{f: f, path: path, shard: shard, lastSeq: lastSeq, durable: lastSeq}, nil
+	j := &Journal{f: f, path: path, shard: shard, lastSeq: lastSeq}
+	j.durable.Store(lastSeq)
+	return j, nil
 }
 
-// Append buffers one record. The record is NOT durable until the next
-// Flush — that gap is the loss window the daemon documents. Seqnos must
-// be strictly increasing.
+func (j *Journal) errPoisoned() error {
+	return fmt.Errorf("wal: shard %d journal poisoned by earlier write failure", j.shard)
+}
+
+// Append buffers one record. The record is NOT durable until a Batch
+// holding it commits — that gap is the loss window the daemon documents.
+// Seqnos must be strictly increasing.
 func (j *Journal) Append(r Record) error {
-	if j.broken {
-		return fmt.Errorf("wal: shard %d journal poisoned by earlier write failure", j.shard)
+	if j.broken.Load() {
+		return j.errPoisoned()
 	}
 	if r.Seq <= j.lastSeq {
 		return fmt.Errorf("wal: shard %d seqno %d not after %d", j.shard, r.Seq, j.lastSeq)
@@ -182,54 +213,83 @@ func (j *Journal) Append(r Record) error {
 	n := len(j.buf)
 	j.buf = append(j.buf, make([]byte, recordSize)...)
 	encodeRecord(j.buf[n:], r)
+	if j.pending == 0 {
+		j.first = r.Seq
+	}
 	j.lastSeq = r.Seq
 	j.pending++
 	j.appends++
 	return nil
 }
 
-// Flush is the group commit: write every buffered record and fsync. On
-// success the journal's durable seqno advances to the last appended one.
-func (j *Journal) Flush() error {
-	if j.broken {
-		return fmt.Errorf("wal: shard %d journal poisoned by earlier write failure", j.shard)
-	}
+// Detach hands the buffered records over as a Batch and starts buffering
+// into the spare buffer, which is the previous Batch's: that Batch must
+// have been committed by now. Detach never touches the file; with nothing
+// buffered it returns an empty Batch.
+func (j *Journal) Detach() Batch {
 	if j.pending == 0 {
+		return Batch{}
+	}
+	b := Batch{buf: j.buf, first: j.first, last: j.lastSeq}
+	j.buf, j.spare = j.spare[:0], j.buf
+	j.pending = 0
+	return b
+}
+
+// Commit is the disk half of a group commit: write the batch and fsync.
+// On success the durable seqno advances to the batch's last seqno. A
+// failed write or fsync poisons the journal, and so does a batch whose
+// records are not all after the durable seqno: it was committed out of
+// order, and acking past the hole it leaves would break recovery. An
+// empty batch is a no-op.
+func (j *Journal) Commit(b Batch) error {
+	if j.broken.Load() {
+		return j.errPoisoned()
+	}
+	if len(b.buf) == 0 {
 		return nil
 	}
-	if _, err := j.f.Write(j.buf); err != nil {
-		j.broken = true
+	if d := j.durable.Load(); b.first <= d {
+		j.broken.Store(true)
+		return fmt.Errorf("wal: shard %d batch %d..%d committed out of order (durable %d)", j.shard, b.first, b.last, d)
+	}
+	if _, err := j.f.Write(b.buf); err != nil {
+		j.broken.Store(true)
 		return fmt.Errorf("wal: shard %d flush: %w", j.shard, err)
 	}
 	if err := j.f.Sync(); err != nil {
-		j.broken = true
+		j.broken.Store(true)
 		return fmt.Errorf("wal: shard %d fsync: %w", j.shard, err)
 	}
-	j.buf = j.buf[:0]
-	j.pending = 0
-	j.durable = j.lastSeq
-	j.flushes++
+	j.durable.Store(b.last)
+	j.flushes.Add(1)
 	return nil
+}
+
+// Flush is the whole group commit on the calling goroutine: Detach
+// followed by Commit.
+func (j *Journal) Flush() error {
+	return j.Commit(j.Detach())
 }
 
 // Reset truncates the journal back to its header after a snapshot made
 // its contents redundant. Seqnos continue — truncation never resets them.
-// Pending (unflushed) records survive in the buffer and land on the next
-// Flush; callers normally Flush before snapshotting anyway.
+// Buffered records survive and land with the next Batch. No Batch may be
+// in flight: its write would race the truncation.
 func (j *Journal) Reset() error {
-	if j.broken {
-		return fmt.Errorf("wal: shard %d journal poisoned by earlier write failure", j.shard)
+	if j.broken.Load() {
+		return j.errPoisoned()
 	}
 	if err := j.f.Truncate(int64(headerSize)); err != nil {
-		j.broken = true
+		j.broken.Store(true)
 		return fmt.Errorf("wal: shard %d truncate: %w", j.shard, err)
 	}
 	if _, err := j.f.Seek(int64(headerSize), 0); err != nil {
-		j.broken = true
+		j.broken.Store(true)
 		return fmt.Errorf("wal: shard %d seek: %w", j.shard, err)
 	}
 	if err := j.f.Sync(); err != nil {
-		j.broken = true
+		j.broken.Store(true)
 		return fmt.Errorf("wal: shard %d sync: %w", j.shard, err)
 	}
 	return nil
@@ -241,25 +301,26 @@ func (j *Journal) Reset() error {
 func (j *Journal) DropPending() {
 	j.buf = j.buf[:0]
 	j.pending = 0
-	j.durable = j.lastSeq
+	j.durable.Store(j.lastSeq)
 }
 
-// Pending reports the records buffered but not yet durable.
+// Pending reports the records buffered and not yet detached.
 func (j *Journal) Pending() int { return j.pending }
 
 // LastSeq reports the last appended seqno (durable or not).
 func (j *Journal) LastSeq() uint64 { return j.lastSeq }
 
 // DurableSeq reports the last fsynced seqno.
-func (j *Journal) DurableSeq() uint64 { return j.durable }
+func (j *Journal) DurableSeq() uint64 { return j.durable.Load() }
 
 // Appends and Flushes report lifetime operation counts.
 func (j *Journal) Appends() uint64 { return j.appends }
 
 // Flushes reports how many group commits reached disk.
-func (j *Journal) Flushes() uint64 { return j.flushes }
+func (j *Journal) Flushes() uint64 { return j.flushes.Load() }
 
-// Close flushes any pending records and closes the file.
+// Close flushes any buffered records and closes the file. No Batch may be
+// in flight.
 func (j *Journal) Close() error {
 	ferr := j.Flush()
 	cerr := j.f.Close()
