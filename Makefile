@@ -13,17 +13,24 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The journal's two goroutines under the race detector, twenty times
-# over: the Detach/Commit split in internal/wal and slicekvsd's per-shard
-# committer (hand-off, one batch in flight, snapshot/drain/restart waits,
-# poisoning). The committer tests hold commits open on channels, so
-# repetition varies the interleavings rather than the sleeps.
+# slicekvsd's concurrency under the race detector, twenty times over:
+# the Detach/Commit split in internal/wal, the per-shard committer
+# (hand-off, one batch in flight, snapshot/drain/restart waits,
+# poisoning) and the shard lock (stalled holder, queue bound, crash
+# hand-over, AQM on the lock wait). The tests hold commits and locks open
+# on channels, so repetition varies the interleavings rather than the
+# sleeps.
 race-serving:
-	$(GO) test -race -count=20 -run '^Test(Commit|Detach|Flush|WriteFileAtomic)' \
+	$(GO) test -race -count=20 -run '^Test(Commit|Detach|Flush|WriteFileAtomic|ShardLock)' \
 		./internal/wal ./cmd/slicekvsd
 
+# vet plus the gofmt gate: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: not formatted:"; echo "$$unformatted"; exit 1; \
+	fi
 
 # vet plus staticcheck when it is installed (CI installs it; locally the
 # target degrades to vet alone rather than failing).

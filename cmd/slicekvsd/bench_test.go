@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// benchShard builds one shard for the worker hot path outside the
-// network, optionally journaling into a temp directory.
+// benchShard builds one shard for its serve path outside the network,
+// optionally journaling into a temp directory.
 func benchShard(b *testing.B, walOn bool) *shard {
 	b.Helper()
 	cfg := defaultConfig()
@@ -32,17 +32,16 @@ func benchShard(b *testing.B, walOn bool) *shard {
 	return sh
 }
 
-// benchServe drives SETs straight through shard.serve — the worker-side
-// hot path a request pays after admission.
+// benchServe drives SETs straight through shard.serve — the path a
+// request pays under the shard lock.
 func benchServe(b *testing.B, sh *shard) {
-	req := &newReqSlot().req
+	req := &request{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req.rank = uint64(i) & 1023
 		req.enqueued = time.Now()
-		sh.serve(req)
-		if r := <-req.resp; r.err != nil {
+		if r := sh.serve(req); r.err != nil {
 			b.Fatal(r.err)
 		}
 	}
@@ -159,8 +158,8 @@ func TestAdmittedPathAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkServeRequestGet is admission plus the hand-off to the shard
-// worker and back, without protocol parsing or a socket.
+// BenchmarkServeRequestGet is admission plus the shard lock and the store
+// op, without protocol parsing or a socket.
 func BenchmarkServeRequestGet(b *testing.B) {
 	s := benchServer(b)
 	m := newMemConn()

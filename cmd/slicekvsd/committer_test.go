@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -97,22 +98,26 @@ func (g *commitGate) result() error {
 	}
 }
 
-// pump commits everything for real until quit closes: teardown must not
-// hang on a gate no test step answers any more.
+// pump commits everything for real until quit closes, a commit already
+// held included: teardown must not hang on a gate no test step answers
+// any more.
 func (g *commitGate) pump(quit <-chan struct{}) {
 	for {
 		select {
 		case <-g.started:
 			g.release <- true
+		case g.release <- true:
 		case <-quit:
 			return
 		}
 	}
 }
 
-// walShard is one journaling shard outside the network: its worker loop
-// runs on a goroutine, its commits pass through a gate, and the group
-// commit is due every flushRecs SETs (the flush ticker is out of reach).
+// walShard is one journaling shard outside the network: its shard
+// goroutine (run) is started by the test, each request runs on a
+// goroutine of its own as on a connection, its commits pass through a
+// gate, and the group commit is due every flushRecs SETs (the flush ticker
+// is out of reach).
 type walShard struct {
 	t    *testing.T
 	sh   *shard
@@ -155,8 +160,8 @@ func newWalShard(t *testing.T, flushRecs, snapEvery int) *walShard {
 	return w
 }
 
-// startWorker runs the worker loop. A panic (an injected crash) ends the
-// goroutine the way the supervisor would see it.
+// startWorker runs the shard goroutine. A panic (an injected crash it
+// re-raises) ends the goroutine the way the supervisor would see it.
 func (w *walShard) startWorker() {
 	w.stop, w.done = make(chan struct{}), make(chan struct{})
 	go func(stop <-chan struct{}, done chan<- struct{}) {
@@ -178,16 +183,36 @@ func (w *walShard) waitWorker() {
 	case <-w.done:
 		w.stop = nil
 	case <-time.After(waitLimit):
-		w.t.Fatal("worker never exited")
+		w.t.Fatal("shard goroutine never exited")
 	}
 }
 
-// send queues one request and returns the channel its reply arrives on.
+// send starts one request on a goroutine of its own and returns the
+// channel its reply arrives on. It returns once the request holds the
+// shard lock or waits for it, so requests sent one after another take the
+// lock in that order.
 func (w *walShard) send(rank uint64, isGet bool) <-chan respMsg {
-	req := &newReqSlot().req
-	req.rank, req.isGet, req.enqueued = rank, isGet, time.Now()
-	w.sh.inbox <- req
-	return req.resp
+	w.t.Helper()
+	waiting := w.sh.waiters.Load()
+	reply, queued := make(chan respMsg, 1), make(chan struct{})
+	go func() {
+		err := w.sh.acquire(stoppedTimer(), waitLimit)
+		close(queued)
+		if err != nil {
+			reply <- respMsg{err: err}
+			return
+		}
+		reply <- w.sh.exec(&request{rank: rank, isGet: isGet, enqueued: time.Now()})
+	}()
+	until(w.t, "the request to take the shard lock or queue for it", func() bool {
+		select {
+		case <-queued:
+			return true
+		default:
+			return w.sh.waiters.Load() > waiting
+		}
+	})
+	return reply
 }
 
 func (w *walShard) reply(c <-chan respMsg) respMsg {
@@ -264,7 +289,8 @@ func TestCommitterOneBatchInFlight(t *testing.T) {
 	w.gate.held()
 	w.setKeys(5, 7)
 	// SET 8 makes the next batch due while the first is still held: its
-	// append lands, then the worker waits, so SET 9 cannot even start.
+	// append lands, then it waits holding the shard lock, so SET 9 cannot
+	// even start.
 	r8, r9 := w.send(8, false), w.send(9, false)
 	until(t, "SET 8 appended", func() bool { return w.sh.seqA.Load() == 8 })
 	notYet(t, r8, "SET 8")
@@ -272,7 +298,7 @@ func TestCommitterOneBatchInFlight(t *testing.T) {
 		t.Fatalf("%d SETs not durable, want 8: one held batch plus a full tail", p)
 	}
 	if s := w.sh.seqA.Load(); s != 8 {
-		t.Fatalf("seq %d, want 8: the worker went on past a due batch", s)
+		t.Fatalf("seq %d, want 8: the shard went on past a due batch", s)
 	}
 
 	w.gate.let(true)
@@ -381,9 +407,11 @@ func TestCommitterWarmRestartWaitsForHeldBatch(t *testing.T) {
 	w.gate.held()
 	w.setKeys(5, 6)
 
-	// Crash the worker with the first batch held and two SETs buffered.
+	// Crash the shard with the first batch held and two SETs buffered.
 	sh.crash.Store(true)
-	w.send(0, true)
+	if r := w.reply(w.send(0, true)); !errors.Is(r.err, errCrashed) {
+		t.Fatalf("crashing request: %+v, want errCrashed at once", r)
+	}
 	w.waitWorker()
 
 	restored := make(chan error, 1)

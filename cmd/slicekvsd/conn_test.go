@@ -2,14 +2,19 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"hash/fnv"
 	"io"
 	"net"
+	"net/http"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"sliceaware/internal/overload"
 )
 
 // TestOversizedLineIsRefusedBeforeBuffering streams a megabyte with no
@@ -76,47 +81,110 @@ func TestLargeSetIsNotBuffered(t *testing.T) {
 	}
 }
 
-// TestLateReplyStaysWithItsRequest covers the one hazard of reusing a
-// connection's request slot: a request that timed out may still be
-// answered by the worker, and that answer must never be taken for the
-// reply to the connection's next request.
-func TestLateReplyStaysWithItsRequest(t *testing.T) {
-	t.Run("stalled worker", func(t *testing.T) {
+// TestShardLock covers the request path's one point of contention: each
+// request runs on its connection goroutine under its shard's FIFO lock.
+// Every wait here is on a channel or an observed count, none on a sleep.
+func TestShardLock(t *testing.T) {
+	t.Run("stalled holder", func(t *testing.T) {
 		cfg := testConfig()
-		cfg.requestTimeout = 500 * time.Millisecond
+		cfg.requestTimeout = 100 * time.Millisecond
 		// The stall is queue delay; keep the overload guard from answering it.
 		cfg.fullSojourn, cfg.aqm = time.Hour, "none"
-		s := startServer(t, cfg)
-		c := dialClient(t, s.Addr())
+		s := startServerWith(t, cfg, func(s *server) {
+			// A one-outcome window trips on the first failure it is told of.
+			b, err := overload.NewSyncBreaker(overload.BreakerConfig{Window: 1, Cooldown: float64(time.Hour)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.shards[0].breaker = b
+		})
 		sh := s.shards[0]
+		c1, c2 := dialClient(t, s.Addr()), dialClient(t, s.Addr())
 
-		// Request 1 reaches the worker, which stalls on the injector lock
-		// until the connection has given up on it.
+		// Request 1 takes shard 0's lock and stalls on the injector mutex.
 		release := sync.OnceFunc(sh.injMu.Unlock)
 		sh.injMu.Lock()
 		defer release()
-		if got := c.setv("k0", "v"); !strings.Contains(got, "timeout") {
-			t.Fatalf("setv against a stalled worker = %q, want a timeout", got)
+		c1.send("setv k0 0 0 1")
+		c1.send("v")
+		until(t, "request 1 to hold shard 0's lock", func() bool { return len(sh.lock) == 1 })
+
+		// Request 2, from another connection, waits out requestTimeout.
+		c2.send("getv k2")
+		if got := c2.line(); !strings.Contains(got, "timeout") || !strings.Contains(got, "retryable") {
+			t.Fatalf("getv behind a stalled holder = %q, want a retryable timeout", got)
 		}
-		// Request 2, same connection and shard, queues behind it. Released,
-		// the worker answers request 1 (version 1 of k0) and then request 2.
-		c.send("getv k2")
-		waitFor(t, 10*time.Second, "request 2 to reach the inbox", func() bool { return len(sh.inbox) == 1 })
+		if st := sh.breaker.State(); st != overload.BreakerOpen {
+			t.Fatalf("breaker %v after the timeout, want open: a timeout is a failure", st)
+		}
+		if n := s.ctrResp[0]["timeout"].Value(); n != 1 {
+			t.Fatalf("%d timeout outcomes, want 1", n)
+		}
+
+		// Released, request 1 gets its own answer, and its connection is
+		// still in step with its requests.
 		release()
-		if got := c.line(); got != "VER k2 0 0" {
-			t.Fatalf("request 2 = %q, want its own answer VER k2 0 0", got)
+		if got := c1.line(); got != "STORED 0 0 1" {
+			t.Fatalf("request 1 = %q, want its own answer STORED 0 0 1", got)
 		}
-		c.send("getv k0")
-		if got := c.line(); got != "VER k0 0 1" {
-			t.Fatalf("getv k0 = %q, want VER k0 0 1: the late write did run", got)
+		c1.send("getv k1")
+		if got := c1.line(); got != "VER k1 1 0" {
+			t.Fatalf("getv k1 = %q, want VER k1 1 0", got)
 		}
 	})
 
-	t.Run("crashed worker", func(t *testing.T) {
+	t.Run("queue bound", func(t *testing.T) {
 		cfg := testConfig()
-		cfg.requestTimeout = 300 * time.Millisecond
-		cfg.breakerCooldown = 100 * time.Millisecond
+		cfg.inbox = 2
+		cfg.fullSojourn, cfg.aqm = time.Hour, "none"
 		s := startServer(t, cfg)
+		sh := s.shards[0]
+
+		sh.lock <- struct{}{} // hold shard 0's lock
+		var waiting []*client
+		for i := 0; i < cfg.inbox; i++ {
+			c := dialClient(t, s.Addr())
+			// The top class: the shedder admits it while the queue is not full.
+			c.send(fmt.Sprintf("prio %d", cfg.classes-1))
+			if got := c.line(); got != "OK" {
+				t.Fatalf("prio = %q", got)
+			}
+			c.send(fmt.Sprintf("getv k%d", 2*i))
+			until(t, "the request to wait for the lock", func() bool { return sh.waiters.Load() == int32(i+1) })
+			waiting = append(waiting, c)
+		}
+		// With the queue full the shedder refuses a request before it
+		// reaches the lock; the bound is for requests admitted together
+		// with the last waiter. Run one on the shard directly.
+		m := newMemConn()
+		if _, err := s.runOnShard(m.c, sh, request{rank: 2 * uint64(cfg.inbox)}); !errors.Is(err, errInbox) {
+			t.Fatalf("request past %d waiters: %v, want errInbox", cfg.inbox, err)
+		}
+		if n := s.ctrResp[0]["inbox_full"].Value(); n != 1 {
+			t.Fatalf("%d inbox_full outcomes, want 1", n)
+		}
+
+		sh.unlock()
+		for i, c := range waiting {
+			if got, want := c.line(), fmt.Sprintf("VER k%d 0 0", 2*i); got != want {
+				t.Fatalf("waiter %d = %q, want %q", i, got, want)
+			}
+		}
+	})
+
+	t.Run("crash", func(t *testing.T) {
+		cfg := walConfig(t)
+		// The acked SETs stay buffered until the restore commits them, so
+		// the gate holds the restart open.
+		cfg.walFlushEvery, cfg.walFlushRecs = time.Hour, 64
+		gate := newCommitGate(t)
+		quit := make(chan struct{})
+		t.Cleanup(func() { close(quit) })
+		s := startServerWith(t, cfg, func(s *server) { s.shards[0].commit = gate.commit })
+		// Cleanups run last-registered first: the pump starts before the
+		// drain, so a failed step cannot leave teardown on a held commit.
+		t.Cleanup(func() { go gate.pump(quit) })
+		sh := s.shards[0]
 		c := dialClient(t, s.Addr())
 		for i := 0; i < 3; i++ {
 			if got := c.setv("k0", "v"); !strings.HasPrefix(got, "STORED 0 ") {
@@ -127,24 +195,97 @@ func TestLateReplyStaysWithItsRequest(t *testing.T) {
 		if got := c.line(); got != "OK" {
 			t.Fatalf("chaos crash = %q", got)
 		}
-		// The worker panics holding this request; nobody will ever answer it.
-		if got := c.setv("k0", "v"); !strings.Contains(got, "timeout") {
-			t.Fatalf("setv into a crashing worker = %q, want a timeout", got)
+		// The crashing request is answered at once, not after requestTimeout.
+		start := time.Now()
+		if got := c.setv("k0", "v"); !strings.HasPrefix(got, "SERVER_ERROR") || !strings.Contains(got, "retryable") {
+			t.Fatalf("setv into a crashing shard = %q, want a retryable SERVER_ERROR", got)
 		}
-		// The connection's next requests are the restarted worker's to answer.
-		deadline := time.Now().Add(20 * time.Second)
-		for {
-			c.send("getv k0")
-			got := c.line()
-			if got == "VER k0 0 3" {
-				break
-			}
-			if !strings.HasPrefix(got, "SERVER_ERROR") || time.Now().After(deadline) {
-				t.Fatalf("getv k0 after the crash = %q, want VER k0 0 3", got)
-			}
-			time.Sleep(20 * time.Millisecond)
+		if d := time.Since(start); d >= cfg.requestTimeout {
+			t.Fatalf("the crashing request was answered after %v, not at once", d)
+		}
+
+		// The restore commits the buffered SETs before it rebuilds the
+		// store; while the gate holds that commit, the shard is down.
+		if b := gate.held(); b.Last() != 3 {
+			t.Fatalf("restore committed through seq %d, want 3", b.Last())
+		}
+		if body := scrape(t, s); !strings.Contains(body, "\nslicekvsd_shards_down 1\n") {
+			t.Fatalf("/metrics during the restart lacks slicekvsd_shards_down 1:\n%s", body)
+		}
+		// A request arriving now waits for the lock, which the restarted
+		// shard goroutine releases over the rebuilt store.
+		c.send("getv k0")
+		until(t, "getv to wait for the lock", func() bool { return sh.waiters.Load() == 1 })
+		gate.let(true)
+		if got := c.line(); got != "VER k0 0 3" {
+			t.Fatalf("getv k0 after the restart = %q, want VER k0 0 3", got)
+		}
+		if err := gate.result(); err != nil {
+			t.Fatal(err)
 		}
 	})
+
+	t.Run("aqm sees the lock wait", func(t *testing.T) {
+		cfg := testConfig() // the default CoDel: 500 µs target, 5 ms interval
+		cfg.shards = 1
+		cfg.fullSojourn = time.Hour // the waits are the AQM's to judge, not the shedder's
+		s := startServer(t, cfg)
+		sh := s.shards[0]
+		// Stretch every request to several milliseconds of service, so
+		// the queue below stands for longer than CoDel's interval.
+		admin := dialClient(t, s.Addr())
+		admin.send("chaos arm 5 slowdown:1:200000")
+		if got := admin.line(); !strings.HasPrefix(got, "OK") {
+			t.Fatalf("chaos arm = %q", got)
+		}
+
+		release := sync.OnceFunc(sh.injMu.Unlock)
+		sh.injMu.Lock()
+		defer release()
+		holder := dialClient(t, s.Addr())
+		holder.send("getv k0")
+		until(t, "the holder to take the lock", func() bool { return len(sh.lock) == 1 })
+		waiting := make([]*client, 8)
+		for i := range waiting {
+			waiting[i] = dialClient(t, s.Addr())
+			waiting[i].send(fmt.Sprintf("getv k%d", i+1))
+			until(t, "the request to wait for the lock", func() bool { return sh.waiters.Load() == int32(i+1) })
+		}
+		release()
+		if got := holder.line(); got != "VER k0 0 0" {
+			t.Fatalf("holder = %q, want VER k0 0 0", got)
+		}
+		var drops uint64
+		for i, c := range waiting {
+			switch got := c.line(); got {
+			case fmt.Sprintf("VER k%d 0 0", i+1):
+			case "SERVER_ERROR " + errAQM.Error():
+				drops++
+			default:
+				t.Fatalf("waiter %d = %q, want its version or an AQM drop", i, got)
+			}
+		}
+		t.Logf("%d of %d waiters dropped", drops, len(waiting))
+		if drops == 0 || sh.aqmDrops.Load() != drops || s.ctrResp[0]["aqm"].Value() != drops {
+			t.Fatalf("%d AQM drops answered, aqmDrops %d, aqm outcomes %d: want equal and > 0",
+				drops, sh.aqmDrops.Load(), s.ctrResp[0]["aqm"].Value())
+		}
+	})
+}
+
+// scrape returns the daemon's /metrics page.
+func scrape(t *testing.T, s *server) string {
+	t.Helper()
+	resp, err := http.Get("http://" + s.HTTPAddr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestKeyRank pins the key → rank mapping, which journals and snapshots

@@ -36,12 +36,12 @@ type config struct {
 	warmup     int // per-shard warm-up GETs before ready
 
 	connsMax int // concurrent connection cap (backlog bound)
-	inbox    int // per-shard request queue depth
+	inbox    int // max requests waiting per shard for its lock
 	classes  int // priority classes (0 lowest .. classes-1 highest)
 
 	readTimeout    time.Duration // per-read deadline (idle cutoff)
 	writeTimeout   time.Duration // per-flush deadline
-	requestTimeout time.Duration // conn handler's wait on a shard reply
+	requestTimeout time.Duration // bound on a request's wait for its shard's lock
 	drainTimeout   time.Duration // bound on waiting out in-flight requests
 	lameDuck       time.Duration // linger in draining so probes observe it
 
@@ -148,9 +148,9 @@ func (c config) validate() error {
 }
 
 // server owns the listener, the shards, the admission guard, and the
-// lifecycle. Connection handlers are plain goroutines; each shard's
-// simulated machine is owned by exactly one supervised worker goroutine,
-// and everything in between is channels and atomics.
+// lifecycle. Connection handlers are plain goroutines that serve each
+// request themselves under its shard's lock; each shard also has one
+// supervised goroutine for its group commit and crash restarts.
 type server struct {
 	cfg    config
 	start  time.Time
@@ -241,10 +241,10 @@ func newServer(cfg config) (*server, error) {
 	}
 
 	// Daemon-side shed thresholds: the defaults are tuned for the
-	// simulator's RX rings; a daemon inbox runs hotter, so class 0 holds
-	// until a quarter of full pressure and the top class until nearly
-	// saturated. Pressure is the worse of inbox occupancy and the queue-
-	// wait EWMA normalized by fullSojourn.
+	// simulator's RX rings; a daemon shard queue runs hotter, so class 0
+	// holds until a quarter of full pressure and the top class until
+	// nearly saturated. Pressure is the worse of queue occupancy (waiters
+	// over -inbox) and the lock-wait EWMA normalized by fullSojourn.
 	shed, err := overload.NewShedder(overload.ShedConfig{
 		Classes: cfg.classes, BaseFrac: 0.25, MaxFrac: 0.95,
 		FullSojournNs: float64(cfg.fullSojourn.Nanoseconds()),
@@ -348,15 +348,15 @@ func (s *server) initMetrics() {
 		func() float64 { return float64(s.lc.State()) })
 	s.reg.GaugeFunc("slicekvsd_ladder_level", "Degradation ladder level", "",
 		func() float64 { return float64(s.ladderLevel.Load()) })
-	s.reg.GaugeFunc("slicekvsd_shards_down", "Shard workers currently down", "",
+	s.reg.GaugeFunc("slicekvsd_shards_down", "Shards currently down", "",
 		func() float64 { return float64(s.shardsDown.Load()) })
 	s.reg.GaugeFunc("slicekvsd_open_connections", "Connections currently served", "",
 		func() float64 { return float64(s.openConns.Load()) })
 	for _, sh := range s.shards {
 		sh := sh
 		lbl := fmt.Sprintf("shard=%q", strconv.Itoa(sh.id))
-		s.reg.GaugeFunc("slicekvsd_shard_inbox", "Requests queued per shard", lbl,
-			func() float64 { return float64(len(sh.inbox)) })
+		s.reg.GaugeFunc("slicekvsd_shard_inbox", "Requests waiting per shard for its lock", lbl,
+			func() float64 { return float64(sh.waiters.Load()) })
 		s.reg.GaugeFunc("slicekvsd_shard_served", "Requests served per shard", lbl,
 			func() float64 { return float64(sh.served.Load()) })
 		if s.cfg.walDir != "" {
@@ -405,7 +405,7 @@ func (s *server) Serve() error {
 		s.http = srv
 	}
 
-	// Warm before the workers exist: the stores are still single-owner.
+	// Warm before serving: the stores are still single-owner.
 	for _, sh := range s.shards {
 		if err := sh.warm(s.cfg.warmup); err != nil {
 			s.shutdownSockets()
@@ -487,9 +487,9 @@ func (s *server) HTTPAddr() string {
 	return s.http.Addr().String()
 }
 
-// pressureTick samples shard inbox occupancy into the degradation ladder
-// and pins the ladder floor while any shard worker is down. The ticker
-// goroutine is the ladder's single owner.
+// pressureTick samples shard queue occupancy into the degradation ladder
+// and pins the ladder floor while any shard is down. The ticker goroutine
+// is the ladder's single owner.
 func (s *server) pressureTick() {
 	defer close(s.tickDone)
 	t := time.NewTicker(s.cfg.tick)
@@ -501,10 +501,10 @@ func (s *server) pressureTick() {
 		case <-t.C:
 			var pressure float64
 			for _, sh := range s.shards {
-				if len(sh.inbox) == 0 {
+				if sh.waiters.Load() == 0 {
 					sh.decaySojourn()
 				}
-				occ := float64(len(sh.inbox)) / float64(cap(sh.inbox))
+				occ := sh.occupancy()
 				sj := sh.sojournEwma() / float64(s.cfg.fullSojourn.Nanoseconds())
 				if occ > pressure {
 					pressure = occ
@@ -575,13 +575,14 @@ func (s *server) closeConns() {
 
 // connState is what a connection handler carries from one request to the
 // next, so that the admitted path allocates nothing per request: the
-// buffered reader and writer, the priority class `prio` selected, one
-// request slot, and scratch for building replies.
+// buffered reader and writer, the priority class `prio` selected, the
+// timer that bounds a wait for a shard lock, and scratch for building
+// replies.
 type connState struct {
 	br    *bufio.Reader
 	bw    *bufio.Writer
 	class int
-	slot  *reqSlot
+	timer *time.Timer
 	out   []byte // reply scratch
 	hits  []hit  // keys a get has been granted so far
 }
@@ -594,7 +595,7 @@ type hit struct {
 }
 
 func newConnState(r io.Reader, w io.Writer) *connState {
-	return &connState{br: bufio.NewReader(r), bw: bufio.NewWriter(w), slot: newReqSlot()}
+	return &connState{br: bufio.NewReader(r), bw: bufio.NewWriter(w), timer: stoppedTimer()}
 }
 
 // handleConn owns one accepted connection's bookkeeping around serveConn.
@@ -892,14 +893,11 @@ func appendValue(dst []byte, rank uint64) []byte {
 
 // serveRequest runs one request through the admission guard and a shard:
 // drain gate → priority shed → degradation ladder → per-shard breaker →
-// bounded inbox → wait for the worker (bounded by requestTimeout). On
-// success the returned respMsg carries cycles plus the version/seqno the
-// verbose verbs report. The request travels in c's slot; a timeout
-// replaces that slot, because the worker may yet answer into the old one.
+// runOnShard. On success the returned respMsg carries cycles plus the
+// version/seqno the verbose verbs report.
 func (s *server) serveRequest(c *connState, rank uint64, isGet bool, tr *obs.ReqTrace) (respMsg, error) {
 	class := c.class
 	sh := s.shards[rank%uint64(len(s.shards))]
-	local := rank / uint64(len(s.shards))
 	tr.SetShard(sh.id)
 
 	tr.StageStart(obs.StageDrainGate)
@@ -914,9 +912,9 @@ func (s *server) serveRequest(c *connState, rank uint64, isGet bool, tr *obs.Req
 	tr.StageEnd(obs.StageDrainGate)
 	defer s.reqWG.Done()
 
-	// Priority shed on inbox occupancy and smoothed queue wait.
+	// Priority shed on queue occupancy and smoothed lock wait.
 	tr.StageStart(obs.StageShed)
-	occ := float64(len(sh.inbox)) / float64(cap(sh.inbox))
+	occ := sh.occupancy()
 	s.shedMu.Lock()
 	admit := s.shed.Admit(class, s.shed.Pressure(occ, sh.sojournEwma()))
 	s.shedMu.Unlock()
@@ -944,63 +942,57 @@ func (s *server) serveRequest(c *connState, rank uint64, isGet bool, tr *obs.Req
 		s.account(tr, class, "breaker", 0)
 		return respMsg{}, errBreaker
 	}
+	return s.runOnShard(c, sh, request{rank: rank / uint64(len(s.shards)), isGet: isGet, tr: tr})
+}
 
-	sl := c.slot
-	req := &sl.req
-	enqueued := time.Now()
-	req.rank, req.isGet, req.class, req.enqueued, req.tr = local, isGet, class, enqueued, tr
+// runOnShard is the admitted request's turn on its shard, on the calling
+// connection goroutine: wait for the shard lock (bounded by -inbox waiters
+// and requestTimeout), serve under it, and account the outcome to the
+// breaker and the response counters.
+func (s *server) runOnShard(c *connState, sh *shard, req request) (respMsg, error) {
+	class, tr := c.class, req.tr
+	req.enqueued = time.Now()
 	tr.StageStart(obs.StageInboxWait)
-	select {
-	case sh.inbox <- req:
-	default:
-		// The operation never ran; give the breaker slot back without
-		// teaching the outcome window anything.
-		sh.breaker.Cancel()
-		s.account(tr, class, "inbox_full", 0)
-		return respMsg{}, errInbox
-	}
-
-	sl.timer.Reset(s.cfg.requestTimeout)
-	select {
-	case r := <-req.resp:
-		// go.mod predates Go 1.23's timers: one that fired while the reply
-		// was taken holds a stale tick that must go before the next Reset.
-		if !sl.timer.Stop() {
-			<-sl.timer.C
-		}
-		latency := time.Since(enqueued)
-		switch {
-		case r.silent:
-			sh.breaker.Record(s.wallNs(), true) // the shard did its job
-			s.account(tr, class, "dropped_silent", 0)
-			return respMsg{}, errSilentDrop
-		case errors.Is(r.err, errAQM):
-			sh.breaker.Record(s.wallNs(), true)
-			s.account(tr, class, "aqm", 0)
-			return respMsg{}, r.err
-		case errors.Is(r.err, errCorrupt):
-			sh.breaker.Record(s.wallNs(), true)
-			s.account(tr, class, "injected", 0)
-			return respMsg{}, r.err
-		case r.err != nil:
+	if err := sh.acquire(c.timer, s.cfg.requestTimeout); err != nil {
+		if errors.Is(err, errInbox) {
+			// The operation never ran; give the breaker slot back without
+			// teaching the outcome window anything.
+			sh.breaker.Cancel()
+			s.account(tr, class, "inbox_full", 0)
+		} else {
+			// The lock stayed held past requestTimeout: the shard is wedged,
+			// or down after a crash. A real dispatch failure the breaker
+			// should see.
 			sh.breaker.Record(s.wallNs(), false)
-			s.account(tr, class, "error", 0)
-			return respMsg{}, r.err
-		default:
-			sh.breaker.Record(s.wallNs(), true)
-			s.account(tr, class, "ok", latency)
-			return r, nil
+			s.account(tr, class, "timeout", 0)
 		}
-	case <-sl.timer.C:
-		// The worker is wedged or dead (crash mid-request loses the
-		// inbox'd work): a real dispatch failure the breaker should see.
-		// The worker may still stamp shard-side stages into tr after this
-		// point — stage stamps are atomic, so the late writes are safe and
-		// simply miss the already-finished trace.
-		c.slot = newReqSlot()
+		return respMsg{}, err
+	}
+	tr.StageEnd(obs.StageInboxWait)
+	tr.StageStart(obs.StageShardService)
+	r := sh.exec(&req)
+	tr.StageEnd(obs.StageShardService)
+	switch {
+	case r.silent:
+		sh.breaker.Record(s.wallNs(), true) // the shard did its job
+		s.account(tr, class, "dropped_silent", 0)
+		return respMsg{}, errSilentDrop
+	case errors.Is(r.err, errAQM):
+		sh.breaker.Record(s.wallNs(), true)
+		s.account(tr, class, "aqm", 0)
+		return respMsg{}, r.err
+	case errors.Is(r.err, errCorrupt):
+		sh.breaker.Record(s.wallNs(), true)
+		s.account(tr, class, "injected", 0)
+		return respMsg{}, r.err
+	case r.err != nil:
 		sh.breaker.Record(s.wallNs(), false)
-		s.account(tr, class, "timeout", 0)
-		return respMsg{}, errTimeout
+		s.account(tr, class, "error", 0)
+		return respMsg{}, r.err
+	default:
+		sh.breaker.Record(s.wallNs(), true)
+		s.account(tr, class, "ok", time.Since(req.enqueued))
+		return r, nil
 	}
 }
 
@@ -1127,7 +1119,7 @@ func (s *server) cmdStats(bw *bufio.Writer) {
 	fmt.Fprintf(bw, "STAT open_connections %d\r\n", s.openConns.Load())
 	for _, sh := range s.shards {
 		fmt.Fprintf(bw, "STAT shard%d_served %d\r\n", sh.id, sh.served.Load())
-		fmt.Fprintf(bw, "STAT shard%d_inbox %d\r\n", sh.id, len(sh.inbox))
+		fmt.Fprintf(bw, "STAT shard%d_inbox %d\r\n", sh.id, sh.waiters.Load())
 		fmt.Fprintf(bw, "STAT shard%d_breaker %s\r\n", sh.id, sh.breaker.State())
 		if s.cfg.walDir != "" {
 			fmt.Fprintf(bw, "STAT shard%d_wal_seq %d\r\n", sh.id, sh.seqA.Load())
@@ -1165,8 +1157,9 @@ type checkpointDoc struct {
 }
 
 // Drain runs the graceful-shutdown sequence: stop admitting, wait out
-// in-flight requests (bounded), linger lame-duck, close sockets, stop
-// the workers, checkpoint, stop. Idempotent; extra calls wait via Done.
+// in-flight requests (bounded), linger lame-duck, close sockets, stop the
+// shard goroutines, checkpoint, stop. Idempotent; extra calls wait via
+// Done.
 func (s *server) Drain() {
 	s.drainOnce.Do(func() {
 		s.admitMu.Lock()
@@ -1199,9 +1192,9 @@ func (s *server) Drain() {
 		<-s.statsDone
 		s.sup.Stop()
 
-		// Workers are stopped: journal ownership has passed back to this
-		// goroutine. Flush the tails, snapshot, close — a clean shutdown
-		// leaves a zero-length replay for the next boot.
+		// Every connection and shard goroutine has exited: closeWAL's lock
+		// is uncontended. Flush the tails, snapshot, close — a clean
+		// shutdown leaves a zero-length replay for the next boot.
 		if s.cfg.walDir != "" {
 			for _, sh := range s.shards {
 				sh.closeWAL()
@@ -1238,8 +1231,8 @@ func (s *server) Drain() {
 	<-s.lc.Done()
 }
 
-// writeCheckpoint dumps the drain checkpoint. Called after the workers
-// stopped, so reading the single-threaded stores is safe.
+// writeCheckpoint dumps the drain checkpoint. Called once nothing serves
+// any more, so reading the stores without their locks is safe.
 func (s *server) writeCheckpoint(path string) error {
 	restarts := map[int]uint64{}
 	for _, w := range s.sup.Snapshot() {
@@ -1273,7 +1266,7 @@ func (s *server) writeCheckpoint(path string) error {
 }
 
 // writeTraceFile dumps the retained sampled traces as a chrome://tracing
-// file. Called at drain, after the workers stopped.
+// file. Called at drain, once nothing serves any more.
 func (s *server) writeTraceFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {

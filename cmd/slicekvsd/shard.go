@@ -31,36 +31,26 @@ var (
 	errTimeout  = errors.New("timeout: shard did not answer (retryable)")
 	errDraining = errors.New("draining: server is shutting down (retryable)")
 	errCorrupt  = errors.New("injected: frame corrupt (retryable)")
+	errCrashed  = errors.New("shard crashed: restarting (retryable)")
 )
 
-// request is one admitted protocol request travelling to a shard worker.
+// request is one admitted protocol request for a shard.
 type request struct {
 	rank     uint64 // shard-local key rank
 	isGet    bool
-	class    int
-	enqueued time.Time
-	resp     chan respMsg  // buffered(1): the worker never blocks on reply
+	enqueued time.Time     // when it started waiting for the shard lock
 	tr       *obs.ReqTrace // nil unless the tracer sampled this request
 }
 
-// reqSlot is the request a connection reuses for every command it sends:
-// the request with its reply channel, and the timer that bounds the wait
-// for the worker. Between requests the timer is stopped and its channel
-// empty. A slot whose wait timed out is never reused — the worker may
-// still read the request and answer into resp — so the connection drops
-// it and takes a fresh one.
-type reqSlot struct {
-	req   request
-	timer *time.Timer
-}
-
-func newReqSlot() *reqSlot {
+// stoppedTimer returns a timer that is stopped with its channel empty,
+// the state acquire expects and leaves it in.
+func stoppedTimer() *time.Timer {
 	t := time.NewTimer(time.Hour)
 	t.Stop() // cannot have fired yet: nothing to drain
-	return &reqSlot{req: request{resp: make(chan respMsg, 1)}, timer: t}
+	return t
 }
 
-// respMsg is the worker's answer. ver/seq carry the key's version and the
+// respMsg is the shard's answer. ver/seq carry the key's version and the
 // shard's write seqno for the verbose (setv/getv) protocol verbs; seq is
 // zero when journaling is disabled.
 type respMsg struct {
@@ -71,22 +61,38 @@ type respMsg struct {
 	silent bool // injected NIC drop: reply with nothing at all
 }
 
-// shard is one worker-owned slice of the keyspace: its own simulated
-// machine, its own slice-aware store pinned to core sh.core of that
-// machine, a bounded inbox, an AQM on that inbox, a circuit breaker
+// shard is one slice of the keyspace: its own simulated machine, its own
+// slice-aware store pinned to core sh.core of that machine, a FIFO lock
+// with a bounded queue of waiters, an AQM on that queue, a circuit breaker
 // guarding dispatch, and an optional fault injector. The pinning is the
-// model's: the host goroutine is an ordinary one, because locking it to an
-// OS thread would buy the simulated core nothing and cost every request a
-// cross-thread futex wake. Only the worker goroutine touches
-// machine/store/aqm/injector; everything the connection handlers read is
-// a channel, an atomic, or the SyncBreaker.
+// model's: no host thread is tied to the simulated core. A request runs
+// on its own connection goroutine, which takes the shard lock and serves
+// the request on the store, so it never crosses to another goroutine and
+// back. The store, version table, journal and AQM are touched only under
+// the lock; everything read without it is an atomic or the SyncBreaker.
 type shard struct {
 	id    int
 	core  int
 	keys  uint64 // store keyspace size
 	cfg   config // kept for rebuilding the store on warm restart
 	store *kvs.Store
-	inbox chan *request
+
+	// lock is the shard lock: a request holds it while it is served, the
+	// shard goroutine while it group-commits or stops. Full means held.
+	// A blocked send waits in the channel's FIFO queue, and a release
+	// hands the lock straight to the longest waiter, so waiters are served
+	// in arrival order and a newcomer cannot overtake them. waiters counts
+	// the requests blocked on it: the shard's queue, bounded by cfg.inbox.
+	lock    chan struct{}
+	waiters atomic.Int32
+
+	// A panic in serve leaves the lock held and travels on crashC (one
+	// slot: nothing runs on the crashed store to panic again) to the shard
+	// goroutine, which re-raises it under the supervisor. That goroutine
+	// then sets lockedByCrash: the lock is its to release once it runs
+	// again over a restored store, or the drain's once the supervisor stops.
+	crashC        chan any
+	lockedByCrash bool
 
 	breaker *overload.SyncBreaker
 	aqm     overload.AQM
@@ -94,7 +100,7 @@ type shard struct {
 	injMu    sync.Mutex
 	injector *faults.Injector
 
-	crash atomic.Bool // next request panics the worker (chaos crash)
+	crash atomic.Bool // the next request served panics (chaos crash)
 
 	served   atomic.Uint64
 	aqmDrops atomic.Uint64
@@ -103,10 +109,10 @@ type shard struct {
 	// one increment per SET); jr is the write journal, nil when -wal-dir is
 	// unset, and then the SET path pays exactly one nil check (the wal
 	// nil-is-free contract). vers/jr/seq/setsSinceSnap/inFlight are
-	// worker-owned: the worker loop, the restore hook, and drain-time
-	// closeWAL all run sequenced on or after the supervision goroutine.
-	// The atomics below mirror journal state for stats/metrics read from
-	// other goroutines.
+	// guarded by the shard lock: requests, the group-commit flush, the
+	// restore hook (under the lock a crash left held) and drain-time
+	// closeWAL all hold it. The atomics below mirror journal state for
+	// stats/metrics read without it.
 	vers          []uint64
 	jr            *wal.Journal
 	seq           uint64
@@ -116,7 +122,7 @@ type shard struct {
 	snapEvery     int
 
 	// The committer: one goroutine per open journal, which runs commit
-	// (the write + fsync) on each batch the worker detaches. commitC
+	// (the write + fsync) on each batch the lock holder detaches. commitC
 	// carries at most one batch at a time — inFlight is set from the
 	// hand-off until commitDone answers it — and commitDone closes when
 	// the committer exits. commit is (*wal.Journal).Commit; tests swap it
@@ -138,12 +144,13 @@ type shard struct {
 
 	logf func(format string, args ...any)
 
-	// sojournBits holds the float64 bits of an EWMA of queue wait (ns).
-	// The worker is the writer on every dequeue; the pressure ticker
-	// decays it while the queue is idle; admission reads it. Occupancy
-	// alone is blind to closed-loop overload — a handful of connections
-	// can queue milliseconds of work in a nearly-empty inbox — so queue
-	// delay is the daemon's primary pressure signal, as in CoDel.
+	// sojournBits holds the float64 bits of an EWMA of the wait for the
+	// shard lock (ns). Each request writes it once it holds the lock; the
+	// pressure ticker decays it while nothing waits; admission reads it.
+	// Occupancy alone is blind to closed-loop overload — a handful of
+	// connections can queue milliseconds of work behind a nearly-empty
+	// queue — so queue delay is the daemon's primary pressure signal, as
+	// in CoDel.
 	sojournBits atomic.Uint64
 
 	start time.Time // process start; the AQM clock origin
@@ -190,7 +197,8 @@ func newShard(id int, cfg config, start time.Time) (*shard, error) {
 		keys:       cfg.keysPerShard(),
 		cfg:        cfg,
 		store:      store,
-		inbox:      make(chan *request, cfg.inbox),
+		lock:       make(chan struct{}, 1),
+		crashC:     make(chan any, 1),
 		breaker:    breaker,
 		start:      start,
 		freq:       freq,
@@ -226,7 +234,7 @@ func newShard(id int, cfg config, start time.Time) (*shard, error) {
 
 // warm touches the hot prefix so the first live requests do not pay
 // compulsory-miss latency the steady state never sees. Called before the
-// worker starts — single-threaded, like every other store access.
+// daemon serves, and by restore under the lock a crash left held.
 func (sh *shard) warm(requests int) error {
 	if requests <= 0 {
 		return nil
@@ -256,12 +264,20 @@ func (sh *shard) getInjector() *faults.Injector {
 	return sh.injector
 }
 
-// run is the supervised worker loop: one goroutine, the only one that
-// touches the shard's simulated machine. When the shard journals, the
-// loop also owns the group-commit clock: a flush ticker bounds how long
-// an acked SET can sit in the buffered tail. Stopping commits the tail
-// and waits for it.
+// run is the supervised shard goroutine. Requests do not pass through it:
+// each is served on its connection goroutine under the shard lock (acquire,
+// exec). What run owns is the rest: the group-commit clock when the shard
+// journals (a flush ticker bounds how long an acked SET can sit in the
+// buffered tail), the stop path, which commits the tail and waits for it,
+// and re-raising a panic exec handed over, so the supervisor restarts the
+// shard. A run restarted after such a crash finds the lock still held
+// from it and releases it first: by now restore has rebuilt the store
+// (when the shard journals), so nothing ever runs on a crashed one.
 func (sh *shard) run(stop <-chan struct{}) error {
+	if sh.lockedByCrash {
+		sh.lockedByCrash = false
+		sh.unlock()
+	}
 	var flushC <-chan time.Time
 	if sh.jr != nil && sh.flushEvery > 0 {
 		t := time.NewTicker(sh.flushEvery)
@@ -271,43 +287,92 @@ func (sh *shard) run(stop <-chan struct{}) error {
 	for {
 		select {
 		case <-stop:
+			sh.lockForShard()
 			sh.flushWAL()
 			sh.waitCommit()
+			sh.unlock()
 			return nil
 		case <-flushC:
+			sh.lockForShard()
 			sh.flushWAL()
-		case req := <-sh.inbox:
-			sh.serve(req)
-			sh.drainBurst()
+			sh.unlock()
+		case p := <-sh.crashC:
+			sh.reraise(p)
 		}
 	}
 }
 
-// serveBurst bounds how many queued requests one wakeup services — the
-// daemon analogue of the PMD's RX burst of 32. Bounded so a saturated
-// inbox cannot starve the stop signal or the group-commit flush ticker.
-const serveBurst = 32
+// lockForShard takes the shard lock for run's own work. A crash since the
+// last select keeps the lock held for good, so it is re-raised here
+// rather than waited on.
+func (sh *shard) lockForShard() {
+	select {
+	case sh.lock <- struct{}{}:
+	case p := <-sh.crashC:
+		sh.reraise(p)
+	}
+}
 
-// drainBurst services whatever is already queued behind the request that
-// woke the worker, up to one burst, before returning to the select. Under
-// load this amortizes the scheduler round-trip per request the same way
-// the simulator's batch path amortizes per-packet dispatch.
-func (sh *shard) drainBurst() {
-	for n := 1; n < serveBurst; n++ {
-		select {
-		case req := <-sh.inbox:
-			sh.serve(req)
-		default:
+// reraise panics with a crash exec handed over, taking ownership of the
+// lock it left held.
+func (sh *shard) reraise(p any) {
+	sh.lockedByCrash = true
+	panic(p)
+}
+
+// acquire takes the shard lock for one request: at once when the shard is
+// idle, otherwise behind the requests already waiting, in arrival order,
+// for at most wait. It refuses with errInbox when cfg.inbox requests are
+// already waiting, and gives up with errTimeout when wait runs out. timer
+// is the caller's, stopped with its channel empty, and left that way.
+func (sh *shard) acquire(timer *time.Timer, wait time.Duration) error {
+	select {
+	case sh.lock <- struct{}{}:
+		return nil
+	default:
+	}
+	if int(sh.waiters.Add(1)) > sh.cfg.inbox {
+		sh.waiters.Add(-1)
+		return errInbox
+	}
+	defer sh.waiters.Add(-1)
+	timer.Reset(wait)
+	select {
+	case sh.lock <- struct{}{}:
+		// go.mod predates Go 1.23's timers: one that fired while the lock
+		// was granted holds a stale tick that must go before the next Reset.
+		if !timer.Stop() {
+			<-timer.C
+		}
+		return nil
+	case <-timer.C:
+		return errTimeout
+	}
+}
+
+func (sh *shard) unlock() { <-sh.lock }
+
+// exec serves req under the lock acquire took and releases it. A panic in
+// serve (the injected crash) is answered with errCrashed at once; the lock
+// stays held and the panic goes to run, which re-raises it under the
+// supervisor (see run).
+func (sh *shard) exec(req *request) (r respMsg) {
+	defer func() {
+		if p := recover(); p != nil {
+			sh.crashC <- p
+			r = respMsg{err: errCrashed}
 			return
 		}
-	}
+		sh.unlock()
+	}()
+	return sh.serve(req)
 }
 
-// flushWAL is the worker's half of the group commit: detach the buffered
-// records and hand them to the committer, which does the write + fsync.
-// At most one batch is in flight, so if the previous one is still
-// committing this waits for it — the only time the worker waits on the
-// disk. Worker-goroutine only (or sequenced after it: restore/drain).
+// flushWAL is the lock holder's half of the group commit: detach the
+// buffered records and hand them to the committer, which does the write +
+// fsync. At most one batch is in flight, so if the previous one is still
+// committing this waits for it — the only time the shard waits on the
+// disk. Under the shard lock only.
 func (sh *shard) flushWAL() {
 	if sh.jr == nil || sh.jr.Pending() == 0 {
 		return
@@ -355,7 +420,7 @@ func (sh *shard) runCommitter(jr *wal.Journal, batches <-chan wal.Batch, done ch
 }
 
 // closeJournal commits the buffered tail, stops the committer and closes
-// the journal. The worker is down, so the caller owns the journal.
+// the journal. Under the shard lock only.
 func (sh *shard) closeJournal() {
 	sh.flushWAL()
 	sh.waitCommit()
@@ -444,8 +509,8 @@ func (sh *shard) journalSet(rank, ver uint64) error {
 
 // recoverState rebuilds the shard's durable state from snapshot+journal
 // into its (fresh) store, then reopens the journal for appending. It
-// runs at boot (before workers start) and inside the warm-restart hook —
-// both sequenced against the worker loop.
+// runs at boot (before the daemon serves) and inside the warm-restart
+// hook (under the lock a crash left held).
 func (sh *shard) recoverState() (wal.Report, error) {
 	st, rep, err := wal.Recover(sh.cfg.walDir, sh.id, sh.keys, func(r wal.Record) {
 		// Rewarm the rebuilt store with the replayed write; the version
@@ -478,8 +543,9 @@ func (sh *shard) recoverState() (wal.Report, error) {
 // restore is the supervisor's warm-restart hook: commit whatever acked
 // tail survived in memory (after the batch in flight), rebuild the store
 // from scratch, and replay snapshot+journal into it. Runs on the
-// supervision goroutine while the worker is down (ladder floor pinned),
-// before the worker restarts.
+// supervision goroutine while the shard is down (ladder floor pinned) and
+// its lock is still held from the crash, before run restarts and
+// releases it.
 func (sh *shard) restore() error {
 	sh.restoresA.Add(1)
 	if sh.jr != nil {
@@ -505,15 +571,26 @@ func (sh *shard) restore() error {
 }
 
 // closeWAL is the drain-time finalization: flush the tail, snapshot, and
-// close, stopping the committer. Called after the supervisor stopped, so
-// single ownership has passed to the draining goroutine.
+// close, stopping the committer. Called once nothing else runs on the
+// shard: it takes the lock, unless a crash left it held, and then the
+// lock is already the caller's.
 func (sh *shard) closeWAL() {
 	if sh.jr == nil {
 		return
 	}
+	if !sh.lockedByCrash {
+		sh.lock <- struct{}{}
+		defer sh.unlock()
+	}
 	sh.flushWAL()
 	sh.snapshotWAL()
 	sh.closeJournal()
+}
+
+// occupancy is the shard's queue fill: requests waiting for the lock over
+// the most that may wait.
+func (sh *shard) occupancy() float64 {
+	return float64(sh.waiters.Load()) / float64(sh.cfg.inbox)
 }
 
 // sojournEwma reads the smoothed queue-wait estimate in nanoseconds.
@@ -522,7 +599,7 @@ func (sh *shard) sojournEwma() float64 {
 }
 
 // decaySojourn relaxes the estimate toward zero — called by the pressure
-// ticker while the inbox is empty, so a burst's ghost does not keep
+// ticker while no request waits, so a burst's ghost does not keep
 // shedding an idle shard.
 func (sh *shard) decaySojourn() {
 	old := sh.sojournEwma()
@@ -531,23 +608,19 @@ func (sh *shard) decaySojourn() {
 	}
 }
 
-// serve executes one request on the shard's simulated machine. Trace
-// stage stamps are written from this goroutine while the connection
-// handler may be timing out on the other side — they are atomic stores,
-// so the race is benign (the handler just misses late stages).
-func (sh *shard) serve(req *request) {
-	req.tr.StageEnd(obs.StageInboxWait)
-	req.tr.StageStart(obs.StageShardService)
+// serve executes one request on the shard's simulated machine and returns
+// its answer. The caller holds the shard lock. The AQM judges the request
+// by its wait for the lock (the sojourn) against the requests still
+// waiting behind it (the queue).
+func (sh *shard) serve(req *request) respMsg {
 	now := time.Now()
 	sojournNs := float64(now.Sub(req.enqueued).Nanoseconds())
 	sh.sojournBits.Store(math.Float64bits(sh.sojournEwma()*0.875 + sojournNs*0.125))
 	if sh.aqm != nil {
 		nowNs := float64(now.Sub(sh.start).Nanoseconds())
-		if err := sh.aqm.Admit(nowNs, len(sh.inbox)+1, cap(sh.inbox), sojournNs); err != nil {
+		if err := sh.aqm.Admit(nowNs, int(sh.waiters.Load())+1, sh.cfg.inbox, sojournNs); err != nil {
 			sh.aqmDrops.Add(1)
-			req.tr.StageEnd(obs.StageShardService)
-			req.resp <- respMsg{err: errAQM}
-			return
+			return respMsg{err: errAQM}
 		}
 	}
 
@@ -555,14 +628,10 @@ func (sh *shard) serve(req *request) {
 	if inj.Fire(faults.NICDrop) {
 		// A lost packet answers with nothing — the client's timeout/retry
 		// path is the thing this fault exists to exercise.
-		req.tr.StageEnd(obs.StageShardService)
-		req.resp <- respMsg{silent: true}
-		return
+		return respMsg{silent: true}
 	}
 	if inj.Fire(faults.NICCorrupt) {
-		req.tr.StageEnd(obs.StageShardService)
-		req.resp <- respMsg{err: errCorrupt}
-		return
+		return respMsg{err: errCorrupt}
 	}
 	if sh.crash.CompareAndSwap(true, false) {
 		panic(fmt.Sprintf("slicekvsd: injected crash on shard %d", sh.id))
@@ -573,9 +642,7 @@ func (sh *shard) serve(req *request) {
 	cycles, err := sh.store.ServeOne(req.rank, req.isGet)
 	req.tr.StageEnd(obs.StageStoreOp)
 	if err != nil {
-		req.tr.StageEnd(obs.StageShardService)
-		req.resp <- respMsg{err: err}
-		return
+		return respMsg{err: err}
 	}
 	var ver uint64
 	if req.isGet {
@@ -588,9 +655,7 @@ func (sh *shard) serve(req *request) {
 				// The store applied the write but it cannot be made durable:
 				// refuse the ack. The client must not count it as committed.
 				sh.logf("slicekvsd: shard %d wal append: %v", sh.id, jerr)
-				req.tr.StageEnd(obs.StageShardService)
-				req.resp <- respMsg{err: fmt.Errorf("journal write failed (retryable)")}
-				return
+				return respMsg{err: fmt.Errorf("journal write failed (retryable)")}
 			}
 		}
 	}
@@ -601,8 +666,7 @@ func (sh *shard) serve(req *request) {
 		time.Sleep(extra)
 	}
 	sh.served.Add(1)
-	req.tr.StageEnd(obs.StageShardService)
-	req.resp <- respMsg{cycles: cycles, ver: ver, seq: sh.seq}
+	return respMsg{cycles: cycles, ver: ver, seq: sh.seq}
 }
 
 // shardCheckpoint is one shard's slice of the drain checkpoint.

@@ -20,12 +20,12 @@ import (
 // DMA fills outpacing core consumption evict RX lines nobody has read yet,
 // so the consumer's first-touch read goes all the way to DRAM.
 type CBoEvents struct {
-	Lookups             uint64 // every probe that reached this slice
-	Misses              uint64 // probes that missed
-	DDIOFills           uint64 // lines allocated by DMA
-	Evictions           uint64 // valid lines displaced
-	DDIOEvictUnread     uint64 // DMA-filled lines evicted before any core read them
-	DDIOFirstTouchHits  uint64 // first core reads of a DMA-filled line served by the LLC
+	Lookups              uint64 // every probe that reached this slice
+	Misses               uint64 // probes that missed
+	DDIOFills            uint64 // lines allocated by DMA
+	Evictions            uint64 // valid lines displaced
+	DDIOEvictUnread      uint64 // DMA-filled lines evicted before any core read them
+	DDIOFirstTouchHits   uint64 // first core reads of a DMA-filled line served by the LLC
 	DDIOMissedFirstTouch uint64 // first core reads that missed because the line leaked
 }
 

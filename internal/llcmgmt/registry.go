@@ -23,8 +23,8 @@ import (
 	"math/bits"
 	"sort"
 
-	"sliceaware/internal/cat"
 	"sliceaware/internal/cachesim"
+	"sliceaware/internal/cat"
 	"sliceaware/internal/cpusim"
 	"sliceaware/internal/dpdk"
 	"sliceaware/internal/kvs"

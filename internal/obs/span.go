@@ -43,10 +43,10 @@ const (
 	StageLadder
 	// StageBreaker is the per-shard circuit breaker's Allow.
 	StageBreaker
-	// StageInboxWait is the queue wait: inbox enqueue → worker dequeue.
+	// StageInboxWait is the queue wait: the wait for the shard lock.
 	StageInboxWait
-	// StageShardService is the shard worker's whole service of the
-	// request (AQM, fault injection, store op, slowdown stretch).
+	// StageShardService is the shard's whole service of the request under
+	// its lock (AQM, fault injection, store op, slowdown stretch).
 	StageShardService
 	// StageStoreOp is the slice-aware store operation alone.
 	StageStoreOp
@@ -83,10 +83,9 @@ func (s ReqStage) String() string {
 }
 
 // ReqTrace is one sampled request's span record. The connection handler
-// owns Op/Class/outcome; stage timestamps are written with atomics
-// because the shard worker marks StageInboxWait/StageShardService/
-// StageStoreOp from its own goroutine — and on the timeout path it may
-// still be writing them after the handler has moved on.
+// owns Op/Class/outcome and stamps every stage. Stage timestamps are
+// atomic stores, which keeps a trace safe to read from another goroutine
+// while its request is still in flight.
 //
 // All methods are nil-safe: the unsampled (and disabled) path carries a
 // nil *ReqTrace and pays one branch per call.
@@ -138,9 +137,8 @@ func (r *ReqTrace) SetOutcome(o string) {
 	r.outcome = o
 }
 
-// stage reads one stage's span with atomic loads (the worker may race the
-// reader on the timeout path). ok only when the stage both started and
-// finished in order.
+// stage reads one stage's span with atomic loads (see ReqTrace). ok only
+// when the stage both started and finished in order.
 func (r *ReqTrace) stage(s ReqStage) (startNs, endNs int64, ok bool) {
 	startNs = atomic.LoadInt64(&r.startNs[s])
 	endNs = atomic.LoadInt64(&r.endNs[s])
