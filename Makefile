@@ -16,13 +16,16 @@ race:
 # slicekvsd's concurrency under the race detector, twenty times over:
 # the Detach/Commit split in internal/wal, the per-shard committer
 # (hand-off, one batch in flight, snapshot/drain/restart waits,
-# poisoning) and the shard lock (stalled holder, queue bound, crash
-# hand-over, AQM on the lock wait). The tests hold commits and locks open
-# on channels, so repetition varies the interleavings rather than the
-# sleeps.
+# poisoning), the shard lock (stalled holder, queue bound, crash
+# hand-over, AQM on the lock wait), and the crash path across goroutines:
+# exec's Fail, the supervisor's backoff → restore → resume (its
+# transition table included), warm restart, and a drain while a shard is
+# down. The tests hold commits, locks and restores open on channels, so
+# repetition varies the interleavings rather than the sleeps.
 race-serving:
-	$(GO) test -race -count=20 -run '^Test(Commit|Detach|Flush|WriteFileAtomic|ShardLock)' \
-		./internal/wal ./cmd/slicekvsd
+	$(GO) test -race -count=20 \
+		-run '^Test(Commit|Detach|Flush|WriteFileAtomic|ShardLock|CrashedShard|WarmRestart|DrainWhileShardDown|Supervisor)' \
+		./internal/wal ./internal/daemon ./cmd/slicekvsd
 
 # vet plus the gofmt gate: any file gofmt would rewrite fails the target.
 vet:

@@ -27,7 +27,7 @@ func benchShard(b *testing.B, walOn bool) *shard {
 		if _, err := sh.recoverState(); err != nil {
 			b.Fatal(err)
 		}
-		b.Cleanup(sh.closeWAL)
+		b.Cleanup(func() { sh.closeWAL(false) })
 	}
 	return sh
 }

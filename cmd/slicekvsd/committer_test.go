@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -113,17 +114,17 @@ func (g *commitGate) pump(quit <-chan struct{}) {
 	}
 }
 
-// walShard is one journaling shard outside the network: its shard
-// goroutine (run) is started by the test, each request runs on a
-// goroutine of its own as on a connection, its commits pass through a
-// gate, and the group commit is due every flushRecs SETs (the flush ticker
-// is out of reach).
+// walShard is one journaling shard outside the network: each request
+// runs on a goroutine of its own as on a connection, its commits pass
+// through a gate, and the group commit is due every flushRecs SETs (the
+// flush ticker is out of reach). The test plays the supervisor: a crash
+// arrives on crashed, and the test restores and resumes the shard.
 type walShard struct {
-	t    *testing.T
-	sh   *shard
-	gate *commitGate
-	stop chan struct{}
-	done chan struct{}
+	t       *testing.T
+	sh      *shard
+	gate    *commitGate
+	crashed chan error
+	down    atomic.Bool // crashed and not resumed: the crash holds the lock
 }
 
 func newWalShard(t *testing.T, flushRecs, snapEvery int) *walShard {
@@ -142,49 +143,48 @@ func newWalShard(t *testing.T, flushRecs, snapEvery int) *walShard {
 		t.Fatal(err)
 	}
 	sh.logf = t.Logf
-	w := &walShard{t: t, sh: sh, gate: newCommitGate(t)}
+	w := &walShard{t: t, sh: sh, gate: newCommitGate(t), crashed: make(chan error, 1)}
 	sh.commit = w.gate.commit
+	sh.fail = func(cause error) {
+		w.down.Store(true)
+		w.crashed <- cause
+	}
 	if _, err := sh.recoverState(); err != nil {
 		t.Fatal(err)
 	}
-	w.startWorker()
 	t.Cleanup(func() {
 		quit := make(chan struct{})
 		defer close(quit)
 		go w.gate.pump(quit)
-		if w.stop != nil {
-			w.stopWorker()
-		}
-		sh.closeWAL()
+		sh.closeWAL(w.down.Load())
 	})
 	return w
 }
 
-// startWorker runs the shard goroutine. A panic (an injected crash it
-// re-raises) ends the goroutine the way the supervisor would see it.
-func (w *walShard) startWorker() {
-	w.stop, w.done = make(chan struct{}), make(chan struct{})
-	go func(stop <-chan struct{}, done chan<- struct{}) {
-		defer close(done)
-		defer func() { recover() }()
-		w.sh.run(stop)
-	}(w.stop, w.done)
+// flush is one group-commit tick under the shard lock, then waits for the
+// batch in flight to be committed.
+func (w *walShard) flush() {
+	w.sh.lock <- struct{}{}
+	w.sh.flushWAL()
+	w.sh.waitCommit()
+	w.sh.unlock()
 }
 
-func (w *walShard) stopWorker() {
-	w.t.Helper()
-	close(w.stop)
-	w.waitWorker()
-}
-
-func (w *walShard) waitWorker() {
+// crash waits for the shard to report a crash.
+func (w *walShard) crash() {
 	w.t.Helper()
 	select {
-	case <-w.done:
-		w.stop = nil
+	case <-w.crashed:
 	case <-time.After(waitLimit):
-		w.t.Fatal("shard goroutine never exited")
+		w.t.Fatal("the shard never reported its crash")
 	}
+}
+
+// resume is the supervisor's last step after a restore: it releases the
+// lock the crash left held.
+func (w *walShard) resume() {
+	w.down.Store(false)
+	w.sh.unlock()
 }
 
 // send starts one request on a goroutine of its own and returns the
@@ -364,9 +364,9 @@ func TestCommitterGaugesCountInFlight(t *testing.T) {
 		t.Fatalf("flush lag %v, want the age of SET 5 (≤ %v)", lag, time.Since(t5))
 	}
 
-	// Stopping commits the rest; only then do the gauges clear.
+	// Once the rest is committed, and only then, the gauges clear.
 	w.gate.let(true)
-	w.stopWorker()
+	w.flush()
 	if p, lag, d := w.pending(), sh.walFlushLag(), sh.durableSeqA.Load(); p != 0 || lag != 0 || d != 8 {
 		t.Fatalf("after stop: pending %d lag %v durable %d, want 0/0/8", p, lag, d)
 	}
@@ -412,7 +412,7 @@ func TestCommitterWarmRestartWaitsForHeldBatch(t *testing.T) {
 	if r := w.reply(w.send(0, true)); !errors.Is(r.err, errCrashed) {
 		t.Fatalf("crashing request: %+v, want errCrashed at once", r)
 	}
-	w.waitWorker()
+	w.crash()
 
 	restored := make(chan error, 1)
 	go func() { restored <- sh.restore() }()
@@ -443,7 +443,7 @@ func TestCommitterWarmRestartWaitsForHeldBatch(t *testing.T) {
 			t.Fatalf("key %d at version %d after restore, want 1", k, sh.vers[k])
 		}
 	}
-	w.startWorker()
+	w.resume()
 	w.set(7, 7)
 }
 
@@ -505,7 +505,7 @@ func TestCommitterDrainWaitsForHeldBatch(t *testing.T) {
 
 	drained := make(chan struct{})
 	go func() { s.Drain(); close(drained) }()
-	// The stop path hands the tail over only once the held batch returned.
+	// The drain hands the tail over only once the held batch returned.
 	gate.let(true)
 	if b := gate.held(); b.Len() != 2 || b.Last() != 6 {
 		t.Fatalf("drain committed %d records through %d, want 5..6", b.Len(), b.Last())

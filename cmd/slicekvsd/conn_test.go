@@ -212,8 +212,8 @@ func TestShardLock(t *testing.T) {
 		if body := scrape(t, s); !strings.Contains(body, "\nslicekvsd_shards_down 1\n") {
 			t.Fatalf("/metrics during the restart lacks slicekvsd_shards_down 1:\n%s", body)
 		}
-		// A request arriving now waits for the lock, which the restarted
-		// shard goroutine releases over the rebuilt store.
+		// A request arriving now waits for the lock, which the supervisor's
+		// resume releases over the rebuilt store.
 		c.send("getv k0")
 		until(t, "getv to wait for the lock", func() bool { return sh.waiters.Load() == 1 })
 		gate.let(true)

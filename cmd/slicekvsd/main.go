@@ -53,7 +53,7 @@ func main() {
 	flag.DurationVar(&cfg.walFlushEvery, "wal-flush-every", cfg.walFlushEvery, "group-commit flush interval (the acked-write loss window)")
 	flag.IntVar(&cfg.walFlushRecs, "wal-flush-records", cfg.walFlushRecs, "group-commit record threshold")
 	flag.IntVar(&cfg.walSnapEvery, "wal-snapshot-every", cfg.walSnapEvery, "SETs between snapshots (0 snapshots only at drain)")
-	flag.DurationVar(&cfg.restartBackoff, "restart-backoff", cfg.restartBackoff, "supervisor backoff base for crashed shards")
+	flag.DurationVar(&cfg.restartBackoff, "restart-backoff", cfg.restartBackoff, "delay before a crashed shard is restored; doubles per consecutive crash, up to 2s")
 	flag.StringVar(&cfg.sinkAddr, "sink-addr", "", "statsink address to stream per-second wide events to (empty disables)")
 	flag.DurationVar(&cfg.statsTick, "stats-tick", cfg.statsTick, "wide-event snapshot period")
 	flag.IntVar(&cfg.traceSample, "trace-sample", 0, "trace one request in N through the serving pipeline (0 disables)")

@@ -65,7 +65,7 @@ type config struct {
 	walFlushEvery  time.Duration // group-commit flush interval
 	walFlushRecs   int           // group-commit record threshold
 	walSnapEvery   int           // SETs between snapshots (0 = only at drain)
-	restartBackoff time.Duration // supervisor backoff base for crashed shards
+	restartBackoff time.Duration // delay before a crashed shard is restored, doubling per crash
 
 	// Observability. All off by default; when off, the request path pays
 	// one nil-check branch per instrumentation point and zero allocations
@@ -149,8 +149,10 @@ func (c config) validate() error {
 
 // server owns the listener, the shards, the admission guard, and the
 // lifecycle. Connection handlers are plain goroutines that serve each
-// request themselves under its shard's lock; each shard also has one
-// supervised goroutine for its group commit and crash restarts.
+// request themselves under its shard's lock. No shard has a goroutine of
+// its own beyond its journal's committer: a crash reports to the
+// supervisor, which restores the shard on a restart goroutine of its own,
+// and one ticker group-commits every journaling shard.
 type server struct {
 	cfg    config
 	start  time.Time
@@ -179,9 +181,11 @@ type server struct {
 
 	ladder      *overload.Ladder // owned by the pressure ticker goroutine
 	ladderLevel atomic.Int32
-	shardsDown  atomic.Int32
-	tickStop    chan struct{}
-	tickDone    chan struct{}
+
+	// The background loops — the pressure ticker, the stats loop and, with
+	// -wal-dir, the group commit — run until loopStop closes.
+	loopStop chan struct{}
+	loops    sync.WaitGroup
 
 	reg       *telemetry.Registry
 	ctrConn   map[string]*telemetry.Counter
@@ -192,11 +196,9 @@ type server struct {
 
 	// Observability: nil when the corresponding flag is off, and every
 	// call through them is then a no-op (obs nil-is-free contract).
-	tracer    *obs.Tracer
-	sink      *obs.Client
-	monitor   *obs.Monitor
-	statsStop chan struct{}
-	statsDone chan struct{}
+	tracer  *obs.Tracer
+	sink    *obs.Client
+	monitor *obs.Monitor
 
 	drainOnce sync.Once
 	logf      func(format string, args ...any)
@@ -218,16 +220,13 @@ func newServer(cfg config) (*server, error) {
 		return nil, err
 	}
 	s := &server{
-		cfg:       cfg,
-		start:     time.Now(),
-		lc:        daemon.NewLifecycle(),
-		connSem:   make(chan struct{}, cfg.connsMax),
-		conns:     make(map[net.Conn]struct{}),
-		tickStop:  make(chan struct{}),
-		tickDone:  make(chan struct{}),
-		statsStop: make(chan struct{}),
-		statsDone: make(chan struct{}),
-		logf:      log.Printf,
+		cfg:      cfg,
+		start:    time.Now(),
+		lc:       daemon.NewLifecycle(),
+		connSem:  make(chan struct{}, cfg.connsMax),
+		conns:    make(map[net.Conn]struct{}),
+		loopStop: make(chan struct{}),
+		logf:     log.Printf,
 	}
 
 	for i := 0; i < cfg.shards; i++ {
@@ -237,6 +236,7 @@ func newServer(cfg config) (*server, error) {
 		}
 		// Late-bound so tests that swap s.logf capture shard logs too.
 		sh.logf = func(format string, args ...any) { s.logf(format, args...) }
+		sh.fail = func(cause error) { s.sup.Fail(sh.id, cause) }
 		s.shards = append(s.shards, sh)
 	}
 
@@ -265,18 +265,10 @@ func newServer(cfg config) (*server, error) {
 
 	s.sup = daemon.NewSupervisor(daemon.SupervisorConfig{
 		BackoffBase: cfg.restartBackoff,
-		BackoffMax:  2 * time.Second,
-		ResetAfter:  5 * time.Second,
-		// Jitter keeps a correlated multi-shard crash from replaying every
-		// journal in lockstep on restart (a restart-storm thundering herd).
-		BackoffJitter: 0.2,
-		JitterSeed:    1,
 		OnStateChange: func(id int, up bool, restarts int, err error) {
 			if up {
-				s.shardsDown.Add(-1)
 				s.logf("slicekvsd: shard %d back up (restart %d)", id, restarts)
 			} else {
-				s.shardsDown.Add(1)
 				s.logf("slicekvsd: shard %d down: %v", id, err)
 			}
 		},
@@ -349,7 +341,7 @@ func (s *server) initMetrics() {
 	s.reg.GaugeFunc("slicekvsd_ladder_level", "Degradation ladder level", "",
 		func() float64 { return float64(s.ladderLevel.Load()) })
 	s.reg.GaugeFunc("slicekvsd_shards_down", "Shards currently down", "",
-		func() float64 { return float64(s.shardsDown.Load()) })
+		func() float64 { return float64(s.sup.Down()) })
 	s.reg.GaugeFunc("slicekvsd_open_connections", "Connections currently served", "",
 		func() float64 { return float64(s.openConns.Load()) })
 	for _, sh := range s.shards {
@@ -433,21 +425,24 @@ func (s *server) Serve() error {
 		}
 	}
 
+	// A crashed shard is restored (when it journals) while its lock stays
+	// held from the crash, and resumed by releasing that lock.
 	for _, sh := range s.shards {
-		sh := sh
 		var restore daemon.RestoreFunc
 		if s.cfg.walDir != "" {
 			restore = sh.restore
 		}
-		if err := s.sup.StartRestorable(sh.id, fmt.Sprintf("shard-%d", sh.id), sh.run, restore); err != nil {
-			s.shutdownSockets()
-			return err
-		}
+		s.sup.Add(sh.id, fmt.Sprintf("shard-%d", sh.id), restore, sh.unlock)
+	}
+	if s.cfg.walDir != "" {
+		s.loops.Add(1)
+		go s.groupCommit()
 	}
 
 	if s.cfg.sinkAddr != "" {
 		s.sink = obs.DialSink(s.cfg.sinkAddr, "slicekvsd")
 	}
+	s.loops.Add(2)
 	go s.pressureTick()
 	go s.statsLoop()
 	go s.acceptLoop()
@@ -491,12 +486,12 @@ func (s *server) HTTPAddr() string {
 // and pins the ladder floor while any shard is down. The ticker goroutine
 // is the ladder's single owner.
 func (s *server) pressureTick() {
-	defer close(s.tickDone)
+	defer s.loops.Done()
 	t := time.NewTicker(s.cfg.tick)
 	defer t.Stop()
 	for {
 		select {
-		case <-s.tickStop:
+		case <-s.loopStop:
 			return
 		case <-t.C:
 			var pressure float64
@@ -516,12 +511,41 @@ func (s *server) pressureTick() {
 			if pressure > 1 {
 				pressure = 1
 			}
-			if s.shardsDown.Load() > 0 {
+			if s.sup.Down() > 0 {
 				s.ladder.SetFloor(1)
 			} else {
 				s.ladder.SetFloor(0)
 			}
 			s.ladderLevel.Store(int32(s.ladder.Observe(pressure)))
+		}
+	}
+}
+
+// groupCommit is the timed half of every journaling shard's group commit:
+// each -wal-flush-every it takes each shard's lock in turn, behind the
+// requests already waiting, and flushes the buffered tail, so an acked SET
+// sits in memory at most about one period. Each wait is bounded by one
+// period: a shard whose lock stays held (down after a crash, or a wedged
+// holder) delays the others by at most one tick and is retried next tick.
+func (s *server) groupCommit() {
+	defer s.loops.Done()
+	t := time.NewTicker(s.cfg.walFlushEvery)
+	defer t.Stop()
+	for {
+		select {
+		case <-s.loopStop:
+			return
+		case <-t.C:
+		}
+		for _, sh := range s.shards {
+			select {
+			case sh.lock <- struct{}{}:
+				sh.flushWAL()
+				sh.unlock()
+			case <-time.After(s.cfg.walFlushEvery):
+			case <-s.loopStop:
+				return
+			}
 		}
 	}
 }
@@ -1114,7 +1138,7 @@ func (s *server) cmdStats(bw *bufio.Writer) {
 	fmt.Fprintf(bw, "STAT uptime_seconds %.1f\r\n", time.Since(s.start).Seconds())
 	fmt.Fprintf(bw, "STAT state %s\r\n", s.lc.State())
 	fmt.Fprintf(bw, "STAT shards %d\r\n", len(s.shards))
-	fmt.Fprintf(bw, "STAT shards_down %d\r\n", s.shardsDown.Load())
+	fmt.Fprintf(bw, "STAT shards_down %d\r\n", s.sup.Down())
 	fmt.Fprintf(bw, "STAT ladder_level %d\r\n", s.ladderLevel.Load())
 	fmt.Fprintf(bw, "STAT open_connections %d\r\n", s.openConns.Load())
 	for _, sh := range s.shards {
@@ -1158,8 +1182,8 @@ type checkpointDoc struct {
 
 // Drain runs the graceful-shutdown sequence: stop admitting, wait out
 // in-flight requests (bounded), linger lame-duck, close sockets, stop the
-// shard goroutines, checkpoint, stop. Idempotent; extra calls wait via
-// Done.
+// supervisor and the group commit, close the journals, checkpoint, stop.
+// Idempotent; extra calls wait via Done.
 func (s *server) Drain() {
 	s.drainOnce.Do(func() {
 		s.admitMu.Lock()
@@ -1186,19 +1210,16 @@ func (s *server) Drain() {
 		}
 		s.closeConns()
 		s.connWG.Wait()
-		close(s.tickStop)
-		<-s.tickDone
-		close(s.statsStop)
-		<-s.statsDone
+		close(s.loopStop)
+		s.loops.Wait()
 		s.sup.Stop()
 
-		// Every connection and shard goroutine has exited: closeWAL's lock
-		// is uncontended. Flush the tails, snapshot, close — a clean
+		// Every connection, restart and the group commit have ended:
+		// closeWAL's lock is uncontended, or still held from a crash when
+		// the shard is down. Flush the tails, snapshot, close — a clean
 		// shutdown leaves a zero-length replay for the next boot.
-		if s.cfg.walDir != "" {
-			for _, sh := range s.shards {
-				sh.closeWAL()
-			}
+		for _, w := range s.sup.Snapshot() {
+			s.shards[w.ID].closeWAL(!w.Up)
 		}
 
 		s.lc.SetStopped()
@@ -1234,17 +1255,14 @@ func (s *server) Drain() {
 // writeCheckpoint dumps the drain checkpoint. Called once nothing serves
 // any more, so reading the stores without their locks is safe.
 func (s *server) writeCheckpoint(path string) error {
-	restarts := map[int]uint64{}
-	for _, w := range s.sup.Snapshot() {
-		restarts[w.ID] = uint64(w.Restarts)
-	}
 	var doc checkpointDoc
 	doc.UptimeSeconds = time.Since(s.start).Seconds()
 	for _, st := range s.lc.Transitions() {
 		doc.Transitions = append(doc.Transitions, st.String())
 	}
-	for _, sh := range s.shards {
-		doc.Shards = append(doc.Shards, sh.checkpoint(restarts[sh.id]))
+	doc.Workers = s.sup.Snapshot() // one per shard, in shard order
+	for _, w := range doc.Workers {
+		doc.Shards = append(doc.Shards, s.shards[w.ID].checkpoint(w.Restarts))
 	}
 	s.shedMu.Lock()
 	doc.ShedOffered, doc.ShedShed = s.shed.Stats()
@@ -1253,7 +1271,6 @@ func (s *server) writeCheckpoint(path string) error {
 	st := s.ladder.Stats()
 	doc.Ladder.Escalations = st.Escalations
 	doc.Ladder.Recoveries = st.Recoveries
-	doc.Workers = s.sup.Snapshot()
 
 	// Atomic replace: a crash mid-checkpoint must leave the previous
 	// checkpoint (or none), never a torn JSON document a post-mortem

@@ -635,7 +635,7 @@ func TestDrainWhileShardDown(t *testing.T) {
 	if lines := c.get("k0"); !strings.HasPrefix(lines[0], "SERVER_ERROR") {
 		t.Fatalf("crash request = %v, want SERVER_ERROR", lines)
 	}
-	until(t, "shard 0 down", func() bool { return s.shardsDown.Load() > 0 })
+	until(t, "shard 0 down", func() bool { return s.sup.Down() > 0 })
 
 	drained := make(chan struct{})
 	go func() { s.Drain(); close(drained) }()

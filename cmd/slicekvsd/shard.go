@@ -78,21 +78,18 @@ type shard struct {
 	store *kvs.Store
 
 	// lock is the shard lock: a request holds it while it is served, the
-	// shard goroutine while it group-commits or stops. Full means held.
-	// A blocked send waits in the channel's FIFO queue, and a release
-	// hands the lock straight to the longest waiter, so waiters are served
-	// in arrival order and a newcomer cannot overtake them. waiters counts
-	// the requests blocked on it: the shard's queue, bounded by cfg.inbox.
+	// group-commit ticker while it flushes. Full means held. A blocked send
+	// waits in the channel's FIFO queue, and a release hands the lock
+	// straight to the longest waiter, so waiters are served in arrival
+	// order and a newcomer cannot overtake them. waiters counts the
+	// requests blocked on it: the shard's queue, bounded by cfg.inbox.
+	// A panic in serve leaves the lock held and reports the crash through
+	// fail. The supervisor releases it (resume) after the backoff and, when
+	// the shard journals, after restore has rebuilt the store, so nothing
+	// ever runs on a crashed one.
 	lock    chan struct{}
 	waiters atomic.Int32
-
-	// A panic in serve leaves the lock held and travels on crashC (one
-	// slot: nothing runs on the crashed store to panic again) to the shard
-	// goroutine, which re-raises it under the supervisor. That goroutine
-	// then sets lockedByCrash: the lock is its to release once it runs
-	// again over a restored store, or the drain's once the supervisor stops.
-	crashC        chan any
-	lockedByCrash bool
+	fail    func(cause error)
 
 	breaker *overload.SyncBreaker
 	aqm     overload.AQM
@@ -117,7 +114,6 @@ type shard struct {
 	jr            *wal.Journal
 	seq           uint64
 	setsSinceSnap int
-	flushEvery    time.Duration
 	flushRecs     int
 	snapEvery     int
 
@@ -192,22 +188,20 @@ func newShard(id int, cfg config, start time.Time) (*shard, error) {
 		return nil, err
 	}
 	sh := &shard{
-		id:         id,
-		core:       core,
-		keys:       cfg.keysPerShard(),
-		cfg:        cfg,
-		store:      store,
-		lock:       make(chan struct{}, 1),
-		crashC:     make(chan any, 1),
-		breaker:    breaker,
-		start:      start,
-		freq:       freq,
-		vers:       make([]uint64, cfg.keysPerShard()),
-		flushEvery: cfg.walFlushEvery,
-		flushRecs:  cfg.walFlushRecs,
-		snapEvery:  cfg.walSnapEvery,
-		commit:     (*wal.Journal).Commit,
-		logf:       log.Printf,
+		id:        id,
+		core:      core,
+		keys:      cfg.keysPerShard(),
+		cfg:       cfg,
+		store:     store,
+		lock:      make(chan struct{}, 1),
+		breaker:   breaker,
+		start:     start,
+		freq:      freq,
+		vers:      make([]uint64, cfg.keysPerShard()),
+		flushRecs: cfg.walFlushRecs,
+		snapEvery: cfg.walSnapEvery,
+		commit:    (*wal.Journal).Commit,
+		logf:      log.Printf,
 	}
 	switch cfg.aqm {
 	case "codel":
@@ -264,62 +258,6 @@ func (sh *shard) getInjector() *faults.Injector {
 	return sh.injector
 }
 
-// run is the supervised shard goroutine. Requests do not pass through it:
-// each is served on its connection goroutine under the shard lock (acquire,
-// exec). What run owns is the rest: the group-commit clock when the shard
-// journals (a flush ticker bounds how long an acked SET can sit in the
-// buffered tail), the stop path, which commits the tail and waits for it,
-// and re-raising a panic exec handed over, so the supervisor restarts the
-// shard. A run restarted after such a crash finds the lock still held
-// from it and releases it first: by now restore has rebuilt the store
-// (when the shard journals), so nothing ever runs on a crashed one.
-func (sh *shard) run(stop <-chan struct{}) error {
-	if sh.lockedByCrash {
-		sh.lockedByCrash = false
-		sh.unlock()
-	}
-	var flushC <-chan time.Time
-	if sh.jr != nil && sh.flushEvery > 0 {
-		t := time.NewTicker(sh.flushEvery)
-		defer t.Stop()
-		flushC = t.C
-	}
-	for {
-		select {
-		case <-stop:
-			sh.lockForShard()
-			sh.flushWAL()
-			sh.waitCommit()
-			sh.unlock()
-			return nil
-		case <-flushC:
-			sh.lockForShard()
-			sh.flushWAL()
-			sh.unlock()
-		case p := <-sh.crashC:
-			sh.reraise(p)
-		}
-	}
-}
-
-// lockForShard takes the shard lock for run's own work. A crash since the
-// last select keeps the lock held for good, so it is re-raised here
-// rather than waited on.
-func (sh *shard) lockForShard() {
-	select {
-	case sh.lock <- struct{}{}:
-	case p := <-sh.crashC:
-		sh.reraise(p)
-	}
-}
-
-// reraise panics with a crash exec handed over, taking ownership of the
-// lock it left held.
-func (sh *shard) reraise(p any) {
-	sh.lockedByCrash = true
-	panic(p)
-}
-
 // acquire takes the shard lock for one request: at once when the shard is
 // idle, otherwise behind the requests already waiting, in arrival order,
 // for at most wait. It refuses with errInbox when cfg.inbox requests are
@@ -353,13 +291,12 @@ func (sh *shard) acquire(timer *time.Timer, wait time.Duration) error {
 func (sh *shard) unlock() { <-sh.lock }
 
 // exec serves req under the lock acquire took and releases it. A panic in
-// serve (the injected crash) is answered with errCrashed at once; the lock
-// stays held and the panic goes to run, which re-raises it under the
-// supervisor (see run).
+// serve (the injected crash) is answered with errCrashed at once and
+// reported through fail; the lock stays held until the shard is restored.
 func (sh *shard) exec(req *request) (r respMsg) {
 	defer func() {
 		if p := recover(); p != nil {
-			sh.crashC <- p
+			sh.fail(fmt.Errorf("worker panic: %v", p))
 			r = respMsg{err: errCrashed}
 			return
 		}
@@ -543,8 +480,8 @@ func (sh *shard) recoverState() (wal.Report, error) {
 // restore is the supervisor's warm-restart hook: commit whatever acked
 // tail survived in memory (after the batch in flight), rebuild the store
 // from scratch, and replay snapshot+journal into it. Runs on the
-// supervision goroutine while the shard is down (ladder floor pinned) and
-// its lock is still held from the crash, before run restarts and
+// supervisor's restart goroutine while the shard is down (ladder floor
+// pinned) and its lock is still held from the crash, before resume
 // releases it.
 func (sh *shard) restore() error {
 	sh.restoresA.Add(1)
@@ -572,13 +509,13 @@ func (sh *shard) restore() error {
 
 // closeWAL is the drain-time finalization: flush the tail, snapshot, and
 // close, stopping the committer. Called once nothing else runs on the
-// shard: it takes the lock, unless a crash left it held, and then the
-// lock is already the caller's.
-func (sh *shard) closeWAL() {
+// shard: it takes the lock, unless held says a crash left it held (the
+// shard is still down), and then the lock is already the caller's.
+func (sh *shard) closeWAL(held bool) {
 	if sh.jr == nil {
 		return
 	}
-	if !sh.lockedByCrash {
+	if !held {
 		sh.lock <- struct{}{}
 		defer sh.unlock()
 	}

@@ -20,10 +20,10 @@ type classCursor struct {
 	lat      obs.HistCursor
 }
 
-// statsLoop runs until statsStop closes. It is the single owner of the
+// statsLoop runs until loopStop closes. It is the single owner of the
 // cursors and the SLO monitor.
 func (s *server) statsLoop() {
-	defer close(s.statsDone)
+	defer s.loops.Done()
 	tick := s.cfg.statsTick
 	if tick <= 0 {
 		tick = time.Second
@@ -38,7 +38,7 @@ func (s *server) statsLoop() {
 
 	for {
 		select {
-		case <-s.statsStop:
+		case <-s.loopStop:
 			return
 		case <-t.C:
 			s.statsTickOnce(cursors, tick)
@@ -51,7 +51,7 @@ func (s *server) statsTickOnce(cursors []classCursor, tick time.Duration) {
 	ev := obs.WideEvent{Kind: obs.KindStats, Num: map[string]float64{
 		"state":            float64(s.lc.State()),
 		"ladder_level":     float64(s.ladderLevel.Load()),
-		"shards_down":      float64(s.shardsDown.Load()),
+		"shards_down":      float64(s.sup.Down()),
 		"open_connections": float64(s.openConns.Load()),
 	}}
 	ticks := make([]obs.ClassTick, 0, s.cfg.classes)

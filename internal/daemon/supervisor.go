@@ -3,51 +3,41 @@ package daemon
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 )
 
-// WorkerFunc is one supervised worker loop. It must run until the stop
-// channel closes (then return nil) or until it fails (return an error).
-// Panics are recovered by the supervisor and treated as failures — the
-// crash-only path the chaos plan exercises.
-type WorkerFunc func(stop <-chan struct{}) error
+// The restart schedule: the backoff doubles from BackoffBase per
+// consecutive failure up to backoffMax, and a worker that stays up for
+// resetAfter has its failures forgiven. Up to backoffJitter of each delay
+// is added again as seeded random extra sleep: when one fault fells many
+// workers at once, jitter spreads their restores apart instead of letting
+// them replay and rewarm in lockstep (a restart-storm thundering herd).
+// All workers share one jitter stream, which is what spreads them.
+const (
+	backoffMax    = 2 * time.Second
+	resetAfter    = 5 * time.Second
+	backoffJitter = 0.2
+	jitterSeed    = 1
+)
 
-// RestoreFunc rebuilds a crashed worker's state before it restarts —
-// the warm-restart hook. It runs on the supervision goroutine after the
-// backoff sleep and before the worker is marked up, so the worker stays
-// observably down (and the ladder floor pinned) for the whole replay. A
-// failing or panicking restore counts as another consecutive failure:
-// the worker stays down and backs off again.
+// RestoreFunc rebuilds a failed worker's state — the warm-restart hook.
+// It runs after the backoff sleep and before the worker is marked up, so
+// the worker stays observably down (and the ladder floor pinned) for the
+// whole replay. A failing or panicking restore counts as another
+// consecutive failure: the worker stays down and backs off again.
 type RestoreFunc func() error
 
-// SupervisorConfig tunes restart behaviour. Zero values take the
-// documented defaults.
+// SupervisorConfig tunes restart behaviour.
 type SupervisorConfig struct {
 	// BackoffBase is the delay before the first restart (default 10 ms).
 	BackoffBase time.Duration
-	// BackoffMax caps the exponential backoff (default 2 s).
-	BackoffMax time.Duration
-	// ResetAfter is how long a worker must stay up for its consecutive-
-	// failure count (and so its backoff) to reset (default 5 s).
-	ResetAfter time.Duration
-	// MaxRestarts gives up on a worker after this many consecutive
-	// failures, leaving it down for good (0 = never give up).
-	MaxRestarts int
-	// BackoffJitter adds up to this fraction of the computed backoff as
-	// seeded random extra sleep (0 = none). When one fault fells many
-	// workers at once, jitter spreads their restarts out instead of
-	// letting them replay and rewarm in lockstep — the restart-storm
-	// equivalent of a thundering herd.
-	BackoffJitter float64
-	// JitterSeed seeds the jitter RNG (default 1) so tests are
-	// reproducible. All workers share one stream, which is what spreads
-	// concurrent restarts apart.
-	JitterSeed int64
-	// OnStateChange, if set, fires on every worker transition: up=false
-	// when a worker crashes (with its error), up=true when it restarts.
-	// Called from the supervision goroutine; keep it fast and do not call
-	// back into the Supervisor.
+	// OnStateChange, if set, fires on every worker transition, after the
+	// state changed: up=false when a worker fails (with its cause), up=true
+	// when it is restored, just before resume. Both fire on the restart
+	// goroutine, so a worker's events arrive in order and none fires once
+	// Stop has returned.
 	OnStateChange func(id int, up bool, restarts int, err error)
 	// Sleep substitutes the backoff sleep (tests inject a recorder). The
 	// default sleeps on a timer but returns early when the supervisor is
@@ -60,20 +50,21 @@ type WorkerStatus struct {
 	ID       int
 	Name     string
 	Up       bool
-	GaveUp   bool
 	Restarts uint64 // total restarts over the worker's lifetime
 	LastErr  string
 }
 
-// Supervisor keeps a set of named workers running: each worker gets its
-// own goroutine, panic recovery, exponential restart backoff, and a
-// consecutive-failure budget. This is the one-level supervision tree of
-// crash-only designs — workers hold no state the process cannot rebuild,
-// so "restart with backoff" is a complete recovery strategy.
+// Supervisor is a restart scheduler for workers that run no goroutine of
+// their own. The owner reports a crash with Fail; the supervisor marks
+// the worker down, backs off, runs its restore hook, marks it up and
+// resumes it — one short-lived goroutine per restart. This is the
+// one-level supervision tree of crash-only designs: workers hold no state
+// the process cannot rebuild, so "restore with backoff" is a complete
+// recovery strategy.
 type Supervisor struct {
 	cfg  SupervisorConfig
 	stop chan struct{}
-	wg   sync.WaitGroup
+	wg   sync.WaitGroup // in-flight restarts
 
 	mu      sync.Mutex
 	rng     *rand.Rand // jitter source, guarded by mu
@@ -82,11 +73,14 @@ type Supervisor struct {
 }
 
 type workerState struct {
-	name     string
-	up       bool
-	gaveUp   bool
-	restarts uint64
-	lastErr  string
+	name        string
+	restore     RestoreFunc
+	resume      func()
+	up          bool
+	upSince     time.Time
+	consecutive int // failures since the worker last stayed up resetAfter
+	restarts    uint64
+	lastErr     string
 }
 
 // NewSupervisor builds a supervisor, applying defaults for zero fields.
@@ -94,19 +88,13 @@ func NewSupervisor(cfg SupervisorConfig) *Supervisor {
 	if cfg.BackoffBase == 0 {
 		cfg.BackoffBase = 10 * time.Millisecond
 	}
-	if cfg.BackoffMax == 0 {
-		cfg.BackoffMax = 2 * time.Second
-	}
-	if cfg.ResetAfter == 0 {
-		cfg.ResetAfter = 5 * time.Second
-	}
-	if cfg.JitterSeed == 0 {
-		cfg.JitterSeed = 1
+	if cfg.OnStateChange == nil {
+		cfg.OnStateChange = func(int, bool, int, error) {}
 	}
 	s := &Supervisor{
 		cfg:     cfg,
 		stop:    make(chan struct{}),
-		rng:     rand.New(rand.NewSource(cfg.JitterSeed)),
+		rng:     rand.New(rand.NewSource(jitterSeed)),
 		workers: make(map[int]*workerState),
 	}
 	if s.cfg.Sleep == nil {
@@ -122,123 +110,96 @@ func NewSupervisor(cfg SupervisorConfig) *Supervisor {
 	return s
 }
 
-// Start supervises w under the given id/name. Calling Start after Stop is
-// an error.
-func (s *Supervisor) Start(id int, name string, w WorkerFunc) error {
-	return s.StartRestorable(id, name, w, nil)
-}
-
-// StartRestorable supervises w with a warm-restart hook: after every
-// crash (and the backoff), restore runs before the worker is marked up
-// again. restore may be nil, which is plain Start.
-func (s *Supervisor) StartRestorable(id int, name string, w WorkerFunc, restore RestoreFunc) error {
+// Add registers a worker as up under the given id/name. After each
+// failure, restore (nil for none) rebuilds it while it is down, and
+// resume hands it back to service once it is up again. Add starts no
+// goroutine; it panics on an id already registered.
+func (s *Supervisor) Add(id int, name string, restore RestoreFunc, resume func()) {
 	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		return fmt.Errorf("daemon: supervisor already stopped")
-	}
+	defer s.mu.Unlock()
 	if _, dup := s.workers[id]; dup {
-		s.mu.Unlock()
-		return fmt.Errorf("daemon: worker id %d already supervised", id)
+		panic(fmt.Sprintf("daemon: worker id %d already supervised", id))
 	}
-	st := &workerState{name: name, up: true}
-	s.workers[id] = st
-	s.mu.Unlock()
-
-	s.wg.Add(1)
-	go s.supervise(id, st, w, restore)
-	return nil
+	s.workers[id] = &workerState{name: name, restore: restore, resume: resume, up: true, upSince: time.Now()}
 }
 
-// supervise is the per-worker restart loop.
-func (s *Supervisor) supervise(id int, st *workerState, w WorkerFunc, restore RestoreFunc) {
-	defer s.wg.Done()
-	consecutive := 0
-	for {
-		started := time.Now()
-		err := runRecovered(w, s.stop)
+// Fail reports that worker id, in service since it was added or resumed,
+// crashed with cause: it is marked down and a restart is scheduled. Fail
+// on a worker that is already down is a no-op (its restart is under way);
+// after Stop it only records the worker down.
+func (s *Supervisor) Fail(id int, cause error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.workers[id]
+	if st == nil || !st.up {
+		return
+	}
+	if time.Since(st.upSince) >= resetAfter {
+		st.consecutive = 0 // it ran healthily for a while; forgive history
+	}
+	st.consecutive++
+	st.up = false
+	st.lastErr = cause.Error()
+	if !s.stopped {
+		s.wg.Add(1)
+		go s.restart(id, st, int(st.restarts), cause)
+	}
+}
 
+// restart reports a worker's failure, then backs off, restores and
+// resumes it. A failing restore is one more consecutive failure and
+// another backoff round, not a second down transition. Stop abandons it
+// with the worker down.
+func (s *Supervisor) restart(id int, st *workerState, restarts int, cause error) {
+	defer s.wg.Done()
+	s.cfg.OnStateChange(id, false, restarts, cause)
+	for {
+		s.cfg.Sleep(s.backoff(st))
 		select {
 		case <-s.stop:
-			// Shutdown requested: whatever the worker returned, we are done.
-			s.setDown(st, err, false)
 			return
 		default:
 		}
-
-		// Unexpected exit (error, panic, or premature nil return).
-		if time.Since(started) >= s.cfg.ResetAfter {
-			consecutive = 0 // it ran healthily for a while; forgive history
-		}
-		consecutive++
-		restarts := s.setDown(st, err, false)
-		if s.cfg.OnStateChange != nil {
-			s.cfg.OnStateChange(id, false, restarts, err)
-		}
-		if s.cfg.MaxRestarts > 0 && consecutive > s.cfg.MaxRestarts {
-			s.setDown(st, err, true)
+		err := runRestore(st.restore)
+		s.mu.Lock()
+		if s.stopped {
+			s.mu.Unlock()
 			return
 		}
-
-		// Back off, then run the restore hook. The worker stays down
-		// throughout — a failing restore is one more consecutive failure
-		// and another backoff round, not a second down transition.
-		restored := false
-		for !restored {
-			s.cfg.Sleep(s.backoff(consecutive))
-			select {
-			case <-s.stop:
-				return
-			default:
-			}
-			if restore == nil {
-				break
-			}
-			rerr := runRestore(restore)
-			if rerr == nil {
-				restored = true
-				break
-			}
-			consecutive++
-			s.setDown(st, fmt.Errorf("daemon: worker restore failed: %w", rerr), false)
-			if s.cfg.MaxRestarts > 0 && consecutive > s.cfg.MaxRestarts {
-				s.setDown(st, rerr, true)
-				return
-			}
+		if err != nil {
+			st.consecutive++
+			st.lastErr = fmt.Sprintf("daemon: worker restore failed: %v", err)
+			s.mu.Unlock()
+			continue
 		}
-
-		s.mu.Lock()
-		st.up = true
+		st.up, st.upSince = true, time.Now()
 		st.restarts++
 		restarts = int(st.restarts)
 		s.mu.Unlock()
-		if s.cfg.OnStateChange != nil {
-			s.cfg.OnStateChange(id, true, restarts, nil)
-		}
+		s.cfg.OnStateChange(id, true, restarts, nil)
+		st.resume()
+		return
 	}
 }
 
-// backoff computes the exponential-with-jitter delay for the Nth
-// consecutive failure.
-func (s *Supervisor) backoff(consecutive int) time.Duration {
+// backoff computes the exponential-with-jitter delay for the worker's
+// current run of consecutive failures.
+func (s *Supervisor) backoff(st *workerState) time.Duration {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	d := s.cfg.BackoffBase
-	for i := 1; i < consecutive && d < s.cfg.BackoffMax; i++ {
+	for i := 1; i < st.consecutive && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > s.cfg.BackoffMax {
-		d = s.cfg.BackoffMax
-	}
-	if s.cfg.BackoffJitter > 0 {
-		s.mu.Lock()
-		u := s.rng.Float64()
-		s.mu.Unlock()
-		d += time.Duration(s.cfg.BackoffJitter * u * float64(d))
-	}
-	return d
+	d = min(d, backoffMax)
+	return d + time.Duration(backoffJitter*s.rng.Float64()*float64(d))
 }
 
-// runRestore invokes the restore hook with panic recovery.
+// runRestore invokes the restore hook, if any, with panic recovery.
 func runRestore(restore RestoreFunc) (err error) {
+	if restore == nil {
+		return nil
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("daemon: restore panic: %v", r)
@@ -247,50 +208,15 @@ func runRestore(restore RestoreFunc) (err error) {
 	return restore()
 }
 
-// setDown marks a worker down and returns its lifetime restart count.
-func (s *Supervisor) setDown(st *workerState, err error, gaveUp bool) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st.up = false
-	if gaveUp {
-		st.gaveUp = true
-	}
-	if err != nil {
-		st.lastErr = err.Error()
-	}
-	return int(st.restarts)
-}
-
-// runRecovered invokes the worker with panic recovery.
-func runRecovered(w WorkerFunc, stop <-chan struct{}) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("daemon: worker panic: %v", r)
-		}
-	}()
-	if e := w(stop); e != nil {
-		return e
-	}
-	select {
-	case <-stop:
-		return nil
-	default:
-		return fmt.Errorf("daemon: worker returned without being stopped")
-	}
-}
-
-// Stop asks every worker to stop and waits for the supervision loops to
-// exit. Idempotent.
+// Stop cancels pending backoffs and waits for restarts in flight to end.
+// A worker whose restart it cut short stays down. Idempotent.
 func (s *Supervisor) Stop() {
 	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
+	if !s.stopped {
+		s.stopped = true
+		close(s.stop)
 	}
-	s.stopped = true
 	s.mu.Unlock()
-	close(s.stop)
 	s.wg.Wait()
 }
 
@@ -301,21 +227,16 @@ func (s *Supervisor) Snapshot() []WorkerStatus {
 	out := make([]WorkerStatus, 0, len(s.workers))
 	for id, st := range s.workers {
 		out = append(out, WorkerStatus{
-			ID: id, Name: st.name, Up: st.up, GaveUp: st.gaveUp,
+			ID: id, Name: st.name, Up: st.up,
 			Restarts: st.restarts, LastErr: st.lastErr,
 		})
 	}
-	// Insertion sort by id: worker counts are small (one per shard).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].ID > out[j].ID; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	slices.SortFunc(out, func(a, b WorkerStatus) int { return a.ID - b.ID })
 	return out
 }
 
-// Down counts workers currently not up (crashed, backing off, or given
-// up) — the degraded-shard signal the ladder floor hangs off.
+// Down counts workers currently not up (failed or being restored) — the
+// degraded-shard signal the ladder floor hangs off.
 func (s *Supervisor) Down() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
