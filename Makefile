@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-serving vet lint bench bench-json bench-compare bench-gate bench-smoke determinism daemon-smoke obs-smoke crash-smoke fleet-smoke paper-golden ci
+.PHONY: all build test race race-serving fuzz vet lint bench bench-json bench-compare bench-gate bench-smoke determinism daemon-smoke obs-smoke crash-smoke fleet-smoke paper-golden ci
 
 all: build test
 
@@ -26,6 +26,15 @@ race-serving:
 	$(GO) test -race -count=20 \
 		-run '^Test(Commit|Detach|Flush|WriteFileAtomic|ShardLock|CrashedShard|WarmRestart|DrainWhileShardDown|Supervisor)' \
 		./internal/wal ./internal/daemon ./cmd/slicekvsd
+
+# Native fuzzing, 60 s per target. FuzzCacheMatchesReference checks
+# cachesim.Cache op for op against a map-and-slices reference cache;
+# FuzzSlicedLLCMatchesReference checks the sliced LLC, whose slices share
+# one line index, against one private reference cache per slice. A
+# finding is written under the package's testdata/fuzz and fails the run.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheMatchesReference$$' -fuzztime 60s ./internal/cachesim
+	$(GO) test -run '^$$' -fuzz '^FuzzSlicedLLCMatchesReference$$' -fuzztime 60s ./internal/llc
 
 # vet plus the gofmt gate: any file gofmt would rewrite fails the target.
 vet:
@@ -169,4 +178,4 @@ paper-golden:
 		-out /tmp/sliceaware-paper-golden
 	@echo "paper-quick goldens byte-identical"
 
-ci: build vet race race-serving determinism bench-smoke daemon-smoke obs-smoke crash-smoke fleet-smoke paper-golden
+ci: build vet race race-serving fuzz determinism bench-smoke daemon-smoke obs-smoke crash-smoke fleet-smoke paper-golden

@@ -8,13 +8,14 @@
 // enforced one level up, in the cache-hierarchy walker.
 //
 // Internally the model is struct-of-arrays: line numbers and ages live in
-// flat parallel arrays and validity/dirtiness are one bitmap word per set,
-// so a set probe is a bit scan instead of a struct walk, and an exact
-// LineSet presence filter answers the common negative cases — Lookup miss,
-// Contains miss, Invalidate of an absent line — in O(1) without touching
-// the set at all. The DMA invalidation storm of the DDIO model is almost
-// entirely absent lines, which is why the filter, not the set scan, decides
-// the simulator's throughput.
+// flat parallel arrays and validity/dirtiness are one bitmap word per set.
+// A private cache (New) finds a line by comparing it against the ways of
+// its set — at most 16 in the L1, L2 and TLB geometries, one row that
+// victim selection reads anyway — so its memory is fixed at New however
+// far apart the lines it sees are. The slices of a sliced LLC (NewGroup)
+// instead share one exact line→slot index, which answers a probe, hit or
+// miss, with one byte load and keeps a packet's consecutive lines on
+// adjacent bytes of one page.
 package cachesim
 
 import (
@@ -45,12 +46,15 @@ type Cache struct {
 	ways     int
 	sets     int
 	setMask  uint64
-	lines    []uint64 // sets × ways, row-major; meaningful only where valid
-	ages     []uint64 // sets × ways, row-major; larger = more recently used
-	valid    []uint64 // one bitmap word per set, bit w = way w holds a line
-	dirty    []uint64 // one bitmap word per set, bit w = way w is dirty
-	present  wayMap   // exact line→way index over every valid line
+	lines    []uint64   // sets × ways, row-major; meaningful only where valid
+	ages     []uint64   // sets × ways, row-major; larger = more recently used
+	valid    []uint64   // one bitmap word per set, bit w = way w holds a line
+	dirty    []uint64   // one bitmap word per set, bit w = way w is dirty
+	index    *lineIndex // the group's shared line index; nil for a private cache
+	slot     int        // this member's first slot in index: member·ways
 	clock    uint64
+	miss     uint64 // the line the last Lookup missed, absent while missOK
+	missOK   bool
 	stats    Stats
 	occupied int
 
@@ -76,6 +80,32 @@ func New(name string, sets, ways int) (*Cache, error) {
 		valid:   make([]uint64, sets),
 		dirty:   make([]uint64, sets),
 	}, nil
+}
+
+// MaxGroupSlots is the most members × ways a NewGroup index can address.
+const MaxGroupSlots = 255
+
+// NewGroup creates n caches of one geometry, named name-0 … name-(n-1),
+// that share a single line index — the slices of a sliced LLC. Each member
+// behaves exactly as a cache from New provided a line is resident in at
+// most one member at a time, which the slice hash guarantees. The index
+// stores member·ways + way + 1 in a byte, so n·ways may not exceed
+// MaxGroupSlots. Like a single Cache, a group is not safe for concurrent use.
+func NewGroup(name string, n, sets, ways int) ([]*Cache, error) {
+	if n*ways > MaxGroupSlots {
+		return nil, fmt.Errorf("cachesim: %s: %d caches × %d ways exceed the %d slots of a shared index", name, n, ways, MaxGroupSlots)
+	}
+	index := new(lineIndex)
+	group := make([]*Cache, n)
+	for i := range group {
+		c, err := New(fmt.Sprintf("%s-%d", name, i), sets, ways)
+		if err != nil {
+			return nil, err
+		}
+		c.index, c.slot = index, i*ways
+		group[i] = c
+	}
+	return group, nil
 }
 
 // MustNew is New that panics on error, for wiring up fixed geometries.
@@ -110,27 +140,59 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 func (c *Cache) setIndex(line uint64) int { return int(line & c.setMask) }
 
+// find returns the way of set idx holding line, or -1. A group member
+// reads the shared index and owns the entry only when it falls in its slot
+// range. A private cache compares line against the set's valid ways,
+// unless it is empty (an idle core's, under a DMA invalidation) or line is
+// the one the last Lookup missed with nothing inserted since (the fill
+// that follows a miss).
+func (c *Cache) find(idx int, line uint64) int {
+	if c.index != nil {
+		if w := int(c.index.get(line)) - 1 - c.slot; uint(w) < uint(c.ways) {
+			return w
+		}
+		return -1
+	}
+	if c.occupied == 0 || c.missOK && c.miss == line {
+		return -1
+	}
+	for m := c.valid[idx]; m != 0; m &= m - 1 {
+		if w := bits.TrailingZeros64(m); c.lines[idx*c.ways+w] == line {
+			return w
+		}
+	}
+	return -1
+}
+
+// setSlot records line's slot in a group's shared index (0 = absent, way
+// w of this member = c.slot+w+1). Private caches keep no index.
+func (c *Cache) setSlot(line uint64, slot int) {
+	if c.index != nil {
+		c.index.set(line, uint8(slot))
+	}
+}
+
 // Lookup probes for a line. On a hit the line becomes most recently used
 // and, if write is set, is marked dirty.
 func (c *Cache) Lookup(line uint64, write bool) bool {
-	w8 := c.present.get(line)
-	if w8 == 0 {
+	idx := c.setIndex(line)
+	w := c.find(idx, line)
+	if w < 0 {
 		c.stats.Misses++
+		c.miss, c.missOK = line, true
 		return false
 	}
-	w := uint(w8 - 1)
-	idx := c.setIndex(line)
 	c.clock++
-	c.ages[idx*c.ways+int(w)] = c.clock
+	c.ages[idx*c.ways+w] = c.clock
 	if write {
-		c.dirty[idx] |= 1 << w
+		c.dirty[idx] |= 1 << uint(w)
 	}
 	c.stats.Hits++
 	return true
 }
 
 // Contains probes for a line without perturbing LRU state or statistics.
-func (c *Cache) Contains(line uint64) bool { return c.present.get(line) != 0 }
+func (c *Cache) Contains(line uint64) bool { return c.find(c.setIndex(line), line) >= 0 }
 
 // Victim describes a line displaced by an insertion.
 type Victim struct {
@@ -148,8 +210,7 @@ func (c *Cache) Insert(line uint64, dirty bool, mask WayMask) Victim {
 	c.clock++
 
 	// Already present: refresh.
-	if w8 := c.present.get(line); w8 != 0 {
-		w := int(w8 - 1)
+	if w := c.find(idx, line); w >= 0 {
 		c.ages[base+w] = c.clock
 		if dirty {
 			c.dirty[idx] |= 1 << uint(w)
@@ -158,6 +219,7 @@ func (c *Cache) Insert(line uint64, dirty bool, mask WayMask) Victim {
 	}
 
 	c.stats.Insertions++
+	c.missOK = false
 
 	// An empty in-range mask degenerates to all ways so a misconfigured CAT
 	// class cannot wedge the cache.
@@ -182,7 +244,7 @@ func (c *Cache) Insert(line uint64, dirty bool, mask WayMask) Victim {
 		if v.Dirty {
 			c.stats.Writebacks++
 		}
-		c.present.clear(v.Line)
+		c.setSlot(v.Line, 0)
 		c.occupied--
 	}
 	wb := uint64(1) << uint(victimWay)
@@ -194,7 +256,7 @@ func (c *Cache) Insert(line uint64, dirty bool, mask WayMask) Victim {
 	} else {
 		c.dirty[idx] &^= wb
 	}
-	c.present.set(line, victimWay)
+	c.setSlot(line, c.slot+victimWay+1)
 	c.occupied++
 	return v
 }
@@ -215,29 +277,32 @@ func (c *Cache) effectiveMask(mask WayMask) uint64 {
 // Invalidate removes a line if present, reporting whether it was there and
 // whether it was dirty (i.e. required write-back, as clflush does).
 func (c *Cache) Invalidate(line uint64) (present, dirty bool) {
-	w8 := c.present.get(line)
-	if w8 == 0 {
+	idx := c.setIndex(line)
+	w := c.find(idx, line)
+	if w < 0 {
 		return false, false
 	}
-	idx := c.setIndex(line)
-	wb := uint64(1) << uint(w8-1)
+	wb := uint64(1) << uint(w)
 	dirty = c.dirty[idx]&wb != 0
 	if dirty {
 		c.stats.Writebacks++
 	}
 	c.valid[idx] &^= wb
 	c.dirty[idx] &^= wb
-	c.present.clear(line)
+	c.setSlot(line, 0)
 	c.occupied--
 	return true, dirty
 }
 
 // FlushAll invalidates every line, returning the number of dirty lines
-// written back.
+// written back. A group member clears only its own lines from the index.
 func (c *Cache) FlushAll() (writebacks int) {
 	for idx := 0; idx < c.sets; idx++ {
 		if c.valid[idx] == 0 {
 			continue
+		}
+		for m := c.valid[idx]; c.index != nil && m != 0; m &= m - 1 {
+			c.setSlot(c.lines[idx*c.ways+bits.TrailingZeros64(m)], 0)
 		}
 		wb := bits.OnesCount64(c.valid[idx] & c.dirty[idx])
 		writebacks += wb
@@ -245,7 +310,6 @@ func (c *Cache) FlushAll() (writebacks int) {
 		c.valid[idx] = 0
 		c.dirty[idx] = 0
 	}
-	c.present.clearAll()
 	c.occupied = 0
 	return writebacks
 }

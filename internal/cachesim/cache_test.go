@@ -237,3 +237,41 @@ func TestSetOccupancyAndResetStats(t *testing.T) {
 		t.Error("accessors broken")
 	}
 }
+
+// A private cache's memory is fixed at New: inserting, probing and
+// invalidating lines 2^20 apart — each in a region no earlier line touched
+// — allocates nothing.
+func TestPrivateCacheAllocatesNothingAfterNew(t *testing.T) {
+	c := MustNew("l1d", 64, 8) // the L1D geometry of both arch profiles
+	line := uint64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		line += 1 << 20
+		c.Insert(line, true, AllWays)
+		c.Lookup(line, false)
+		c.Invalidate(line - 1<<21)
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per operation on a private cache, want 0", allocs)
+	}
+}
+
+func TestNewGroupSharesOneIndex(t *testing.T) {
+	if _, err := NewGroup("g", 13, 4, 20); err == nil {
+		t.Error("13×20 slots accepted; the shared index holds 255")
+	}
+	g, err := NewGroup("g", 2, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g[0].Name() != "g-0" || g[1].Name() != "g-1" {
+		t.Errorf("names %q, %q", g[0].Name(), g[1].Name())
+	}
+	g[0].Insert(8, true, AllWays)
+	g[1].Insert(9, false, AllWays)
+	if g[1].Contains(8) || g[0].Contains(9) || !g[0].Contains(8) || !g[1].Contains(9) {
+		t.Error("a member answered for a line the other member holds")
+	}
+	if wb := g[0].FlushAll(); wb != 1 || g[0].Contains(8) || !g[1].Contains(9) {
+		t.Errorf("FlushAll of one member: %d writebacks, other member's line kept = %v", wb, g[1].Contains(9))
+	}
+}

@@ -5,21 +5,13 @@ import (
 	"sort"
 )
 
-// LineSet page geometry: one page covers 2^15 lines with 4 KiB of bitmap.
-// Pages are allocated lazily, so sparse line populations (a few mbuf pools
-// plus NF tables scattered over a simulated physical space) cost a handful
-// of pages rather than a bitmap over the whole address space.
+// A LineSet page covers 2^15 lines with 4 KiB of bitmap, so sparse line
+// populations (a few mbuf pools plus NF tables scattered over a simulated
+// physical space) cost a handful of pages rather than a bitmap over the
+// whole address space.
 const (
 	lineSetPageShift = 15
 	lineSetPageWords = 1 << (lineSetPageShift - 6)
-
-	// lineSetDenseLimit bounds the dense page directory: page indices below
-	// it (lines below 2^31, i.e. physical addresses below 128 GiB — the
-	// default simulated DRAM) index a flat slice; anything above (notably
-	// TLB page numbers derived from high mmap virtual addresses, and
-	// adversarial random keys in property tests) falls back to a map keyed
-	// by page index, fronted by the one-entry page cache.
-	lineSetDenseLimit = 1 << 16
 )
 
 type lineSetPage [lineSetPageWords]uint64
@@ -31,62 +23,13 @@ type lineSetPage [lineSetPageWords]uint64
 // the DMA hot path. The zero value is an empty set. Not safe for
 // concurrent use.
 type LineSet struct {
-	dense []*lineSetPage
-	far   map[uint64]*lineSetPage
-
-	// One-entry page cache for far pages only; the dense directory is
-	// indexed directly.
-	lastIdx  uint64
-	lastPage *lineSetPage
-
+	pages pages[lineSetPage]
 	count int
-}
-
-// page returns the page holding index p, or nil.
-func (s *LineSet) page(p uint64) *lineSetPage {
-	if p < lineSetDenseLimit {
-		if p < uint64(len(s.dense)) {
-			return s.dense[p]
-		}
-		return nil
-	}
-	if p == s.lastIdx && s.lastPage != nil {
-		return s.lastPage
-	}
-	if s.far == nil {
-		return nil
-	}
-	pg := s.far[p]
-	if pg != nil {
-		s.lastIdx, s.lastPage = p, pg
-	}
-	return pg
-}
-
-// ensurePage returns the page holding index p, allocating it if needed.
-func (s *LineSet) ensurePage(p uint64) *lineSetPage {
-	if pg := s.page(p); pg != nil {
-		return pg
-	}
-	pg := new(lineSetPage)
-	if p < lineSetDenseLimit {
-		for uint64(len(s.dense)) <= p {
-			s.dense = append(s.dense, nil)
-		}
-		s.dense[p] = pg
-	} else {
-		if s.far == nil {
-			s.far = make(map[uint64]*lineSetPage)
-		}
-		s.far[p] = pg
-	}
-	s.lastIdx, s.lastPage = p, pg
-	return pg
 }
 
 // Has reports whether line is in the set.
 func (s *LineSet) Has(line uint64) bool {
-	pg := s.page(line >> lineSetPageShift)
+	pg := s.pages.get(line >> lineSetPageShift)
 	if pg == nil {
 		return false
 	}
@@ -95,7 +38,7 @@ func (s *LineSet) Has(line uint64) bool {
 
 // Add inserts line, reporting whether it was newly added.
 func (s *LineSet) Add(line uint64) bool {
-	pg := s.ensurePage(line >> lineSetPageShift)
+	pg := s.pages.ensure(line >> lineSetPageShift)
 	w, b := (line>>6)&(lineSetPageWords-1), uint(line&63)
 	if pg[w]>>b&1 != 0 {
 		return false
@@ -107,7 +50,7 @@ func (s *LineSet) Add(line uint64) bool {
 
 // Remove deletes line, reporting whether it was present.
 func (s *LineSet) Remove(line uint64) bool {
-	pg := s.page(line >> lineSetPageShift)
+	pg := s.pages.get(line >> lineSetPageShift)
 	if pg == nil {
 		return false
 	}
@@ -128,12 +71,12 @@ func (s *LineSet) Clear() {
 	if s.count == 0 {
 		return
 	}
-	for _, pg := range s.dense {
+	for _, pg := range s.pages.dense {
 		if pg != nil {
 			*pg = lineSetPage{}
 		}
 	}
-	for _, pg := range s.far {
+	for _, pg := range s.pages.far {
 		*pg = lineSetPage{}
 	}
 	s.count = 0
@@ -149,18 +92,18 @@ func (s *LineSet) Lines(out []uint64) []uint64 {
 			}
 		}
 	}
-	for p, pg := range s.dense {
+	for p, pg := range s.pages.dense {
 		if pg != nil {
 			appendPage(uint64(p), pg)
 		}
 	}
-	farIdx := make([]uint64, 0, len(s.far))
-	for p := range s.far {
+	farIdx := make([]uint64, 0, len(s.pages.far))
+	for p := range s.pages.far {
 		farIdx = append(farIdx, p)
 	}
 	sort.Slice(farIdx, func(i, j int) bool { return farIdx[i] < farIdx[j] })
 	for _, p := range farIdx {
-		appendPage(p, s.far[p])
+		appendPage(p, s.pages.far[p])
 	}
 	return out
 }

@@ -64,22 +64,38 @@ func New(p *arch.Profile, h chash.Hash) (*SlicedLLC, error) {
 	if h.Slices() != p.Slices {
 		return nil, fmt.Errorf("llc: hash covers %d slices, profile has %d", h.Slices(), p.Slices)
 	}
-	l := &SlicedLLC{
+	slices, err := newSlices(p.Slices, p.LLCSlice.Sets(), p.LLCSlice.Ways)
+	if err != nil {
+		return nil, fmt.Errorf("llc: %w", err)
+	}
+	return &SlicedLLC{
 		hash:     h,
 		slicer:   chash.NewSliceLUT(h),
-		slices:   make([]*cachesim.Cache, p.Slices),
+		slices:   slices,
 		events:   make([]CBoEvents, p.Slices),
 		ddioMask: cachesim.MaskOfWayRange(p.LLCSlice.Ways-p.DDIOWays, p.LLCSlice.Ways),
 		lineBits: 6,
+	}, nil
+}
+
+// newSlices builds the slice caches. They share one line index when their
+// slots fit it: the hash places each line in exactly one slice, and one
+// index keeps a packet's consecutive lines together instead of spreading
+// them over a page per slice. A larger LLC gets private slices, which
+// behave the same.
+func newSlices(n, sets, ways int) ([]*cachesim.Cache, error) {
+	if n*ways <= cachesim.MaxGroupSlots {
+		return cachesim.NewGroup("LLC-slice", n, sets, ways)
 	}
-	for i := range l.slices {
-		c, err := cachesim.New(fmt.Sprintf("LLC-slice-%d", i), p.LLCSlice.Sets(), p.LLCSlice.Ways)
+	slices := make([]*cachesim.Cache, n)
+	for i := range slices {
+		c, err := cachesim.New(fmt.Sprintf("LLC-slice-%d", i), sets, ways)
 		if err != nil {
 			return nil, err
 		}
-		l.slices[i] = c
+		slices[i] = c
 	}
-	return l, nil
+	return slices, nil
 }
 
 // Slices returns the number of slices.

@@ -1,0 +1,284 @@
+package llc
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"sliceaware/internal/arch"
+	"sliceaware/internal/cachesim"
+	"sliceaware/internal/chash"
+)
+
+// refLLC is the sliced LLC written the plain way: one private cache per
+// slice (cachesim's own fuzz target checks those against its reference
+// model), the hash's ground truth for routing, and maps for the leaky-DMA
+// bookkeeping. SlicedLLC must agree with it on every result and counter;
+// in particular one slice's eviction or FlushAll must not disturb a line
+// another slice holds, which a shared line index could get wrong.
+type refLLC struct {
+	hash           chash.Hash
+	slices         []*cachesim.Cache
+	events         []CBoEvents
+	unread, leaked map[uint64]bool
+	perCore        map[int]FirstTouchStats
+	ddio           cachesim.WayMask
+}
+
+func newRefLLC(p *arch.Profile, h chash.Hash) *refLLC {
+	r := &refLLC{
+		hash:    h,
+		events:  make([]CBoEvents, p.Slices),
+		unread:  map[uint64]bool{},
+		leaked:  map[uint64]bool{},
+		perCore: map[int]FirstTouchStats{},
+		ddio:    cachesim.MaskOfWayRange(p.LLCSlice.Ways-p.DDIOWays, p.LLCSlice.Ways),
+	}
+	for i := 0; i < p.Slices; i++ {
+		r.slices = append(r.slices, cachesim.MustNew("ref", p.LLCSlice.Sets(), p.LLCSlice.Ways))
+	}
+	return r
+}
+
+func (r *refLLC) lookup(core int, pa uint64, write bool) (bool, int) {
+	s, line := r.hash.Slice(pa), pa>>6
+	r.events[s].Lookups++
+	ft := r.perCore[core]
+	hit := r.slices[s].Lookup(line, write)
+	switch {
+	case hit && r.unread[line]:
+		delete(r.unread, line)
+		r.events[s].DDIOFirstTouchHits++
+		ft.Hits++
+	case !hit:
+		r.events[s].Misses++
+		if r.leaked[line] {
+			delete(r.leaked, line)
+			r.events[s].DDIOMissedFirstTouch++
+			ft.Misses++
+		}
+	}
+	if core >= 0 {
+		r.perCore[core] = ft
+	}
+	return hit, s
+}
+
+func (r *refLLC) evicted(s int, v cachesim.Victim) {
+	if !v.Evicted {
+		return
+	}
+	r.events[s].Evictions++
+	if r.unread[v.Line] {
+		delete(r.unread, v.Line)
+		r.leaked[v.Line] = true
+		r.events[s].DDIOEvictUnread++
+	}
+}
+
+func (r *refLLC) insert(pa uint64, dirty bool, mask cachesim.WayMask) (cachesim.Victim, int) {
+	s, line := r.hash.Slice(pa), pa>>6
+	v := r.slices[s].Insert(line, dirty, mask)
+	r.evicted(s, v)
+	delete(r.unread, line)
+	delete(r.leaked, line)
+	return v, s
+}
+
+func (r *refLLC) dmaInsert(pa uint64, mask cachesim.WayMask) (cachesim.Victim, int) {
+	if mask == 0 {
+		mask = r.ddio
+	}
+	s, line := r.hash.Slice(pa), pa>>6
+	v := r.slices[s].Insert(line, true, mask)
+	r.events[s].DDIOFills++
+	r.evicted(s, v)
+	r.unread[line] = true
+	delete(r.leaked, line)
+	return v, s
+}
+
+func (r *refLLC) invalidate(pa uint64) (bool, bool) {
+	line := pa >> 6
+	delete(r.unread, line)
+	delete(r.leaked, line)
+	return r.slices[r.hash.Slice(pa)].Invalidate(line)
+}
+
+func (r *refLLC) flushAll() {
+	for _, s := range r.slices {
+		s.FlushAll()
+	}
+	r.unread, r.leaked = map[uint64]bool{}, map[uint64]bool{}
+}
+
+func (r *refLLC) setDDIOWays(n int) int {
+	total := r.slices[0].Ways()
+	n = max(1, min(n, total))
+	r.ddio = cachesim.MaskOfWayRange(total-n, total)
+	return n
+}
+
+// llcPABases put decoded addresses in low memory, at the 128 GiB edge of
+// the shared index's dense range, and far above it.
+var llcPABases = [4]uint64{0, 1 << 30, 1 << 37, 1 << 52}
+
+// pa decodes two bytes into a physical address in one of four sets of
+// every slice — 64 lines per set and base, more than the slices hold, so
+// they fill, evict and hit — with a few low bits inside the line.
+func (o *llcOps) pa() uint64 {
+	b0, b1 := o.byte(), o.byte()
+	return llcPABases[b1>>6] | uint64(b0>>2)<<17 | uint64(b0&3)<<6 | uint64(b1&63)
+}
+
+type llcOps struct {
+	data []byte
+	pos  int
+}
+
+func (o *llcOps) byte() byte {
+	if o.pos >= len(o.data) {
+		return 0
+	}
+	o.pos++
+	return o.data[o.pos-1]
+}
+
+func (o *llcOps) mask() cachesim.WayMask {
+	switch b := o.byte(); b % 4 {
+	case 0:
+		return 0
+	case 1:
+		return 1
+	case 2:
+		return cachesim.AllWays
+	default:
+		return cachesim.MaskOfWayRange(int(b>>2)%20, 20)
+	}
+}
+
+// checkLLCAgainstRef runs the program encoded in data on a SlicedLLC and on
+// refLLC, comparing every result and the counters after each operation and
+// every slice's lines and statistics at the end.
+func checkLLCAgainstRef(t *testing.T, data []byte) {
+	o := &llcOps{data: data}
+	p, h := arch.HaswellE52667v3(), chash.Hash(chash.Haswell8())
+	if o.byte()&1 == 1 {
+		p = arch.SkylakeGold6134()
+		g, err := chash.ForProfileSlices(p.Slices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h = g
+	}
+	runLLCAgainstRef(t, p, h, o)
+}
+
+// runLLCAgainstRef runs the rest of o's program on a SlicedLLC for p and h
+// and on refLLC.
+func runLLCAgainstRef(t *testing.T, p *arch.Profile, h chash.Hash, o *llcOps) {
+	l, err := New(p, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRefLLC(p, h)
+	for step := 0; o.pos < len(o.data); step++ {
+		op := o.byte()
+		var got, want any
+		switch op % 8 {
+		case 0, 7:
+			core, pa, write := int(op>>3)%3-1, o.pa(), op&0x40 != 0
+			h1, s1 := l.LookupCore(core, pa, write)
+			h2, s2 := r.lookup(core, pa, write)
+			got, want = [2]any{h1, s1}, [2]any{h2, s2}
+		case 1:
+			pa, dirty, m := o.pa(), op&8 != 0, o.mask()
+			v1, s1 := l.Insert(pa, dirty, m)
+			v2, s2 := r.insert(pa, dirty, m)
+			got, want = [2]any{v1, s1}, [2]any{v2, s2}
+		case 2, 3:
+			pa, m := o.pa(), o.mask()
+			v1, s1 := l.DMAInsertMasked(pa, m)
+			v2, s2 := r.dmaInsert(pa, m)
+			got, want = [2]any{v1, s1}, [2]any{v2, s2}
+		case 4:
+			pa := o.pa()
+			p1, d1 := l.Invalidate(pa)
+			p2, d2 := r.invalidate(pa)
+			got, want = [2]bool{p1, d1}, [2]bool{p2, d2}
+		case 5:
+			pa := o.pa()
+			got, want = l.Contains(pa), r.slices[r.hash.Slice(pa)].Contains(pa>>6)
+			if op&8 != 0 { // ask a slice that may not own the line
+				s := int(op>>4) % l.Slices()
+				got, want = l.SliceCache(s).Contains(pa>>6), r.slices[s].Contains(pa>>6)
+			}
+		case 6:
+			switch op {
+			case 6: // rare: a flush empties everything
+				l.FlushAll()
+				r.flushAll()
+			case 14: // flush one slice and leave the others' lines alone
+				s := int(o.byte()) % l.Slices()
+				got, want = l.SliceCache(s).FlushAll(), r.slices[s].FlushAll()
+			default:
+				n := int(op >> 3 % 24)
+				got, want = l.SetDDIOWays(n), r.setDDIOWays(n)
+			}
+		}
+		if got != want {
+			t.Fatalf("step %d (op %d): llc %+v, reference %+v", step, op%8, got, want)
+		}
+		if ev := l.AllEvents(); !reflect.DeepEqual(ev, r.events) {
+			t.Fatalf("step %d (op %d): events %+v, reference %+v", step, op%8, ev, r.events)
+		}
+		for core := 0; core < 2; core++ {
+			if got, want := l.FirstTouch(core), r.perCore[core]; got != want {
+				t.Fatalf("step %d: core %d first touch %+v, reference %+v", step, core, got, want)
+			}
+		}
+	}
+	for s, ref := range r.slices {
+		c := l.SliceCache(s)
+		if c.Stats() != ref.Stats() || c.Len() != ref.Len() || c.MaskLen(r.ddio) != ref.MaskLen(r.ddio) {
+			t.Fatalf("slice %d: stats %+v len %d, reference %+v len %d", s, c.Stats(), c.Len(), ref.Stats(), ref.Len())
+		}
+		if !reflect.DeepEqual(c.Lines(), ref.Lines()) {
+			t.Fatalf("slice %d: resident lines differ from the reference", s)
+		}
+	}
+}
+
+// FuzzSlicedLLCMatchesReference drives Insert, DMAInsertMasked,
+// LookupCore, Invalidate, Contains, FlushAll and SetDDIOWays on the
+// Haswell and the 18-slice Skylake LLC, plus Contains and FlushAll on
+// single slices, and checks them against refLLC.
+// The seeds are long random programs for each profile.
+func FuzzSlicedLLCMatchesReference(f *testing.F) {
+	rng := rand.New(rand.NewSource(34))
+	for i := 0; i < 6; i++ {
+		seed := make([]byte, 6000)
+		rng.Read(seed)
+		seed[0] = byte(i)
+		f.Add(seed)
+	}
+	f.Fuzz(checkLLCAgainstRef)
+}
+
+// TestPrivateSlicesPast255SlotsMatchReference runs a random program on a
+// 17-slice, 20-way LLC, whose 340 slots do not fit a shared line index, so
+// New gives it private slices; it must still agree with refLLC.
+func TestPrivateSlicesPast255SlotsMatchReference(t *testing.T) {
+	p := arch.HaswellE52667v3()
+	p.Slices = 17
+	if p.Slices*p.LLCSlice.Ways <= cachesim.MaxGroupSlots {
+		t.Fatalf("%d×%d slots fit a shared index", p.Slices, p.LLCSlice.Ways)
+	}
+	h, err := chash.ForProfileSlices(p.Slices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := make([]byte, 20000)
+	rand.New(rand.NewSource(35)).Read(prog)
+	runLLCAgainstRef(t, p, h, &llcOps{data: prog})
+}

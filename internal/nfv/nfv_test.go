@@ -1,7 +1,10 @@
 package nfv
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"sliceaware/internal/arch"
@@ -148,6 +151,90 @@ func TestRouterMatchesNaive(t *testing.T) {
 	}
 	if mismatches > 0 {
 		t.Fatalf("%d/20000 mismatches vs naive LPM", mismatches)
+	}
+}
+
+// refLPM is the per-entry DIR-24-8 fill: every /≤24 bucket is written one
+// at a time, and a bucket that holds a group has its uncovered slots
+// filled instead.
+type refLPM struct {
+	tbl24 []uint16
+	tbl8  [][]uint16
+}
+
+func (t *refLPM) add(prefix uint32, length int, nh uint16) {
+	prefix &= prefixMask(length)
+	if length <= 24 {
+		for b := prefix >> 8; b < prefix>>8+1<<uint(24-length); b++ {
+			if e := t.tbl24[b]; e&lpmGroup != 0 {
+				for j, ge := range t.tbl8[e&lpmMask] {
+					if ge&lpmValid == 0 {
+						t.tbl8[e&lpmMask][j] = lpmValid | nh
+					}
+				}
+				continue
+			}
+			t.tbl24[b] = lpmValid | nh
+		}
+		return
+	}
+	e, g := t.tbl24[prefix>>8], make([]uint16, 256)
+	if e&lpmGroup != 0 {
+		g = t.tbl8[e&lpmMask]
+	} else {
+		for j := range g {
+			g[j] = e
+		}
+		t.tbl24[prefix>>8] = lpmValid | lpmGroup | uint16(len(t.tbl8))
+		t.tbl8 = append(t.tbl8, g)
+	}
+	for i := prefix & 0xff; i < prefix&0xff+1<<uint(32-length); i++ {
+		g[i] = lpmValid | nh
+	}
+}
+
+// AddRoute's bulk fill of a table without groups must leave tbl24 and tbl8
+// bit-identical to the per-entry fill, before and after groups exist.
+func TestRouterTablesMatchPerEntryFill(t *testing.T) {
+	type route struct {
+		prefix uint32
+		length int
+		nh     uint16
+	}
+	populate := []route{{0, 0, 1}}
+	for i := 1; i < 3120; i++ { // PopulateDefaultAndRandom(3120)
+		populate = append(populate, route{uint32(i*2654435761) | 0x0100_0000, 8 + i%17, uint16(i%1000 + 2)})
+	}
+	longFirst := []route{{0x0a010203, 32, 40}, {0x0a010280, 25, 41}, {0x0a000000, 8, 10}, {0, 0, 1}, {0x0a010200, 24, 30}}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		length := 1 + rng.Intn(32)
+		longFirst = append(longFirst, route{rng.Uint32() & prefixMask(length), length, uint16(rng.Intn(1000))})
+	}
+	for name, routes := range map[string][]route{"populate-3120": populate, "groups-first": longFirst} {
+		r, err := NewRouter(newMachine(t).Space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "populate-3120" {
+			err = r.PopulateDefaultAndRandom(3120)
+		}
+		ref := &refLPM{tbl24: make([]uint16, 1<<24)}
+		for _, rt := range routes {
+			if name != "populate-3120" {
+				err = errors.Join(err, r.AddRoute(rt.prefix, rt.length, rt.nh))
+			}
+			ref.add(rt.prefix, rt.length, rt.nh)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(r.tbl24, ref.tbl24) {
+			t.Errorf("%s: tbl24 differs from the per-entry fill", name)
+		}
+		if !reflect.DeepEqual(r.tbl8, ref.tbl8) {
+			t.Errorf("%s: tbl8 differs from the per-entry fill (%d groups, reference %d)", name, len(r.tbl8), len(ref.tbl8))
+		}
 	}
 }
 

@@ -77,6 +77,17 @@ func (r *Router) AddRoute(prefix uint32, length int, nextHop uint16) error {
 		// (routes install longest-last in tests when it matters).
 		start := prefix >> 8
 		count := uint32(1) << uint(24-length)
+		if len(r.tbl8) == 0 {
+			// No group exists, so none of the buckets is one: fill the
+			// run by doubling copies.
+			run := r.tbl24[start : start+count]
+			run[0] = lpmValid | nextHop
+			for n := 1; n < len(run); n *= 2 {
+				copy(run[n:], run[:n])
+			}
+			r.routes++
+			return nil
+		}
 		for i := uint32(0); i < count; i++ {
 			e := r.tbl24[start+i]
 			if e&lpmValid != 0 && e&lpmGroup != 0 {
