@@ -111,19 +111,28 @@ bench-smoke:
 
 # Parallel determinism gate: the full quick reproduction must be
 # byte-identical at -jobs 1 and -jobs 4 (timestamps and wall-clock
-# footers filtered out). The -jobs 4 side is built with -race: it runs
-# whole experiments concurrently, so any mutable state two experiments
-# share makes the race detector fail the run (exit 66) before the
-# outputs are even compared.
+# footers filtered out), with and without -metrics-dir, and the
+# per-experiment telemetry dumps must be byte-identical at both worker
+# counts. The -jobs 4 side is built with -race: it runs whole
+# experiments concurrently, each armed one on a collector of its own,
+# so any mutable state two experiments share makes the race detector
+# fail the run (exit 66) before the outputs are even compared.
 determinism:
 	$(GO) build -o /tmp/sliceaware-reproduce ./cmd/reproduce
 	$(GO) build -race -o /tmp/sliceaware-reproduce-race ./cmd/reproduce
+	rm -rf /tmp/sliceaware-m1 /tmp/sliceaware-m4
 	/tmp/sliceaware-reproduce -scale quick -seed 1 -all -jobs 1 > /tmp/sliceaware-j1.raw
 	/tmp/sliceaware-reproduce-race -scale quick -seed 1 -all -jobs 4 > /tmp/sliceaware-j4.raw
-	grep -v '^# Reproduction run' /tmp/sliceaware-j1.raw | grep -Ev '^\(.* in .*\)$$' > /tmp/sliceaware-j1.txt
-	grep -v '^# Reproduction run' /tmp/sliceaware-j4.raw | grep -Ev '^\(.* in .*\)$$' > /tmp/sliceaware-j4.txt
+	/tmp/sliceaware-reproduce -scale quick -seed 1 -all -jobs 1 -metrics-dir /tmp/sliceaware-m1 > /tmp/sliceaware-m1.raw
+	/tmp/sliceaware-reproduce-race -scale quick -seed 1 -all -jobs 4 -metrics-dir /tmp/sliceaware-m4 > /tmp/sliceaware-m4.raw
+	for r in j1 j4 m1 m4; do \
+		grep -v '^# Reproduction run' /tmp/sliceaware-$$r.raw | grep -Ev '^\(.* in .*\)$$' > /tmp/sliceaware-$$r.txt || exit 1; \
+	done
 	cmp /tmp/sliceaware-j1.txt /tmp/sliceaware-j4.txt
-	@echo "reproduce output byte-identical at -jobs 1 and -jobs 4 (race-built), race-clean"
+	cmp /tmp/sliceaware-j1.txt /tmp/sliceaware-m1.txt
+	cmp /tmp/sliceaware-j1.txt /tmp/sliceaware-m4.txt
+	diff -r /tmp/sliceaware-m1 /tmp/sliceaware-m4
+	@echo "reproduce tables and -metrics-dir dumps byte-identical at -jobs 1 and -jobs 4 (race-built), race-clean"
 
 # End-to-end daemon smoke: slicekvsd under past-saturation load with a
 # seeded fault plan must hold the chaos acceptance (top-class p99 within

@@ -14,9 +14,10 @@ import (
 	"sliceaware/internal/experiments"
 )
 
-// benchScale keeps benchmark iterations at test-friendly sample counts;
-// cmd/reproduce -scale full produces the report-quality numbers.
-const benchScale = experiments.Quick
+// benchEnv keeps benchmark iterations at test-friendly sample counts on
+// reproduce's default seed and one worker; cmd/reproduce -scale full
+// produces the report-quality numbers.
+var benchEnv = experiments.Env{Seed: 1, Jobs: 1, Scale: experiments.Quick}
 
 func BenchmarkTable1CacheSpec(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -28,7 +29,7 @@ func BenchmarkTable1CacheSpec(b *testing.B) {
 
 func BenchmarkFigure4HashRecovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.Figure4(benchScale)
+		res, _, err := experiments.Figure4(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -41,7 +42,7 @@ func BenchmarkFigure4HashRecovery(b *testing.B) {
 func BenchmarkFigure5AccessTime(b *testing.B) {
 	var spread float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.Figure5(benchScale)
+		res, _, err := experiments.Figure5(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,7 +63,7 @@ func BenchmarkFigure5AccessTime(b *testing.B) {
 func BenchmarkFigure6Speedup(b *testing.B) {
 	var best float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.Figure6(benchScale)
+		res, _, err := experiments.Figure6(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,7 +75,7 @@ func BenchmarkFigure6Speedup(b *testing.B) {
 func BenchmarkFigure7OPS(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.Figure7(benchScale)
+		res, _, err := experiments.Figure7(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func BenchmarkFigure7OPS(b *testing.B) {
 func BenchmarkFigure8KVS(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.Figure8(benchScale)
+		res, _, err := experiments.Figure8(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -104,7 +105,7 @@ func BenchmarkFigure8KVS(b *testing.B) {
 func BenchmarkHeadroomDistribution(b *testing.B) {
 	var med float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.Headroom(benchScale)
+		res, _, err := experiments.Headroom(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -116,7 +117,7 @@ func BenchmarkHeadroomDistribution(b *testing.B) {
 func BenchmarkFigure12LowRate(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.Figure12(benchScale)
+		res, _, err := experiments.Figure12(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +130,7 @@ func BenchmarkFigure12LowRate(b *testing.B) {
 func BenchmarkFigure13Forwarding(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.Figure13(benchScale)
+		res, _, err := experiments.Figure13(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,7 +143,7 @@ func BenchmarkFigure13Forwarding(b *testing.B) {
 func BenchmarkFigure14ServiceChain(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.Figure14(benchScale)
+		res, _, err := experiments.Figure14(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -155,11 +156,11 @@ func BenchmarkFigure14ServiceChain(b *testing.B) {
 func BenchmarkTable3Throughput(b *testing.B) {
 	var fwd float64
 	for i := 0; i < b.N; i++ {
-		f13, _, err := experiments.Figure13(benchScale)
+		f13, _, err := experiments.Figure13(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
-		f14, _, err := experiments.Figure14(benchScale)
+		f14, _, err := experiments.Figure14(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -172,7 +173,7 @@ func BenchmarkTable3Throughput(b *testing.B) {
 func BenchmarkFigure15Knee(b *testing.B) {
 	var last float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.Figure15(benchScale)
+		res, _, err := experiments.Figure15(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -184,7 +185,7 @@ func BenchmarkFigure15Knee(b *testing.B) {
 func BenchmarkFigure16Skylake(b *testing.B) {
 	var spread float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.Figure16(benchScale)
+		res, _, err := experiments.Figure16(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -217,7 +218,7 @@ func BenchmarkTable4PreferredSlices(b *testing.B) {
 func BenchmarkFigure17Isolation(b *testing.B) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.Figure17(benchScale)
+		res, _, err := experiments.Figure17(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -229,7 +230,7 @@ func BenchmarkFigure17Isolation(b *testing.B) {
 func BenchmarkAblationDDIOWays(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		pts, _, err := experiments.AblationDDIOWays(benchScale)
+		pts, _, err := experiments.AblationDDIOWays(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -241,7 +242,7 @@ func BenchmarkAblationDDIOWays(b *testing.B) {
 func BenchmarkAblationPlacement(b *testing.B) {
 	var tier float64
 	for i := 0; i < b.N; i++ {
-		pts, _, err := experiments.AblationPlacement(benchScale)
+		pts, _, err := experiments.AblationPlacement(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -253,7 +254,7 @@ func BenchmarkAblationPlacement(b *testing.B) {
 func BenchmarkAblationSteering(b *testing.B) {
 	var rssSpread float64
 	for i := 0; i < b.N; i++ {
-		pts, _, err := experiments.AblationSteering(benchScale)
+		pts, _, err := experiments.AblationSteering(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -265,7 +266,7 @@ func BenchmarkAblationSteering(b *testing.B) {
 func BenchmarkAblationMultiSlice(b *testing.B) {
 	var k4 float64
 	for i := 0; i < b.N; i++ {
-		pts, _, err := experiments.AblationMultiSlice(benchScale)
+		pts, _, err := experiments.AblationMultiSlice(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -277,7 +278,7 @@ func BenchmarkAblationMultiSlice(b *testing.B) {
 func BenchmarkAblationReplacement(b *testing.B) {
 	var bip float64
 	for i := 0; i < b.N; i++ {
-		pts, _, err := experiments.AblationReplacement(benchScale)
+		pts, _, err := experiments.AblationReplacement(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -289,7 +290,7 @@ func BenchmarkAblationReplacement(b *testing.B) {
 func BenchmarkAblationPrefetch(b *testing.B) {
 	var contigOn float64
 	for i := 0; i < b.N; i++ {
-		pts, _, err := experiments.AblationPrefetch(benchScale)
+		pts, _, err := experiments.AblationPrefetch(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -305,7 +306,7 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 func BenchmarkExtensionSkylakeCacheDirector(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.SkylakeCacheDirector(benchScale)
+		res, _, err := experiments.SkylakeCacheDirector(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -319,7 +320,7 @@ func BenchmarkExtensionSkylakeCacheDirector(b *testing.B) {
 func BenchmarkExtensionLargeValueKVS(b *testing.B) {
 	var gain1k float64
 	for i := 0; i < b.N; i++ {
-		pts, _, err := experiments.LargeValueKVS(benchScale)
+		pts, _, err := experiments.LargeValueKVS(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -331,7 +332,7 @@ func BenchmarkExtensionLargeValueKVS(b *testing.B) {
 func BenchmarkExtensionVMIsolation(b *testing.B) {
 	var protection float64
 	for i := 0; i < b.N; i++ {
-		rows, _, err := experiments.VMIsolation(benchScale)
+		rows, _, err := experiments.VMIsolation(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -355,7 +356,7 @@ func BenchmarkExtensionVMIsolation(b *testing.B) {
 func BenchmarkExtensionSharedPlacement(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		rows, _, err := experiments.SharedDataPlacement(benchScale)
+		rows, _, err := experiments.SharedDataPlacement(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -367,7 +368,7 @@ func BenchmarkExtensionSharedPlacement(b *testing.B) {
 func BenchmarkExtensionHotMigration(b *testing.B) {
 	var saved float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.HotMigration(benchScale)
+		res, _, err := experiments.HotMigration(benchEnv)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -80,7 +80,7 @@ type Manifest struct {
 	Name      string         `json:"name"`
 	File      string         `json:"file"`
 	RunSeed   int64          `json:"run_seed"`
-	Workers   int            `json:"workers"`
+	Workers   int            `json:"workers"` // the -workers flag; 0 = GOMAXPROCS
 	Started   time.Time      `json:"started"`
 	Duration  string         `json:"duration"`
 	Counts    map[Status]int `json:"counts"`
@@ -248,13 +248,9 @@ func main() {
 		o.fileDir = abs
 	}
 
-	nWorkers := *workers
-	if nWorkers <= 0 {
-		nWorkers = parallel.Jobs()
-	}
-	o.logf("fleet: %s — %d scenario(s) across %d worker process(es)", f.Name, len(scs), nWorkers)
+	o.logf("fleet: %s — %d scenario(s), -workers %d", f.Name, len(scs), *workers)
 	started := time.Now()
-	results, _ := parallel.Map(nWorkers, len(scs), func(i int) (*Result, error) {
+	results, _ := parallel.Map(*workers, len(scs), func(i int) (*Result, error) {
 		sc := scs[i]
 		res := o.runScenario(sc)
 		o.logf("fleet: [%d/%d] %-15s %s (%s)", sc.Index+1, len(scs), res.Status, sc.ID, time.Duration(res.DurationMS)*time.Millisecond)
@@ -265,7 +261,7 @@ func main() {
 		Name:      f.Name,
 		File:      *file,
 		RunSeed:   f.RunSeed,
-		Workers:   nWorkers,
+		Workers:   *workers,
 		Started:   started.UTC(),
 		Duration:  time.Since(started).Round(time.Millisecond).String(),
 		Counts:    map[Status]int{},

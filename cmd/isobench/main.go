@@ -48,7 +48,6 @@ func main() {
 	flag.Parse()
 
 	check(profFlags.Start())
-	experiments.SetJobs(*jobs)
 
 	switch *mode {
 	case "cat":
@@ -56,7 +55,11 @@ func main() {
 	case "vmm":
 		runVMM(*ops)
 	case "tenant":
-		runTenant(*hog, *controller, *full, *seed, *metricsOut)
+		env := experiments.Env{Seed: *seed, Jobs: *jobs, Scale: experiments.Quick}
+		if *full {
+			env.Scale = experiments.Full
+		}
+		runTenant(env, *hog, *controller, *metricsOut)
 	default:
 		fmt.Fprintf(os.Stderr, "isobench: unknown mode %q\n", *mode)
 		os.Exit(2)
@@ -118,14 +121,9 @@ func runVMM(ops int) {
 // `hogFactor`× its own capacity, with the isolation controller disarmed or
 // armed. It prints both tails, the leak counters, and every controller
 // decision.
-func runTenant(hogFactor float64, controllerOn, full bool, seed int64, metricsOut string) {
-	experiments.SetSeed(seed)
-	scale := experiments.Quick
-	if full {
-		scale = experiments.Full
-	}
+func runTenant(env experiments.Env, hogFactor float64, controllerOn bool, metricsOut string) {
 	if metricsOut != "" {
-		experiments.SetCollector(telemetry.New(telemetry.Config{Shards: 8}))
+		env.Telemetry = telemetry.New(telemetry.Config{Shards: 8})
 	}
 
 	state := "off"
@@ -133,9 +131,9 @@ func runTenant(hogFactor float64, controllerOn, full bool, seed int64, metricsOu
 		state = "on"
 	}
 	fmt.Printf("multi-tenant leaky DMA (%s scale): DPI victim vs %.1fx forwarding hog, controller %s\n\n",
-		scale, hogFactor, state)
+		env.Scale, hogFactor, state)
 
-	solo, pt, err := experiments.FigTenantSingle(scale, controllerOn, hogFactor)
+	solo, pt, err := experiments.FigTenantSingle(env, controllerOn, hogFactor)
 	check(err)
 
 	fmt.Printf("  victim solo:      p99 %.1f µs (steady), first-touch miss %.1f%%\n",
@@ -153,7 +151,7 @@ func runTenant(hogFactor float64, controllerOn, full bool, seed int64, metricsOu
 	}
 
 	if metricsOut != "" {
-		c := experiments.Collector()
+		c := env.Telemetry
 		check(writeTo(metricsOut, func(w io.Writer) error {
 			if strings.HasSuffix(metricsOut, ".json") {
 				return c.WriteJSON(w)

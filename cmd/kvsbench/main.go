@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"strings"
 
 	"sliceaware/internal/arch"
@@ -107,9 +106,6 @@ func main() {
 	}
 
 	workers := *jobs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if collector != nil {
 		workers = 1 // one shared registry; keep its event order sequential
 	}

@@ -8,13 +8,13 @@
 //	         [-pps 0] [-packets 20000] [-cachedirector] [-runs 3]
 //	         [-jobs 1] [-cpuprofile F] [-memprofile F]
 //
-// -jobs N > 1 fans the -runs repetitions across N workers, each on its
-// own freshly built replica of the configured DuT. Note the semantics
-// shift: the default sequential mode reuses one DuT whose caches stay
-// warm across runs, while parallel replicas each start cold, so pooled
-// latencies differ slightly from -jobs 1. Replica seeds and result order
-// are deterministic either way. Telemetry output forces -jobs 1 (the
-// flight recorder is single-writer).
+// -jobs N other than 1 (0 = GOMAXPROCS) fans the -runs repetitions
+// across N workers, each on its own freshly built replica of the
+// configured DuT. Note the semantics shift: the default sequential mode
+// reuses one DuT whose caches stay warm across runs, while parallel
+// replicas each start cold, so pooled latencies differ slightly from
+// -jobs 1. Replica seeds and result order are deterministic either way.
+// Telemetry output forces -jobs 1 (the flight recorder is single-writer).
 //
 // Chaos testing: the -fault-* flags arm the internal/faults injector
 // against the pipeline (deterministically, from -fault-seed), and
@@ -54,7 +54,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"runtime"
 	"strings"
 
 	"sliceaware/internal/arch"
@@ -291,9 +290,6 @@ func main() {
 	}
 
 	workers := *jobs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if collector != nil {
 		workers = 1 // the flight recorder/timeline are single-writer
 	}
@@ -302,7 +298,7 @@ func main() {
 	var injector *faults.Injector
 	var faultCounts faults.Counts
 	var outs []netsim.Result
-	if workers <= 1 {
+	if workers == 1 {
 		b, err := build(collector)
 		check(err)
 		director, injector = b.director, b.injector

@@ -22,12 +22,14 @@
 // the "(ID in T)" footers differ: under -jobs > 1 each is that
 // experiment's own elapsed time while it shared the CPUs with others.
 //
-// -metrics-dir arms telemetry on every experiment DuT and dumps one
-// Prometheus text file per figure (DIR/<id>.prom) plus the figure's
-// slice heat timeline (DIR/<id>.timeline.json). Telemetry is
-// observation-only: the printed tables are byte-identical with and
-// without it. An armed collector forces -jobs down to 1 (its timeline
-// is single-writer, and each dump must cover one figure only).
+// -metrics-dir gives every experiment a telemetry collector of its own,
+// arms it on the experiment's DuTs and dumps it as one Prometheus text
+// file (DIR/<id>.prom) plus the experiment's slice heat timeline
+// (DIR/<id>.timeline.json). Telemetry is observation-only: the printed
+// tables and the dumps are byte-identical with and without it and for
+// every -jobs value. Experiments still overlap under -jobs N; only the
+// trials within one armed experiment run one after another, because its
+// timeline is single-writer.
 //
 // Paper artifacts: T1 F4 F5 F6 F7 F8 HR F12 F13 F14 T3 F15 F16 T4 F17
 // (T3 is derived from F13+F14 and runs them if not already selected).
@@ -47,32 +49,17 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"sliceaware/internal/experiments"
 	"sliceaware/internal/prof"
-	"sliceaware/internal/telemetry"
 )
 
-// writeTo renders through fn into path, creating/truncating it.
-func writeTo(path string, fn func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // tableOf is the task body of an experiment that prints only its table.
-func tableOf[R any](fn func(experiments.Scale) (R, *experiments.Table, error), scale experiments.Scale) func(io.Writer) (*experiments.Table, error) {
-	return func(io.Writer) (*experiments.Table, error) {
-		_, t, err := fn(scale)
+func tableOf[R any](fn func(experiments.Env) (R, *experiments.Table, error)) func(experiments.Env, io.Writer) (*experiments.Table, error) {
+	return func(env experiments.Env, _ io.Writer) (*experiments.Table, error) {
+		_, t, err := fn(env)
 		return t, err
 	}
 }
@@ -84,84 +71,84 @@ func tableOf[R any](fn func(experiments.Scale) (R, *experiments.Table, error), s
 // selected, the list is the experiment catalog in its order; the tests
 // hold plan to that, so -list and -only validation cannot drift from
 // what runs.
-func plan(scale experiments.Scale, want map[string]bool, all bool, fig13, fig14 nfvRunner) (tasks []task) {
+func plan(want map[string]bool, all bool, fig13, fig14 nfvRunner) (tasks []task) {
 	selected := func(id string) bool { return len(want) == 0 || want[id] }
-	show := func(id string, run func(io.Writer) (*experiments.Table, error)) {
+	show := func(id string, run func(experiments.Env, io.Writer) (*experiments.Table, error)) {
 		if selected(id) {
 			tasks = append(tasks, task{id: id, run: run})
 		}
 	}
 
-	show("T1", func(io.Writer) (*experiments.Table, error) { return experiments.Table1(), nil })
-	show("F4", tableOf(experiments.Figure4, scale))
-	show("F5", tableOf(experiments.Figure5, scale))
-	show("F6", tableOf(experiments.Figure6, scale))
-	show("F7", tableOf(experiments.Figure7, scale))
-	show("F8", tableOf(experiments.Figure8, scale))
-	show("HR", tableOf(experiments.Headroom, scale))
-	show("F12", tableOf(experiments.Figure12, scale))
+	show("T1", func(experiments.Env, io.Writer) (*experiments.Table, error) { return experiments.Table1(), nil })
+	show("F4", tableOf(experiments.Figure4))
+	show("F5", tableOf(experiments.Figure5))
+	show("F6", tableOf(experiments.Figure6))
+	show("F7", tableOf(experiments.Figure7))
+	show("F8", tableOf(experiments.Figure8))
+	show("HR", tableOf(experiments.Headroom))
+	show("F12", tableOf(experiments.Figure12))
 
 	f13, f14 := newNFVFigure(fig13, selected("F13")), newNFVFigure(fig14, selected("F14"))
-	show("F13", func(io.Writer) (*experiments.Table, error) { return f13.own(scale) })
-	show("F14", func(w io.Writer) (*experiments.Table, error) {
-		t, err := f14.own(scale)
+	show("F13", func(env experiments.Env, _ io.Writer) (*experiments.Table, error) { return f13.own(env) })
+	show("F14", func(env experiments.Env, w io.Writer) (*experiments.Table, error) {
+		t, err := f14.own(env)
 		if err == nil {
 			experiments.CDFTable(f14.res, 12).Fprint(w)
 			fmt.Fprintln(w, experiments.CDFPlot(f14.res, 64, 64, 16))
 		}
 		return t, err
 	})
-	show("T3", func(io.Writer) (*experiments.Table, error) {
-		r13, err := f13.result(scale)
+	show("T3", func(env experiments.Env, _ io.Writer) (*experiments.Table, error) {
+		r13, err := f13.result(env)
 		if err != nil {
 			return nil, err
 		}
-		r14, err := f14.result(scale)
+		r14, err := f14.result(env)
 		if err != nil {
 			return nil, err
 		}
 		_, t := experiments.Table3From(r13, r14)
 		return t, nil
 	})
-	show("F15", func(w io.Writer) (*experiments.Table, error) {
-		res, t, err := experiments.Figure15(scale)
+	show("F15", func(env experiments.Env, w io.Writer) (*experiments.Table, error) {
+		res, t, err := experiments.Figure15(env)
 		if err == nil {
 			fmt.Fprintln(w, experiments.KneePlot(res, 64, 16))
 		}
 		return t, err
 	})
-	show("F16", tableOf(experiments.Figure16, scale))
-	show("T4", func(io.Writer) (*experiments.Table, error) {
+	show("F16", tableOf(experiments.Figure16))
+	show("T4", func(experiments.Env, io.Writer) (*experiments.Table, error) {
 		_, t, err := experiments.Table4()
 		return t, err
 	})
-	show("F17", tableOf(experiments.Figure17, scale))
+	show("F17", tableOf(experiments.Figure17))
 
 	// Ablations and extensions (run when selected explicitly, or with -all).
 	selected = func(id string) bool { return want[id] || (all && len(want) == 0) }
-	show("A-DDIO", tableOf(experiments.AblationDDIOWays, scale))
-	show("A-PLACE", tableOf(experiments.AblationPlacement, scale))
-	show("A-STEER", tableOf(experiments.AblationSteering, scale))
-	show("A-MULTI", tableOf(experiments.AblationMultiSlice, scale))
-	show("A-PF", tableOf(experiments.AblationPrefetch, scale))
-	show("A-RP", tableOf(experiments.AblationReplacement, scale))
-	show("S6", tableOf(experiments.SkylakeCacheDirector, scale))
-	show("S8V", tableOf(experiments.LargeValueKVS, scale))
-	show("S8M", tableOf(experiments.HotMigration, scale))
-	show("S9C", func(io.Writer) (*experiments.Table, error) { return experiments.PageColoringDemo() })
-	show("S7H", tableOf(experiments.VMIsolation, scale))
-	show("S8S", tableOf(experiments.SharedDataPlacement, scale))
-	show("S4V", tableOf(experiments.OffsetTarget, scale))
-	show("F-FAULTS", tableOf(experiments.FigFaults, scale))
-	show("F-OVERLOAD", func(w io.Writer) (*experiments.Table, error) {
-		_, t, err := experiments.FigOverload(scale)
+	show("A-DDIO", tableOf(experiments.AblationDDIOWays))
+	show("A-PLACE", tableOf(experiments.AblationPlacement))
+	show("A-STEER", tableOf(experiments.AblationSteering))
+	show("A-MULTI", tableOf(experiments.AblationMultiSlice))
+	show("A-PF", tableOf(experiments.AblationPrefetch))
+	show("A-RP", tableOf(experiments.AblationReplacement))
+	show("S6", tableOf(experiments.SkylakeCacheDirector))
+	show("S8V", tableOf(experiments.LargeValueKVS))
+	show("S8M", tableOf(experiments.HotMigration))
+	show("S9C", func(experiments.Env, io.Writer) (*experiments.Table, error) { return experiments.PageColoringDemo() })
+	show("S7H", tableOf(experiments.VMIsolation))
+	show("S8S", tableOf(experiments.SharedDataPlacement))
+	show("S4V", tableOf(experiments.OffsetTarget))
+	show("F-FAULTS", tableOf(experiments.FigFaults))
+	show("F-OVERLOAD", func(env experiments.Env, w io.Writer) (*experiments.Table, error) {
+		_, t, err := experiments.FigOverload(env)
 		if err != nil {
 			return nil, err
 		}
 		t.Fprint(w)
-		return experiments.OverloadBreakerStorm(scale)
+		return experiments.OverloadBreakerStorm(env)
 	})
-	show("F-TENANT", tableOf(experiments.FigTenant, scale))
+	show("F-TENANT", tableOf(experiments.FigTenant))
 	return tasks
 }
 
@@ -186,19 +173,17 @@ func main() {
 		return
 	}
 
-	experiments.SetSeed(*seedFlag)
-	experiments.SetJobs(*jobsFlag)
 	if err := profFlags.Start(); err != nil {
 		fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
 		os.Exit(1)
 	}
 
-	var scale experiments.Scale
+	env := experiments.Env{Seed: *seedFlag, Jobs: *jobsFlag}
 	switch *scaleFlag {
 	case "quick":
-		scale = experiments.Quick
+		env.Scale = experiments.Quick
 	case "full":
-		scale = experiments.Full
+		env.Scale = experiments.Full
 	default:
 		fmt.Fprintf(os.Stderr, "reproduce: unknown scale %q (want quick or full)\n", *scaleFlag)
 		os.Exit(2)
@@ -221,36 +206,16 @@ func main() {
 		}
 	}
 
-	fmt.Printf("# Reproduction run (%s scale) — %s\n\n", scale, time.Now().Format(time.RFC3339))
+	fmt.Printf("# Reproduction run (%s scale) — %s\n\n", env.Scale, time.Now().Format(time.RFC3339))
 
-	workers, after := experiments.Jobs(), (func(id string))(nil)
 	if *metricsDir != "" {
 		if err := os.MkdirAll(*metricsDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
 			os.Exit(1)
 		}
-		// The collector is one package-level value, swapped once per
-		// figure, so the figures run one at a time: each runs, prints and
-		// dumps before the next one starts.
-		workers = 1
-		// after writes one figure's metrics + timeline and re-arms a fresh
-		// collector for the next, so each dump covers one figure only.
-		after = func(id string) {
-			c := experiments.Collector()
-			base := filepath.Join(*metricsDir, strings.ToLower(id))
-			if err := writeTo(base+".prom", c.Registry().WritePrometheus); err != nil {
-				fmt.Fprintf(os.Stderr, "reproduce: telemetry dump %s: %v\n", id, err)
-			}
-			if err := writeTo(base+".timeline.json", c.Timeline().WriteJSON); err != nil {
-				fmt.Fprintf(os.Stderr, "reproduce: telemetry dump %s: %v\n", id, err)
-			}
-			experiments.SetCollector(telemetry.New(telemetry.Config{Shards: 8}))
-		}
-		experiments.SetCollector(telemetry.New(telemetry.Config{Shards: 8}))
 	}
-
-	tasks := plan(scale, want, *allFlag, experiments.Figure13, experiments.Figure14)
-	exit := runTasks(tasks, workers, os.Stdout, os.Stderr, after)
+	tasks := plan(want, *allFlag, experiments.Figure13, experiments.Figure14)
+	exit := runTasks(tasks, env, *metricsDir, os.Stdout, os.Stderr)
 
 	// Stop explicitly: os.Exit skips defers, and the CPU profile is only
 	// valid once StopCPUProfile has flushed it.

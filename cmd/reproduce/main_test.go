@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"strings"
@@ -15,8 +17,8 @@ import (
 	"sliceaware/internal/experiments"
 )
 
-// eventLog records, in order, what the tasks, the after hook and the
-// output writers did. It is safe for concurrent use.
+// eventLog records, in order, what the tasks and the output writers
+// did. It is safe for concurrent use.
 type eventLog struct {
 	mu     sync.Mutex
 	events []string
@@ -76,7 +78,7 @@ func TestRunTasksPrintsInListOrderWhateverTheCompletionOrder(t *testing.T) {
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("X%d", i)
 		release[i], finished[i] = make(chan struct{}), make(chan struct{})
-		tasks = append(tasks, task{id: id, run: func(io.Writer) (*experiments.Table, error) {
+		tasks = append(tasks, task{id: id, run: func(experiments.Env, io.Writer) (*experiments.Table, error) {
 			defer close(finished[i])
 			<-release[i]
 			log.add("done " + id)
@@ -90,7 +92,7 @@ func TestRunTasksPrintsInListOrderWhateverTheCompletionOrder(t *testing.T) {
 			<-finished[i]
 		}
 	}()
-	if exit := runTasks(tasks, n, log.writer("out "), log.writer("err "), nil); exit != 0 {
+	if exit := runTasks(tasks, experiments.Env{Jobs: n}, "", log.writer("out "), log.writer("err ")); exit != 0 {
 		t.Fatalf("exit = %d, want 0", exit)
 	}
 	checkEvents(t, log.snapshot(), []string{
@@ -104,17 +106,17 @@ func TestRunTasksFailedTaskPrintsErrorInPlaceAndOthersStillPrint(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			var log eventLog
 			ok := func(id string) task {
-				return task{id: id, run: func(io.Writer) (*experiments.Table, error) { return fakeTable(id), nil }}
+				return task{id: id, run: func(experiments.Env, io.Writer) (*experiments.Table, error) { return fakeTable(id), nil }}
 			}
 			tasks := []task{
 				ok("A"),
-				{id: "B", run: func(w io.Writer) (*experiments.Table, error) {
+				{id: "B", run: func(_ experiments.Env, w io.Writer) (*experiments.Table, error) {
 					fmt.Fprintln(w, "partial")
 					return nil, errors.New("boom")
 				}},
 				ok("C"),
 			}
-			if exit := runTasks(tasks, workers, log.writer("out "), log.writer("err "), nil); exit != 1 {
+			if exit := runTasks(tasks, experiments.Env{Jobs: workers}, "", log.writer("out "), log.writer("err ")); exit != 1 {
 				t.Fatalf("exit = %d, want 1", exit)
 			}
 			checkEvents(t, log.snapshot(), []string{
@@ -126,28 +128,69 @@ func TestRunTasksFailedTaskPrintsErrorInPlaceAndOthersStillPrint(t *testing.T) {
 
 func TestRunTasksOneWorkerFinishesEachTaskBeforeTheNextStarts(t *testing.T) {
 	var log eventLog
+	dir := t.TempDir()
 	var tasks []task
 	for _, id := range []string{"A", "B", "C"} {
-		tasks = append(tasks, task{id: id, run: func(io.Writer) (*experiments.Table, error) {
-			log.add("start " + id)
+		tasks = append(tasks, task{id: id, run: func(experiments.Env, io.Writer) (*experiments.Table, error) {
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				return nil, err
+			}
+			dumped := []string{}
+			for _, e := range entries {
+				dumped = append(dumped, e.Name())
+			}
+			log.add("start " + id + " after " + strings.Join(dumped, ","))
 			return fakeTable(id), nil
 		}})
 	}
-	after := func(id string) { log.add("after " + id) }
-	if exit := runTasks(tasks, 1, log.writer("out "), log.writer("err "), after); exit != 0 {
+	if exit := runTasks(tasks, experiments.Env{Jobs: 1}, dir, log.writer("out "), log.writer("err ")); exit != 0 {
 		t.Fatalf("exit = %d, want 0", exit)
 	}
 	checkEvents(t, log.snapshot(), []string{
-		"start A", printed("A"), "after A",
-		"start B", printed("B"), "after B",
-		"start C", printed("C"), "after C",
+		"start A after ", printed("A"),
+		"start B after a.prom,a.timeline.json", printed("B"),
+		"start C after a.prom,a.timeline.json,b.prom,b.timeline.json", printed("C"),
 	})
+}
+
+func TestRunTasksGivesEachTaskItsOwnCollector(t *testing.T) {
+	dir := t.TempDir()
+	env := experiments.Env{Seed: 7, Jobs: 3, Scale: experiments.Full}
+	var tasks []task
+	for _, id := range []string{"A", "B", "C"} {
+		tasks = append(tasks, task{id: id, run: func(got experiments.Env, _ io.Writer) (*experiments.Table, error) {
+			if got.Seed != env.Seed || got.Jobs != env.Jobs || got.Scale != env.Scale || got.Telemetry == nil {
+				return nil, fmt.Errorf("task %s ran on %+v, want %+v with a collector", id, got, env)
+			}
+			got.Telemetry.Registry().Counter("task_"+id+"_total", "runs of task "+id).Inc(0)
+			return fakeTable(id), nil
+		}})
+	}
+	var stdout, stderr bytes.Buffer
+	if exit := runTasks(tasks, env, dir, &stdout, &stderr); exit != 0 {
+		t.Fatalf("exit = %d, stderr %q", exit, stderr.String())
+	}
+	for _, id := range []string{"A", "B", "C"} {
+		prom, err := os.ReadFile(filepath.Join(dir, strings.ToLower(id)+".prom"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, other := range []string{"A", "B", "C"} {
+			if has := strings.Contains(string(prom), "task_"+other+"_total 1"); has != (other == id) {
+				t.Errorf("%s.prom reports task %s: %v\n%s", id, other, has, prom)
+			}
+		}
+		if _, err := os.Stat(filepath.Join(dir, strings.ToLower(id)+".timeline.json")); err != nil {
+			t.Error(err)
+		}
+	}
 }
 
 // fakeNFV is a stand-in for Figure13/Figure14 that counts its calls. When
 // gate is non-nil, the first call waits for it to close.
 func fakeNFV(calls *atomic.Int32, gbps float64, gate <-chan struct{}) nfvRunner {
-	return func(experiments.Scale) (*experiments.NFVLatencyResult, *experiments.Table, error) {
+	return func(experiments.Env) (*experiments.NFVLatencyResult, *experiments.Table, error) {
 		if calls.Add(1) == 1 && gate != nil {
 			<-gate
 		}
@@ -172,15 +215,15 @@ func TestT3ComputesUnscheduledFiguresAndReusesScheduledOnes(t *testing.T) {
 					gate = make(chan struct{})
 				}
 				var calls13, calls14 atomic.Int32
-				tasks := plan(experiments.Quick, want, false, fakeNFV(&calls13, 10, gate), fakeNFV(&calls14, 20, nil))
+				tasks := plan(want, false, fakeNFV(&calls13, 10, gate), fakeNFV(&calls14, 20, nil))
 				var ids []string
 				for i, tk := range tasks {
 					ids = append(ids, tk.id)
 					if tk.id == "T3" && gate != nil {
 						run := tk.run
-						tasks[i].run = func(w io.Writer) (*experiments.Table, error) {
+						tasks[i].run = func(env experiments.Env, w io.Writer) (*experiments.Table, error) {
 							close(gate)
-							return run(w)
+							return run(env, w)
 						}
 					}
 				}
@@ -188,7 +231,7 @@ func TestT3ComputesUnscheduledFiguresAndReusesScheduledOnes(t *testing.T) {
 					t.Fatalf("planned %v, want %v", ids, only)
 				}
 				var stdout, stderr bytes.Buffer
-				if exit := runTasks(tasks, workers, &stdout, &stderr, nil); exit != 0 || stderr.Len() != 0 {
+				if exit := runTasks(tasks, experiments.Env{Jobs: workers}, "", &stdout, &stderr); exit != 0 || stderr.Len() != 0 {
 					t.Fatalf("exit = %d, stderr %q", exit, stderr.String())
 				}
 				if n13, n14 := calls13.Load(), calls14.Load(); n13 != 1 || n14 != 1 {
@@ -223,10 +266,10 @@ func TestPlanFollowsTheCatalog(t *testing.T) {
 			paper = append(paper, e.ID)
 		}
 	}
-	if got := ids(plan(experiments.Quick, nil, true, nil, nil)); !reflect.DeepEqual(got, catalog) {
+	if got := ids(plan(nil, true, nil, nil)); !reflect.DeepEqual(got, catalog) {
 		t.Fatalf("-all plans %v, want the catalog in its order %v", got, catalog)
 	}
-	if got := ids(plan(experiments.Quick, nil, false, nil, nil)); !reflect.DeepEqual(got, paper) {
+	if got := ids(plan(nil, false, nil, nil)); !reflect.DeepEqual(got, paper) {
 		t.Fatalf("default run plans %v, want the paper artifacts %v", got, paper)
 	}
 }

@@ -29,16 +29,16 @@ type DDIOWaysPoint struct {
 // AblationDDIOWays sweeps the number of LLC ways DDIO may fill (default 2
 // of 20 — the 10 % limit of §5.2/§8) and reports its effect on forwarding
 // tail latency under the campus mix at 100 Gbps.
-func AblationDDIOWays(scale Scale) ([]DDIOWaysPoint, *Table, error) {
-	count := scale.pick(12000, 40000)
+func AblationDDIOWays(env Env) ([]DDIOWaysPoint, *Table, error) {
+	count := env.Scale.pick(12000, 40000)
 	var out []DDIOWaysPoint
 	for _, ways := range []int{1, 2, 4, 8} {
-		setup, err := buildNFV(ForwardingChain, true, dpdk.RSS)
+		setup, err := buildNFV(env, ForwardingChain, true, dpdk.RSS)
 		if err != nil {
 			return nil, nil, err
 		}
 		setup.machine.LLC.SetDDIOWays(ways)
-		g, err := trace.NewCampusMix(rng(77), 4096)
+		g, err := trace.NewCampusMix(env.rng(77), 4096)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -81,8 +81,8 @@ type PlacementPoint struct {
 // stateful chain: primary-slice pinning (the paper's default), spreading
 // over the primary+secondary tier (§8's eviction-dilution idea), and
 // application-sorted mempools (no per-packet driver cost).
-func AblationPlacement(scale Scale) ([]PlacementPoint, *Table, error) {
-	count := scale.pick(12000, 40000)
+func AblationPlacement(env Env) ([]PlacementPoint, *Table, error) {
+	count := env.Scale.pick(12000, 40000)
 	configs := []struct {
 		name string
 		cfg  *cachedirector.Config // nil = no CacheDirector
@@ -122,7 +122,7 @@ func AblationPlacement(scale Scale) ([]PlacementPoint, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		g, err := trace.NewCampusMix(rng(78), 4096)
+		g, err := trace.NewCampusMix(env.rng(78), 4096)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -158,15 +158,15 @@ type SteeringPoint struct {
 // AblationSteering reruns the stateful chain under RSS and FlowDirector —
 // the §5.2 observation that FlowDirector's balance changes where
 // CacheDirector's improvement lands.
-func AblationSteering(scale Scale) ([]SteeringPoint, *Table, error) {
-	count := scale.pick(12000, 40000)
+func AblationSteering(env Env) ([]SteeringPoint, *Table, error) {
+	count := env.Scale.pick(12000, 40000)
 	var out []SteeringPoint
 	for _, steering := range []dpdk.Steering{dpdk.RSS, dpdk.FlowDirector} {
-		setup, err := buildNFV(StatefulChain, true, steering)
+		setup, err := buildNFV(env, StatefulChain, true, steering)
 		if err != nil {
 			return nil, nil, err
 		}
-		g, err := trace.NewCampusMix(rng(79), 4096)
+		g, err := trace.NewCampusMix(env.rng(79), 4096)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -228,18 +228,18 @@ type ReplacementPoint struct {
 // LRU vs bimodal-insertion policies (§2 notes real parts vary their LRU).
 // BIP/LIP resist the DDIO packet stream's flush-through, trading tail
 // latency for working-set retention.
-func AblationReplacement(scale Scale) ([]ReplacementPoint, *Table, error) {
-	count := scale.pick(12000, 40000)
+func AblationReplacement(env Env) ([]ReplacementPoint, *Table, error) {
+	count := env.Scale.pick(12000, 40000)
 	var out []ReplacementPoint
 	for _, policy := range []cachesim.Policy{cachesim.LRU, cachesim.BIP, cachesim.LIP} {
-		setup, err := buildNFV(ForwardingChain, true, dpdk.RSS)
+		setup, err := buildNFV(env, ForwardingChain, true, dpdk.RSS)
 		if err != nil {
 			return nil, nil, err
 		}
 		if err := setup.machine.LLC.SetPolicy(policy); err != nil {
 			return nil, nil, err
 		}
-		g, err := trace.NewCampusMix(rng(81), 4096)
+		g, err := trace.NewCampusMix(env.rng(81), 4096)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -275,7 +275,7 @@ type MultiSlicePoint struct {
 // AblationMultiSlice extends Fig 6: allocate core 0's working set over its
 // K cheapest slices (K=1,2,4) and compare speedups — trading latency for
 // eviction headroom as §8 recommends when one slice is too hot.
-func AblationMultiSlice(scale Scale) ([]MultiSlicePoint, *Table, error) {
+func AblationMultiSlice(env Env) ([]MultiSlicePoint, *Table, error) {
 	m, err := cpusim.NewMachine(arch.HaswellE52667v3())
 	if err != nil {
 		return nil, nil, err
@@ -286,7 +286,7 @@ func AblationMultiSlice(scale Scale) ([]MultiSlicePoint, *Table, error) {
 	}
 	core := m.Core(0)
 	const wsBytes = 1408 << 10
-	ops := scale.pick(4000, 10000)
+	ops := env.Scale.pick(4000, 10000)
 	order := slicemem.PreferredSlices(m.Topo, 0)
 
 	measure := func(lines []uint64) float64 {
@@ -296,7 +296,7 @@ func AblationMultiSlice(scale Scale) ([]MultiSlicePoint, *Table, error) {
 				core.Read(va)
 			}
 		}
-		rng := rng(5)
+		rng := env.rng(5)
 		start := core.Cycles()
 		for i := 0; i < ops; i++ {
 			core.Read(lines[rng.Intn(len(lines))])

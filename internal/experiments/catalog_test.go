@@ -6,6 +6,7 @@ import (
 )
 
 func TestCatalogIDsUniqueAndWellFormed(t *testing.T) {
+	t.Parallel()
 	seen := map[string]bool{}
 	for _, e := range Catalog() {
 		if e.ID == "" || e.ID != strings.ToUpper(e.ID) {
@@ -30,6 +31,7 @@ func TestCatalogIDsUniqueAndWellFormed(t *testing.T) {
 }
 
 func TestValidateIDs(t *testing.T) {
+	t.Parallel()
 	norm, err := ValidateIDs([]string{" t1", "f4", "F-TENANT", ""})
 	if err != nil {
 		t.Fatalf("ValidateIDs(valid set) = %v", err)
@@ -50,6 +52,7 @@ func TestValidateIDs(t *testing.T) {
 }
 
 func TestIsExperimentCaseInsensitive(t *testing.T) {
+	t.Parallel()
 	for _, id := range []string{"t1", "T1", " f-overload "} {
 		if !IsExperiment(id) {
 			t.Errorf("IsExperiment(%q) = false", id)

@@ -4,8 +4,12 @@
 // paper-style table (cmd/reproduce prints them; bench_test.go wraps them
 // as benchmarks; EXPERIMENTS.md records paper-vs-measured).
 //
-// Every harness takes a Scale: Quick keeps unit-test latency, Full runs
-// the publication-quality sample counts.
+// Every harness that draws randomness, sizes its samples or builds a DuT
+// takes an Env: the run-wide seed, the worker count its independent
+// trials fan out on, the Scale (Quick keeps unit-test latency, Full runs
+// the publication-quality sample counts) and an optional telemetry
+// collector. The package keeps no mutable state of its own, so harnesses
+// on different Envs may run concurrently.
 package experiments
 
 import (

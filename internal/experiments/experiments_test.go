@@ -5,7 +5,13 @@ import (
 	"testing"
 )
 
+// quick is the environment of the package's tests: seed 1, quick scale,
+// one worker per experiment (the tests themselves run in parallel). A test
+// that needs another seed, worker count or collector copies it.
+var quick = Env{Seed: 1, Jobs: 1, Scale: Quick}
+
 func TestTableRendering(t *testing.T) {
+	t.Parallel()
 	tab := &Table{
 		ID:     "X1",
 		Title:  "demo",
@@ -28,6 +34,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestTable1MatchesPaper(t *testing.T) {
+	t.Parallel()
 	tab := Table1()
 	if len(tab.Rows) != 3 {
 		t.Fatalf("%d rows", len(tab.Rows))
@@ -40,7 +47,8 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestFigure4RecoversExactly(t *testing.T) {
-	res, tab, err := Figure4(Quick)
+	t.Parallel()
+	res, tab, err := Figure4(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +64,8 @@ func TestFigure4RecoversExactly(t *testing.T) {
 }
 
 func TestFigure5Shape(t *testing.T) {
-	res, _, err := Figure5(Quick)
+	t.Parallel()
+	res, _, err := Figure5(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +108,8 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
-	res, _, err := Figure6(Quick)
+	t.Parallel()
+	res, _, err := Figure6(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +136,8 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestFigure7Shape(t *testing.T) {
-	res, _, err := Figure7(Quick)
+	t.Parallel()
+	res, _, err := Figure7(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +171,8 @@ func TestFigure7Shape(t *testing.T) {
 }
 
 func TestFigure8Shape(t *testing.T) {
-	res, _, err := Figure8(Quick)
+	t.Parallel()
+	res, _, err := Figure8(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +201,8 @@ func TestFigure8Shape(t *testing.T) {
 }
 
 func TestHeadroomMatchesPaper(t *testing.T) {
-	res, _, err := Headroom(Quick)
+	t.Parallel()
+	res, _, err := Headroom(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +221,8 @@ func TestHeadroomMatchesPaper(t *testing.T) {
 }
 
 func TestFigure16AndTable4(t *testing.T) {
-	res, _, err := Figure16(Quick)
+	t.Parallel()
+	res, _, err := Figure16(quick)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,9 +32,9 @@ type PrefetchPoint struct {
 // Contiguous layouts profit from the L2 streamer; slice-aware scatter
 // defeats it, so with prefetching on, contiguous sequential access can
 // beat slice-aware placement.
-func AblationPrefetch(scale Scale) ([]PrefetchPoint, *Table, error) {
+func AblationPrefetch(env Env) ([]PrefetchPoint, *Table, error) {
 	const arrayBytes = 2 << 20
-	passes := scale.pick(2, 6)
+	passes := env.Scale.pick(2, 6)
 
 	var out []PrefetchPoint
 	for _, sliceAware := range []bool{false, true} {
@@ -109,8 +109,8 @@ type SkylakeCDResult struct {
 // SkylakeCacheDirector reproduces §6's prediction: CacheDirector still
 // helps on Skylake (DDIO still fills the LLC) but less than on Haswell,
 // because the quadrupled L2 absorbs more of the benefit.
-func SkylakeCacheDirector(scale Scale) (*SkylakeCDResult, *Table, error) {
-	count := scale.pick(12000, 40000)
+func SkylakeCacheDirector(env Env) (*SkylakeCDResult, *Table, error) {
+	count := env.Scale.pick(12000, 40000)
 	res := &SkylakeCDResult{}
 
 	measure := func(prof *arch.Profile) (impUs, speedup float64, err error) {
@@ -146,7 +146,7 @@ func SkylakeCacheDirector(scale Scale) (*SkylakeCDResult, *Table, error) {
 			if err != nil {
 				return 0, 0, err
 			}
-			g, err := trace.NewCampusMix(rng(90), 4096)
+			g, err := trace.NewCampusMix(env.rng(90), 4096)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -191,9 +191,9 @@ type ValueSizePoint struct {
 // LargeValueKVS extends Fig 8 to multi-line values (§8's linked-line
 // scatter): the slice-aware gain persists because every line of a hot
 // value is homed, at proportionally higher per-request cost.
-func LargeValueKVS(scale Scale) ([]ValueSizePoint, *Table, error) {
-	keys := uint64(1) << uint(scale.pick(14, 16))
-	requests := scale.pick(15000, 60000)
+func LargeValueKVS(env Env) ([]ValueSizePoint, *Table, error) {
+	keys := uint64(1) << uint(env.Scale.pick(14, 16))
+	requests := env.Scale.pick(15000, 60000)
 
 	var out []ValueSizePoint
 	for _, vs := range []int{64, 256, 1024} {
@@ -207,7 +207,7 @@ func LargeValueKVS(scale Scale) ([]ValueSizePoint, *Table, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			gen, err := zipf.NewZipf(rng(21), keys, 0.99)
+			gen, err := zipf.NewZipf(env.rng(21), keys, 0.99)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -245,9 +245,9 @@ type MigrationResultRow struct {
 // workload's hot set shifts away from the statically-homed prefix, an
 // epoch of counting finds the new hot keys, and migration restores the
 // slice-aware advantage.
-func HotMigration(scale Scale) (*MigrationResultRow, *Table, error) {
+func HotMigration(env Env) (*MigrationResultRow, *Table, error) {
 	keys := uint64(1) << 14
-	requests := scale.pick(12000, 40000)
+	requests := env.Scale.pick(12000, 40000)
 
 	m, err := cpusim.NewMachine(arch.HaswellE52667v3())
 	if err != nil {
@@ -260,7 +260,7 @@ func HotMigration(scale Scale) (*MigrationResultRow, *Table, error) {
 	store.EnableHotTracking()
 
 	shifted := func(seed int64) (zipf.Generator, error) {
-		g, err := zipf.NewZipf(rng(seed), 4096, 0.99)
+		g, err := zipf.NewZipf(env.rng(seed), 4096, 0.99)
 		if err != nil {
 			return nil, err
 		}
@@ -315,8 +315,8 @@ type OffsetTargetRow struct {
 // tunnel-inspection NF whose hot line is the *inner* header at +128 B.
 // Default CacheDirector (placing the first 64 B) buys nothing; configuring
 // TargetOffset=128 recovers the full benefit.
-func OffsetTarget(scale Scale) ([]OffsetTargetRow, *Table, error) {
-	count := scale.pick(12000, 40000)
+func OffsetTarget(env Env) ([]OffsetTargetRow, *Table, error) {
+	count := env.Scale.pick(12000, 40000)
 	configs := []struct {
 		name   string
 		cd     bool
@@ -360,7 +360,7 @@ func OffsetTarget(scale Scale) ([]OffsetTargetRow, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		g, err := trace.NewFixedSize(rng(91), 512, 4096)
+		g, err := trace.NewFixedSize(env.rng(91), 512, 4096)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -398,9 +398,9 @@ type SharedPlacementRow struct {
 // read by two cores should live in a compromise slice, not either core's
 // primary. Cores 0 and 3 (ring positions with no common near slice)
 // alternate random reads over a shared 512 KB region placed three ways.
-func SharedDataPlacement(scale Scale) ([]SharedPlacementRow, *Table, error) {
+func SharedDataPlacement(env Env) ([]SharedPlacementRow, *Table, error) {
 	const wsBytes = 512 << 10
-	ops := scale.pick(4000, 12000)
+	ops := env.Scale.pick(4000, 12000)
 	coreA, coreB := 0, 3
 
 	m, err := cpusim.NewMachine(arch.HaswellE52667v3())
@@ -440,8 +440,8 @@ func SharedDataPlacement(scale Scale) ([]SharedPlacementRow, *Table, error) {
 		for _, va := range lines {
 			b.Read(va)
 		}
-		rngA := rng(41)
-		rngB := rng(42)
+		rngA := env.rng(41)
+		rngB := env.rng(42)
 		startA, startB := a.Cycles(), b.Cycles()
 		for i := 0; i < ops; i++ {
 			a.Read(lines[rngA.Intn(len(lines))])
@@ -482,8 +482,8 @@ type VMIsolationRow struct {
 // VMIsolation demonstrates §7's hypervisor extension: a quiet guest and a
 // streaming noisy guest under shared vs slice-isolated placement, on the
 // Skylake part (whose 18 slices leave room to carve per-VM slice sets).
-func VMIsolation(scale Scale) ([]VMIsolationRow, *Table, error) {
-	ops := scale.pick(6000, 20000)
+func VMIsolation(env Env) ([]VMIsolationRow, *Table, error) {
+	ops := env.Scale.pick(6000, 20000)
 	var out []VMIsolationRow
 	for _, policy := range []vmm.Policy{vmm.Shared, vmm.SliceIsolated} {
 		m, err := cpusim.NewMachine(arch.SkylakeGold6134())

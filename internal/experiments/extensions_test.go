@@ -7,7 +7,8 @@ import (
 )
 
 func TestAblationPrefetchShape(t *testing.T) {
-	pts, _, err := AblationPrefetch(Quick)
+	t.Parallel()
+	pts, _, err := AblationPrefetch(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,8 @@ func TestAblationPrefetchShape(t *testing.T) {
 }
 
 func TestSkylakeCacheDirector(t *testing.T) {
-	res, _, err := SkylakeCacheDirector(Quick)
+	t.Parallel()
+	res, _, err := SkylakeCacheDirector(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +58,8 @@ func TestSkylakeCacheDirector(t *testing.T) {
 }
 
 func TestLargeValueKVS(t *testing.T) {
-	pts, _, err := LargeValueKVS(Quick)
+	t.Parallel()
+	pts, _, err := LargeValueKVS(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +74,8 @@ func TestLargeValueKVS(t *testing.T) {
 }
 
 func TestHotMigration(t *testing.T) {
-	res, _, err := HotMigration(Quick)
+	t.Parallel()
+	res, _, err := HotMigration(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +91,7 @@ func TestHotMigration(t *testing.T) {
 }
 
 func TestPageColoringDemo(t *testing.T) {
+	t.Parallel()
 	tab, err := PageColoringDemo()
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +108,8 @@ func TestPageColoringDemo(t *testing.T) {
 }
 
 func TestVMIsolation(t *testing.T) {
-	rows, tab, err := VMIsolation(Quick)
+	t.Parallel()
+	rows, tab, err := VMIsolation(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +136,8 @@ func TestVMIsolation(t *testing.T) {
 }
 
 func TestOffsetTarget(t *testing.T) {
-	rows, _, err := OffsetTarget(Quick)
+	t.Parallel()
+	rows, _, err := OffsetTarget(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +154,7 @@ func TestOffsetTarget(t *testing.T) {
 }
 
 func TestTunnelInspector(t *testing.T) {
+	t.Parallel()
 	ti, err := nfv.NewTunnelInspector(128)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +171,8 @@ func TestTunnelInspector(t *testing.T) {
 }
 
 func TestSharedDataPlacement(t *testing.T) {
-	rows, _, err := SharedDataPlacement(Quick)
+	t.Parallel()
+	rows, _, err := SharedDataPlacement(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,10 +196,11 @@ func TestSharedDataPlacement(t *testing.T) {
 }
 
 func TestAblationTables(t *testing.T) {
-	if _, tab, err := AblationDDIOWays(Quick); err != nil || len(tab.Rows) != 4 {
+	t.Parallel()
+	if _, tab, err := AblationDDIOWays(quick); err != nil || len(tab.Rows) != 4 {
 		t.Errorf("DDIO ablation: %v, %d rows", err, len(tab.Rows))
 	}
-	if pts, tab, err := AblationPlacement(Quick); err != nil || len(tab.Rows) != 4 {
+	if pts, tab, err := AblationPlacement(quick); err != nil || len(tab.Rows) != 4 {
 		t.Errorf("placement ablation: %v, %d rows", err, len(tab.Rows))
 	} else {
 		// Every CacheDirector policy must beat no-CacheDirector at p99.
@@ -201,12 +211,12 @@ func TestAblationTables(t *testing.T) {
 			}
 		}
 	}
-	if pts, _, err := AblationSteering(Quick); err != nil {
+	if pts, _, err := AblationSteering(quick); err != nil {
 		t.Errorf("steering ablation: %v", err)
 	} else if pts[0].Spread < pts[1].Spread {
 		t.Errorf("RSS spread %d below FlowDirector %d", pts[0].Spread, pts[1].Spread)
 	}
-	if pts, _, err := AblationReplacement(Quick); err != nil || len(pts) != 3 {
+	if pts, _, err := AblationReplacement(quick); err != nil || len(pts) != 3 {
 		t.Errorf("replacement ablation: %v, %d points", err, len(pts))
 	} else {
 		for _, p := range pts {
@@ -215,7 +225,7 @@ func TestAblationTables(t *testing.T) {
 			}
 		}
 	}
-	if pts, _, err := AblationMultiSlice(Quick); err != nil {
+	if pts, _, err := AblationMultiSlice(quick); err != nil {
 		t.Errorf("multi-slice ablation: %v", err)
 	} else {
 		if pts[0].Slices != 1 || pts[0].Speedup <= 0 {

@@ -38,8 +38,8 @@ func (r *IsolationResult) Cell(s cat.Scenario, write bool) (IsolationCell, bool)
 // Figure17 reproduces Fig 17: execution time of a 2 MB-working-set
 // application beside a noisy neighbour on the Skylake Gold 6134, under no
 // isolation, 2-way CAT isolation, and slice-0 isolation.
-func Figure17(scale Scale) (*IsolationResult, *Table, error) {
-	ops := scale.pick(6000, 20000)
+func Figure17(env Env) (*IsolationResult, *Table, error) {
+	ops := env.Scale.pick(6000, 20000)
 	noisePerOp := 8
 
 	res := &IsolationResult{}
@@ -54,7 +54,7 @@ func Figure17(scale Scale) (*IsolationResult, *Table, error) {
 				return nil, nil, err
 			}
 			e.Warmup()
-			out, err := e.Run(ops, noisePerOp, write, rng(17))
+			out, err := e.Run(ops, noisePerOp, write, env.rng(17))
 			if err != nil {
 				return nil, nil, err
 			}

@@ -40,7 +40,7 @@ type faultsCase struct {
 // buildFaultsDuT assembles a forwarding DuT whose director (optionally)
 // believes a mispredicted slice-hash profile and whose pipeline is
 // (optionally) armed with a fault plan.
-func buildFaultsDuT(c faultsCase, hashSeed int64) (*netsim.DuT, *cachedirector.Director, error) {
+func buildFaultsDuT(env Env, c faultsCase, hashSeed int64) (*netsim.DuT, *cachedirector.Director, error) {
 	m, err := cpusim.NewMachine(arch.HaswellE52667v3())
 	if err != nil {
 		return nil, nil, err
@@ -76,8 +76,8 @@ func buildFaultsDuT(c faultsCase, hashSeed int64) (*netsim.DuT, *cachedirector.D
 				return nil, nil, err
 			}
 		}
-		if collector != nil {
-			dir.SetTelemetry(collector)
+		if env.Telemetry != nil {
+			dir.SetTelemetry(env.Telemetry)
 		}
 	}
 	var fi *faults.Injector
@@ -91,7 +91,7 @@ func buildFaultsDuT(c faultsCase, hashSeed int64) (*netsim.DuT, *cachedirector.D
 	if err != nil {
 		return nil, nil, err
 	}
-	dut, err := netsim.NewDuT(netsim.DuTConfig{Machine: m, Port: port, Chain: chain, Faults: fi, Telemetry: collector})
+	dut, err := netsim.NewDuT(netsim.DuTConfig{Machine: m, Port: port, Chain: chain, Faults: fi, Telemetry: env.Telemetry})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -104,10 +104,10 @@ func buildFaultsDuT(c faultsCase, hashSeed int64) (*netsim.DuT, *cachedirector.D
 // baselines. The headline check: with a fully wrong profile, the watchdog
 // must land throughput back at the director-off baseline instead of the
 // slice-hostile placement's.
-func FigFaults(scale Scale) ([]FigFaultsPoint, *Table, error) {
-	count := scale.pick(8000, 30000)
-	hashSeed := rng(70).Int63()
-	chaos := &faults.Plan{Seed: rng(71).Int63(), Events: []faults.Event{
+func FigFaults(env Env) ([]FigFaultsPoint, *Table, error) {
+	count := env.Scale.pick(8000, 30000)
+	hashSeed := env.rng(70).Int63()
+	chaos := &faults.Plan{Seed: env.rng(71).Int63(), Events: []faults.Event{
 		{Kind: faults.NICDrop, Probability: 0.01},
 		{Kind: faults.NICCorrupt, Probability: 0.005},
 		{Kind: faults.RingOverflow, Probability: 0.002},
@@ -125,13 +125,13 @@ func FigFaults(scale Scale) ([]FigFaultsPoint, *Table, error) {
 
 	// Each case is a self-contained trial (fresh machine, fresh generator
 	// from its fixed rng stream), so the chaos rows fan out across workers.
-	out, err := runTrials("F-FAULTS", len(cases), func(trial int) (FigFaultsPoint, error) {
+	out, err := runTrials(env, len(cases), func(trial int) (FigFaultsPoint, error) {
 		c := cases[trial]
-		dut, dir, err := buildFaultsDuT(c, hashSeed)
+		dut, dir, err := buildFaultsDuT(env, c, hashSeed)
 		if err != nil {
 			return FigFaultsPoint{}, err
 		}
-		g, err := trace.NewCampusMix(rng(72), 4096)
+		g, err := trace.NewCampusMix(env.rng(72), 4096)
 		if err != nil {
 			return FigFaultsPoint{}, err
 		}

@@ -9,7 +9,8 @@ import (
 )
 
 func TestFigFaults(t *testing.T) {
-	pts, table, err := FigFaults(Quick)
+	t.Parallel()
+	pts, table, err := FigFaults(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,16 +65,14 @@ func TestFigFaults(t *testing.T) {
 // One run seed must reproduce the whole chaos ablation byte-for-byte; a
 // different seed redraws the randomness.
 func TestFigFaultsSeedDeterminism(t *testing.T) {
-	old := Seed()
-	defer SetSeed(old)
-
-	SetSeed(7)
-	a1, t1, err := FigFaults(Quick)
+	t.Parallel()
+	seven := quick
+	seven.Seed = 7
+	a1, t1, err := FigFaults(seven)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetSeed(7)
-	a2, t2, err := FigFaults(Quick)
+	a2, t2, err := FigFaults(seven)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +83,9 @@ func TestFigFaultsSeedDeterminism(t *testing.T) {
 		t.Error("same seed produced different tables")
 	}
 
-	SetSeed(8)
-	b, _, err := FigFaults(Quick)
+	eight := quick
+	eight.Seed = 8
+	b, _, err := FigFaults(eight)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ type HashRecoveryResult struct {
 // Figure4 reproduces Fig 4: reverse-engineer the Complex Addressing hash
 // of the 8-slice Haswell with polling + single-bit flips, then verify it
 // equals the planted ground truth over every hashed address bit.
-func Figure4(scale Scale) (*HashRecoveryResult, *Table, error) {
+func Figure4(env Env) (*HashRecoveryResult, *Table, error) {
 	truth := chash.Haswell8()
 	// 512 GB of simulated DRAM so probes can flip every hashed bit.
 	m, err := cpusim.NewMachineWithHashAndMemory(arch.HaswellE52667v3(), truth, 512<<30)
@@ -29,8 +29,8 @@ func Figure4(scale Scale) (*HashRecoveryResult, *Table, error) {
 		return nil, nil, err
 	}
 	p := reveng.NewProber(m, 0)
-	p.SetPolls(scale.pick(4, reveng.DefaultPolls))
-	rec, err := reveng.RecoverXORHash(p, 8, chash.AddressBits, rng(4))
+	p.SetPolls(env.Scale.pick(4, reveng.DefaultPolls))
+	rec, err := reveng.RecoverXORHash(p, 8, chash.AddressBits, env.rng(4))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -64,7 +64,7 @@ func Figure4(scale Scale) (*HashRecoveryResult, *Table, error) {
 // exactly the paper's situation on the Gold 6134), and because the Skylake
 // LLC is a victim cache, target lines are planted in it by loading them on
 // a helper core and evicting them from that core's L2 with set conflicts.
-func Figure16(scale Scale) (*AccessTimeResult, *Table, error) {
+func Figure16(env Env) (*AccessTimeResult, *Table, error) {
 	m, err := cpusim.NewMachine(arch.SkylakeGold6134())
 	if err != nil {
 		return nil, nil, err
@@ -74,12 +74,12 @@ func Figure16(scale Scale) (*AccessTimeResult, *Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	reps := scale.pick(50, 1000)
+	reps := env.Scale.pick(50, 1000)
 	const targetsPerSlice = 8
 	core := m.Core(0)
 	loader := m.Core(1)
 	prober := reveng.NewProber(m, 1)
-	prober.SetPolls(scale.pick(4, 16))
+	prober.SetPolls(env.Scale.pick(4, 16))
 
 	// Bucket hugepage lines by their polled slice.
 	targets := make([][]uint64, p.Slices)

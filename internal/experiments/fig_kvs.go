@@ -44,10 +44,10 @@ func (r *KVSResult) Cell(getRatio float64, skewed, sliceAware bool) (KVSCell, bo
 // The store is scaled from the paper's 2²⁴ keys to 2¹⁷ (Quick) / 2¹⁸
 // (Full) 64 B values — preserving the regime where the hot set fits the
 // serving core's slice while the full store exceeds the LLC.
-func Figure8(scale Scale) (*KVSResult, *Table, error) {
-	keys := uint64(1) << uint(scale.pick(17, 18))
-	warm := scale.pick(10000, 40000)
-	requests := scale.pick(20000, 100000)
+func Figure8(env Env) (*KVSResult, *Table, error) {
+	keys := uint64(1) << uint(env.Scale.pick(17, 18))
+	warm := env.Scale.pick(10000, 40000)
+	requests := env.Scale.pick(20000, 100000)
 
 	res := &KVSResult{Keys: keys}
 	ratios := []float64{1.0, 0.95, 0.5}
@@ -66,7 +66,7 @@ func Figure8(scale Scale) (*KVSResult, *Table, error) {
 	// Every cell gets a fresh machine, store and key generator (so no
 	// configuration inherits another's cache state), which also makes the
 	// twelve cells independent trials for the worker pool.
-	cells, err := runTrials("F8", len(cfgs), func(trial int) (KVSCell, error) {
+	cells, err := runTrials(env, len(cfgs), func(trial int) (KVSCell, error) {
 		cfg := cfgs[trial]
 		m, err := cpusim.NewMachine(arch.HaswellE52667v3())
 		if err != nil {
@@ -76,7 +76,7 @@ func Figure8(scale Scale) (*KVSResult, *Table, error) {
 		if err != nil {
 			return KVSCell{}, err
 		}
-		gen, err := newKeyGen(cfg.skewed, keys)
+		gen, err := newKeyGen(env, cfg.skewed, keys)
 		if err != nil {
 			return KVSCell{}, err
 		}
@@ -120,8 +120,8 @@ func Figure8(scale Scale) (*KVSResult, *Table, error) {
 	return res, t, nil
 }
 
-func newKeyGen(skewed bool, keys uint64) (zipf.Generator, error) {
-	rng := rng(2024)
+func newKeyGen(env Env, skewed bool, keys uint64) (zipf.Generator, error) {
+	rng := env.rng(2024)
 	if skewed {
 		return zipf.NewZipf(rng, keys, 0.99)
 	}
@@ -138,7 +138,7 @@ type HeadroomResult struct {
 // headroom CacheDirector needs across a mempool and all cores (the paper
 // measured ~12.3 M campus-trace packets; every packet draws one mbuf, so
 // the per-mbuf/per-core table is the same distribution).
-func Headroom(scale Scale) (*HeadroomResult, *Table, error) {
+func Headroom(env Env) (*HeadroomResult, *Table, error) {
 	m, err := cpusim.NewMachine(arch.HaswellE52667v3())
 	if err != nil {
 		return nil, nil, err
@@ -148,7 +148,7 @@ func Headroom(scale Scale) (*HeadroomResult, *Table, error) {
 		return nil, nil, err
 	}
 	pool, err := dpdk.NewMempool(m.Space, dpdk.MempoolConfig{
-		Name: "headroom", Mbufs: scale.pick(2048, 16384), HeadroomCap: dpdk.CacheDirectorHeadroom,
+		Name: "headroom", Mbufs: env.Scale.pick(2048, 16384), HeadroomCap: dpdk.CacheDirectorHeadroom,
 	})
 	if err != nil {
 		return nil, nil, err

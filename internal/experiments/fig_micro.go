@@ -45,12 +45,12 @@ type AccessTimeResult struct {
 // each LLC slice, measured from core 0 with the §2.2 methodology — fill
 // one LLC set of the target slice with 20 lines, flush, re-load, then time
 // accesses to the 8 lines that no longer live in L1/L2.
-func Figure5(scale Scale) (*AccessTimeResult, *Table, error) {
+func Figure5(env Env) (*AccessTimeResult, *Table, error) {
 	m, err := cpusim.NewMachine(arch.HaswellE52667v3())
 	if err != nil {
 		return nil, nil, err
 	}
-	return figure5On(m, 0, scale.pick(100, 1000))
+	return figure5On(m, 0, env.Scale.pick(100, 1000))
 }
 
 func figure5On(m *cpusim.Machine, coreID, reps int) (*AccessTimeResult, *Table, error) {
@@ -144,15 +144,15 @@ type SpeedupResult struct {
 // Figure6 reproduces Fig 6: average speedup of slice-aware memory
 // management over normal allocation, per target slice, for a 1.375 MB
 // working set accessed 10 000 times uniformly at random from core 0.
-func Figure6(scale Scale) (*SpeedupResult, *Table, error) {
+func Figure6(env Env) (*SpeedupResult, *Table, error) {
 	m, err := cpusim.NewMachine(arch.HaswellE52667v3())
 	if err != nil {
 		return nil, nil, err
 	}
 	p := m.Profile
 	const wsBytes = 1408 << 10 // 1.375 MB: half a slice plus the L2 (§3)
-	ops := scale.pick(4000, 10000)
-	runs := scale.pick(3, 20)
+	ops := env.Scale.pick(4000, 10000)
+	runs := env.Scale.pick(3, 20)
 	core := m.Core(0)
 
 	alloc, err := slicemem.New(m.Space, m.LLC.Hash())
@@ -169,7 +169,7 @@ func Figure6(scale Scale) (*SpeedupResult, *Table, error) {
 				core.Read(va)
 			}
 		}
-		rng := rng(seed)
+		rng := env.rng(seed)
 		start := core.Cycles()
 		for i := 0; i < ops; i++ {
 			va := lines[rng.Intn(len(lines))]
@@ -242,17 +242,17 @@ type OPSResult struct {
 // Figure7 reproduces Fig 7: aggregate operations per second of 8 cores
 // accessing per-core arrays of growing size, slice-aware (each core's
 // array homed to its closest slice) vs normal allocation.
-func Figure7(scale Scale) (*OPSResult, *Table, error) {
+func Figure7(env Env) (*OPSResult, *Table, error) {
 	sizes := []int{32 << 10, 64 << 10, 128 << 10, 256 << 10, 512 << 10,
 		1 << 20, 2 << 20, 4 << 20, 8 << 20, 16 << 20, 32 << 20, 64 << 20, 128 << 20}
-	if scale == Quick {
+	if env.Scale == Quick {
 		sizes = []int{32 << 10, 128 << 10, 512 << 10, 2 << 20, 8 << 20, 32 << 20}
 	}
-	ops := scale.pick(2000, 10000)
+	ops := env.Scale.pick(2000, 10000)
 
 	res := &OPSResult{Sizes: sizes}
 	for _, size := range sizes {
-		nr, sr, nw, sw, err := figure7Point(size, ops)
+		nr, sr, nw, sw, err := figure7Point(env, size, ops)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -278,7 +278,7 @@ func Figure7(scale Scale) (*OPSResult, *Table, error) {
 	return res, t, nil
 }
 
-func figure7Point(size, ops int) (normalRead, sliceRead, normalWrite, sliceWrite float64, err error) {
+func figure7Point(env Env, size, ops int) (normalRead, sliceRead, normalWrite, sliceWrite float64, err error) {
 	for _, sliceAware := range []bool{false, true} {
 		m, err := cpusim.NewMachine(arch.HaswellE52667v3())
 		if err != nil {
@@ -311,8 +311,8 @@ func figure7Point(size, ops int) (normalRead, sliceRead, normalWrite, sliceWrite
 				}
 			}
 		}
-		read := figure7MOPS(m, arrays, ops, false, 7000)
-		write := figure7MOPS(m, arrays, ops, true, 8100)
+		read := figure7MOPS(env, m, arrays, ops, false, 7000)
+		write := figure7MOPS(env, m, arrays, ops, true, 8100)
 		if sliceAware {
 			sliceRead, sliceWrite = read, write
 		} else {
@@ -325,11 +325,11 @@ func figure7Point(size, ops int) (normalRead, sliceRead, normalWrite, sliceWrite
 // figure7MOPS interleaves ops random accesses across all cores (round-
 // robin, approximating concurrent execution against the shared LLC) and
 // returns aggregate MOPS.
-func figure7MOPS(m *cpusim.Machine, arrays [][]uint64, ops int, write bool, seed int64) float64 {
+func figure7MOPS(env Env, m *cpusim.Machine, arrays [][]uint64, ops int, write bool, seed int64) float64 {
 	rngs := make([]*rand.Rand, len(arrays))
 	starts := make([]uint64, len(arrays))
 	for c := range arrays {
-		rngs[c] = rng(seed + int64(c))
+		rngs[c] = env.rng(seed + int64(c))
 		starts[c] = m.Core(c).Cycles()
 	}
 	for i := 0; i < ops; i++ {

@@ -39,8 +39,9 @@ type nfvSetup struct {
 }
 
 // buildNFV assembles an 8-core DuT running the chain, optionally with
-// CacheDirector attached.
-func buildNFV(kind ChainKind, withCD bool, steering dpdk.Steering) (*nfvSetup, error) {
+// CacheDirector attached, both reporting to env's collector when it has
+// one.
+func buildNFV(env Env, kind ChainKind, withCD bool, steering dpdk.Steering) (*nfvSetup, error) {
 	m, err := cpusim.NewMachine(arch.HaswellE52667v3())
 	if err != nil {
 		return nil, err
@@ -60,8 +61,8 @@ func buildNFV(kind ChainKind, withCD bool, steering dpdk.Steering) (*nfvSetup, e
 		if err := d.Attach(port); err != nil {
 			return nil, err
 		}
-		if collector != nil {
-			d.SetTelemetry(collector)
+		if env.Telemetry != nil {
+			d.SetTelemetry(env.Telemetry)
 		}
 	}
 	var chain *nfv.Chain
@@ -94,7 +95,7 @@ func buildNFV(kind ChainKind, withCD bool, steering dpdk.Steering) (*nfvSetup, e
 	if err != nil {
 		return nil, err
 	}
-	dut, err := netsim.NewDuT(netsim.DuTConfig{Machine: m, Port: port, Chain: chain, OverheadCycles: overhead, Telemetry: collector})
+	dut, err := netsim.NewDuT(netsim.DuTConfig{Machine: m, Port: port, Chain: chain, OverheadCycles: overhead, Telemetry: env.Telemetry})
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +122,7 @@ func (r *NFVLatencyResult) Summaries() (base, cd stats.Summary) {
 
 // latencyCompare runs the paired experiment: `runs` back-to-back runs of
 // `count` packets per side, pooling latencies.
-func latencyCompare(kind ChainKind, steering dpdk.Steering, runs, count int, offeredGbps, pps float64, gen func(seed int64) (trace.Generator, error)) (*NFVLatencyResult, error) {
+func latencyCompare(env Env, kind ChainKind, steering dpdk.Steering, runs, count int, offeredGbps, pps float64, gen func(seed int64) (trace.Generator, error)) (*NFVLatencyResult, error) {
 	res := &NFVLatencyResult{Kind: kind, Steering: steering, Runs: runs}
 	// The back-to-back runs within one side share a DuT on purpose (Reset
 	// keeps the caches warm), so a side is inherently sequential; the two
@@ -130,9 +131,9 @@ func latencyCompare(kind ChainKind, steering dpdk.Steering, runs, count int, off
 		lat  []float64
 		gbps float64
 	}
-	sides, err := runTrials("F-NFV/"+kind.String(), 2, func(trial int) (side, error) {
+	sides, err := runTrials(env, 2, func(trial int) (side, error) {
 		withCD := trial == 1
-		setup, err := buildNFV(kind, withCD, steering)
+		setup, err := buildNFV(env, kind, withCD, steering)
 		if err != nil {
 			return side{}, err
 		}
@@ -205,12 +206,12 @@ func latencyTable(id, title string, res *NFVLatencyResult, inMicros bool) *Table
 
 // Figure12 reproduces Fig 12: 64 B packets at 1000 pps through the simple
 // forwarding application — the queueing-free view of CacheDirector.
-func Figure12(scale Scale) (*NFVLatencyResult, *Table, error) {
-	runs := scale.pick(5, 50)
-	count := scale.pick(1000, 5000)
-	res, err := latencyCompare(ForwardingChain, dpdk.RSS, runs, count, 0, 1000,
+func Figure12(env Env) (*NFVLatencyResult, *Table, error) {
+	runs := env.Scale.pick(5, 50)
+	count := env.Scale.pick(1000, 5000)
+	res, err := latencyCompare(env, ForwardingChain, dpdk.RSS, runs, count, 0, 1000,
 		func(seed int64) (trace.Generator, error) {
-			return trace.NewFixedSize(rng(seed), 64, 1024)
+			return trace.NewFixedSize(env.rng(seed), 64, 1024)
 		})
 	if err != nil {
 		return nil, nil, err
@@ -222,12 +223,12 @@ func Figure12(scale Scale) (*NFVLatencyResult, *Table, error) {
 
 // Figure13 reproduces Fig 13: simple forwarding with mixed-size campus
 // traffic at 100 Gbps, RSS steering.
-func Figure13(scale Scale) (*NFVLatencyResult, *Table, error) {
-	runs := scale.pick(3, 20)
-	count := scale.pick(15000, 50000)
-	res, err := latencyCompare(ForwardingChain, dpdk.RSS, runs, count, 100, 0,
+func Figure13(env Env) (*NFVLatencyResult, *Table, error) {
+	runs := env.Scale.pick(3, 20)
+	count := env.Scale.pick(15000, 50000)
+	res, err := latencyCompare(env, ForwardingChain, dpdk.RSS, runs, count, 100, 0,
 		func(seed int64) (trace.Generator, error) {
-			return trace.NewCampusMix(rng(seed), 4096)
+			return trace.NewCampusMix(env.rng(seed), 4096)
 		})
 	if err != nil {
 		return nil, nil, err
@@ -240,12 +241,12 @@ func Figure13(scale Scale) (*NFVLatencyResult, *Table, error) {
 
 // Figure14 reproduces Fig 1/Fig 14: the stateful Router-NAPT-LB chain with
 // FlowDirector HW offloading at 100 Gbps, including the latency CDF.
-func Figure14(scale Scale) (*NFVLatencyResult, *Table, error) {
-	runs := scale.pick(3, 20)
-	count := scale.pick(15000, 50000)
-	res, err := latencyCompare(StatefulChain, dpdk.FlowDirector, runs, count, 100, 0,
+func Figure14(env Env) (*NFVLatencyResult, *Table, error) {
+	runs := env.Scale.pick(3, 20)
+	count := env.Scale.pick(15000, 50000)
+	res, err := latencyCompare(env, StatefulChain, dpdk.FlowDirector, runs, count, 100, 0,
 		func(seed int64) (trace.Generator, error) {
-			return trace.NewCampusMix(rng(seed), 4096)
+			return trace.NewCampusMix(env.rng(seed), 4096)
 		})
 	if err != nil {
 		return nil, nil, err
@@ -361,23 +362,23 @@ type KneeResult struct {
 // Figure15 reproduces Fig 15: 99th-percentile latency (including loopback)
 // vs offered load for the stateful chain, with the paper's piecewise
 // linear+quadratic fit around the 37 Gbps knee.
-func Figure15(scale Scale) (*KneeResult, *Table, error) {
+func Figure15(env Env) (*KneeResult, *Table, error) {
 	rates := []float64{5, 10, 15, 20, 25, 30, 35, 40, 45, 50, 55, 60, 65, 70, 75, 80, 85}
-	if scale == Quick {
+	if env.Scale == Quick {
 		rates = []float64{5, 15, 25, 35, 45, 55, 65, 72, 78, 85}
 	}
-	count := scale.pick(8000, 40000)
+	count := env.Scale.pick(8000, 40000)
 
 	// As in latencyCompare, the rate sweep within one side reuses a DuT
 	// warm across points; the two sides fan out as independent trials.
-	sides, err := runTrials("F15", 2, func(trial int) ([]float64, error) {
-		setup, err := buildNFV(StatefulChain, trial == 1, dpdk.FlowDirector)
+	sides, err := runTrials(env, 2, func(trial int) ([]float64, error) {
+		setup, err := buildNFV(env, StatefulChain, trial == 1, dpdk.FlowDirector)
 		if err != nil {
 			return nil, err
 		}
 		p99s := make([]float64, len(rates))
 		for i, rate := range rates {
-			g, err := trace.NewCampusMix(rng(int64(300+i)), 4096)
+			g, err := trace.NewCampusMix(env.rng(int64(300+i)), 4096)
 			if err != nil {
 				return nil, err
 			}

@@ -46,7 +46,7 @@ type overloadCase struct {
 // buildOverloadCase assembles a 2-queue forwarding DuT (small on purpose:
 // it saturates near 19 Gbps on the campus mix, so modest offered rates
 // reach deep overload) for one sweep configuration.
-func buildOverloadCase(c overloadCase, redSeed int64) (*netsim.DuT, *cachedirector.Director, error) {
+func buildOverloadCase(env Env, c overloadCase, redSeed int64) (*netsim.DuT, *cachedirector.Director, error) {
 	m, err := cpusim.NewMachine(arch.HaswellE52667v3())
 	if err != nil {
 		return nil, nil, err
@@ -67,8 +67,8 @@ func buildOverloadCase(c overloadCase, redSeed int64) (*netsim.DuT, *cachedirect
 		if err := dir.Attach(port); err != nil {
 			return nil, nil, err
 		}
-		if collector != nil {
-			dir.SetTelemetry(collector)
+		if env.Telemetry != nil {
+			dir.SetTelemetry(env.Telemetry)
 		}
 	}
 	var ov *netsim.OverloadConfig
@@ -109,7 +109,7 @@ func buildOverloadCase(c overloadCase, redSeed int64) (*netsim.DuT, *cachedirect
 		return nil, nil, err
 	}
 	dut, err := netsim.NewDuT(netsim.DuTConfig{
-		Machine: m, Port: port, Chain: chain, Overload: ov, Telemetry: collector,
+		Machine: m, Port: port, Chain: chain, Overload: ov, Telemetry: env.Telemetry,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -118,9 +118,9 @@ func buildOverloadCase(c overloadCase, redSeed int64) (*netsim.DuT, *cachedirect
 }
 
 // overloadPoint runs one configuration and folds the result into a point.
-func overloadPoint(c overloadCase, dut *netsim.DuT, dir *cachedirector.Director,
+func overloadPoint(env Env, c overloadCase, dut *netsim.DuT, dir *cachedirector.Director,
 	count int, offered float64, capacity float64) (FigOverloadPoint, error) {
-	gen, err := trace.NewCampusMix(rng(82), 4096)
+	gen, err := trace.NewCampusMix(env.rng(82), 4096)
 	if err != nil {
 		return FigOverloadPoint{}, err
 	}
@@ -169,17 +169,17 @@ func steadyP99Us(ls []float64) float64 {
 // steady-state p99 under AQM, strictly ordered per-class shed rates, and
 // (in the recovery row) the ladder climbing back to full slice-aware mode
 // once load subsides.
-func FigOverload(scale Scale) ([]FigOverloadPoint, *Table, error) {
-	count := scale.pick(12000, 40000)
-	redSeed := rng(80).Int63()
+func FigOverload(env Env) ([]FigOverloadPoint, *Table, error) {
+	count := env.Scale.pick(12000, 40000)
+	redSeed := env.rng(80).Int63()
 
 	// Calibrate the DuT's capacity: offer far beyond saturation and take
 	// the achieved rate as C.
-	calDut, _, err := buildOverloadCase(overloadCase{sliceAware: true}, redSeed)
+	calDut, _, err := buildOverloadCase(env, overloadCase{sliceAware: true}, redSeed)
 	if err != nil {
 		return nil, nil, err
 	}
-	gen, err := trace.NewCampusMix(rng(81), 4096)
+	gen, err := trace.NewCampusMix(env.rng(81), 4096)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -214,13 +214,13 @@ func FigOverload(scale Scale) ([]FigOverloadPoint, *Table, error) {
 	// before pressure builds). Load then subsides to 0.4×C on the same DuT
 	// (a within-trial dependency, so it stays inside the trial), and the
 	// ladder must walk back to full slice-aware placement.
-	points, err := runTrials("F-OVERLOAD", len(cases), func(trial int) ([]FigOverloadPoint, error) {
+	points, err := runTrials(env, len(cases), func(trial int) ([]FigOverloadPoint, error) {
 		c := cases[trial]
-		dut, dir, err := buildOverloadCase(c, redSeed)
+		dut, dir, err := buildOverloadCase(env, c, redSeed)
 		if err != nil {
 			return nil, err
 		}
-		p, err := overloadPoint(c, dut, dir, count, c.factor*capacity, capacity)
+		p, err := overloadPoint(env, c, dut, dir, count, c.factor*capacity, capacity)
 		if err != nil {
 			return nil, err
 		}
@@ -229,7 +229,7 @@ func FigOverload(scale Scale) ([]FigOverloadPoint, *Table, error) {
 			dut.Reset()
 			rc := c
 			rc.label = "codel, recovery"
-			rp, err := overloadPoint(rc, dut, dir, count, 0.4*capacity, capacity)
+			rp, err := overloadPoint(env, rc, dut, dir, count, 0.4*capacity, capacity)
 			if err != nil {
 				return nil, err
 			}
@@ -284,8 +284,8 @@ func FigOverload(scale Scale) ([]FigOverloadPoint, *Table, error) {
 // the pass fast, instead of burning every key's exponential-backoff budget
 // against a storm that will not clear. Once the storm lifts, a half-open
 // trial recloses the breaker and migration proceeds.
-func OverloadBreakerStorm(scale Scale) (*Table, error) {
-	requests := scale.pick(6000, 20000)
+func OverloadBreakerStorm(env Env) (*Table, error) {
+	requests := env.Scale.pick(6000, 20000)
 	const topK = 128
 
 	row := func(withBreaker bool) ([]string, error) {
@@ -297,12 +297,12 @@ func OverloadBreakerStorm(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if collector != nil {
-			store.SetTelemetry(collector)
+		if env.Telemetry != nil {
+			store.SetTelemetry(env.Telemetry)
 		}
 		store.EnableHotTracking()
 		store.SetFaultInjector(faults.MustNewInjector(faults.Plan{
-			Seed:   rng(84).Int63(),
+			Seed:   env.rng(84).Int63(),
 			Events: []faults.Event{{Kind: faults.MigrationContention, Probability: 1}},
 		}))
 		var b *overload.Breaker
@@ -315,7 +315,7 @@ func OverloadBreakerStorm(scale Scale) (*Table, error) {
 			}
 			store.SetBreaker(b)
 		}
-		g, err := zipf.NewZipf(rng(85), 1024, 0.99)
+		g, err := zipf.NewZipf(env.rng(85), 1024, 0.99)
 		if err != nil {
 			return nil, err
 		}
@@ -327,7 +327,7 @@ func OverloadBreakerStorm(scale Scale) (*Table, error) {
 		storm, _ := store.MigrateTopK(topK)
 		// The storm lifts; served traffic runs the breaker's cooldown down.
 		store.SetFaultInjector(nil)
-		g2, err := zipf.NewZipf(rng(86), 1024, 0.99)
+		g2, err := zipf.NewZipf(env.rng(86), 1024, 0.99)
 		if err != nil {
 			return nil, err
 		}
@@ -364,7 +364,7 @@ func OverloadBreakerStorm(scale Scale) (*Table, error) {
 		},
 	}
 	// The two policies are independent stores; run them as trials.
-	rows, err := runTrials("F-OVERLOAD/B", 2, func(trial int) ([]string, error) {
+	rows, err := runTrials(env, 2, func(trial int) ([]string, error) {
 		return row(trial == 1)
 	})
 	if err != nil {

@@ -9,7 +9,8 @@ import (
 )
 
 func TestFigOverload(t *testing.T) {
-	pts, table, err := FigOverload(Quick)
+	t.Parallel()
+	pts, table, err := FigOverload(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,8 @@ func TestFigOverload(t *testing.T) {
 }
 
 func TestOverloadBreakerStormTable(t *testing.T) {
-	table, err := OverloadBreakerStorm(Quick)
+	t.Parallel()
+	table, err := OverloadBreakerStorm(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,16 +132,14 @@ func TestOverloadBreakerStormTable(t *testing.T) {
 
 // One run seed reproduces the whole sweep byte-for-byte.
 func TestFigOverloadSeedDeterminism(t *testing.T) {
-	old := Seed()
-	defer SetSeed(old)
-
-	SetSeed(7)
-	a1, t1, err := FigOverload(Quick)
+	t.Parallel()
+	seven := quick
+	seven.Seed = 7
+	a1, t1, err := FigOverload(seven)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetSeed(7)
-	a2, t2, err := FigOverload(Quick)
+	a2, t2, err := FigOverload(seven)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,13 +149,11 @@ func TestFigOverloadSeedDeterminism(t *testing.T) {
 	if t1.String() != t2.String() {
 		t.Error("same seed produced different tables")
 	}
-	SetSeed(7)
-	b1, err := OverloadBreakerStorm(Quick)
+	b1, err := OverloadBreakerStorm(seven)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetSeed(7)
-	b2, err := OverloadBreakerStorm(Quick)
+	b2, err := OverloadBreakerStorm(seven)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,12 +102,12 @@ type tenantSetup struct {
 // recoverAfter sizes the ladder's release hysteresis in epochs; the sweep
 // sets it longer than the run so a sustained hog can never induce a
 // release-reisolate cycle within one point.
-func buildTenantCase(withController bool, recoverAfter int) (*tenantSetup, error) {
+func buildTenantCase(env Env, withController bool, recoverAfter int) (*tenantSetup, error) {
 	m, err := cpusim.NewMachine(tenantProfile())
 	if err != nil {
 		return nil, err
 	}
-	reg, err := llcmgmt.NewRegistry(m, collector)
+	reg, err := llcmgmt.NewRegistry(m, env.Telemetry)
 	if err != nil {
 		return nil, err
 	}
@@ -160,8 +160,8 @@ func buildTenantCase(withController bool, recoverAfter int) (*tenantSetup, error
 
 // tenantCapacity measures one role's solo capacity by overdriving a fresh
 // machine at the NIC ingress cap and taking the achieved rate.
-func tenantCapacity(victimRole bool, gen trace.Generator, count int) (float64, error) {
-	s, err := buildTenantCase(false, 1<<20)
+func tenantCapacity(env Env, victimRole bool, gen trace.Generator, count int) (float64, error) {
+	s, err := buildTenantCase(env, false, 1<<20)
 	if err != nil {
 		return 0, err
 	}
@@ -180,6 +180,7 @@ func tenantCapacity(victimRole bool, gen trace.Generator, count int) (float64, e
 
 // tenantRun carries the calibrated sweep parameters shared by every point.
 type tenantRun struct {
+	env          Env
 	victimCount  int
 	victimCap    float64 // Gbps, solo
 	hogCap       float64 // Gbps, solo
@@ -194,25 +195,25 @@ type tenantRun struct {
 // release hysteresis. The victim's queueing variance comes from RSS: 4096
 // flows hash onto two queues, so each queue sees a stochastic arrival
 // stream even under constant-rate pacing.
-func tenantCalibrate(scale Scale) (*tenantRun, error) {
-	r := &tenantRun{victimCount: scale.pick(6000, 20000)}
+func tenantCalibrate(env Env) (*tenantRun, error) {
+	r := &tenantRun{env: env, victimCount: env.Scale.pick(6000, 20000)}
 	victimBits := float64(r.victimCount * tenantVictimFrameSize * 8)
 
 	// The two solo-capacity measurements run on independent fresh machines
 	// with their own rng streams, so they make a two-trial fan-out.
-	caps, err := runTrials("F-TENANT/cal", 2, func(trial int) (float64, error) {
+	caps, err := runTrials(env, 2, func(trial int) (float64, error) {
 		if trial == 0 {
-			calV, err := trace.NewFixedSize(rng(97), tenantVictimFrameSize, 4096)
+			calV, err := trace.NewFixedSize(env.rng(97), tenantVictimFrameSize, 4096)
 			if err != nil {
 				return 0, err
 			}
-			return tenantCapacity(true, calV, r.victimCount)
+			return tenantCapacity(env, true, calV, r.victimCount)
 		}
-		calH, err := trace.NewFixedSize(rng(99), tenantHogFrameSize, 4096)
+		calH, err := trace.NewFixedSize(env.rng(99), tenantHogFrameSize, 4096)
 		if err != nil {
 			return 0, err
 		}
-		return tenantCapacity(false, calH, r.victimCount)
+		return tenantCapacity(env, false, calH, r.victimCount)
 	})
 	if err != nil {
 		return nil, err
@@ -231,11 +232,11 @@ func tenantCalibrate(scale Scale) (*tenantRun, error) {
 // activity, plus the setup and its end-of-run clock so the recovery phase
 // can keep driving the same machine.
 func (r *tenantRun) runPoint(on bool, factor float64) (FigTenantPoint, *tenantSetup, float64, error) {
-	s, err := buildTenantCase(on, r.recoverAfter)
+	s, err := buildTenantCase(r.env, on, r.recoverAfter)
 	if err != nil {
 		return FigTenantPoint{}, nil, 0, err
 	}
-	genV, err := trace.NewFixedSize(rng(95), tenantVictimFrameSize, 4096)
+	genV, err := trace.NewFixedSize(r.env.rng(95), tenantVictimFrameSize, 4096)
 	if err != nil {
 		return FigTenantPoint{}, nil, 0, err
 	}
@@ -247,7 +248,7 @@ func (r *tenantRun) runPoint(on bool, factor float64) (FigTenantPoint, *tenantSe
 		hogRate = netsim.NICCapGbps
 	}
 	if factor > 0 {
-		genH, err := trace.NewFixedSize(rng(96), tenantHogFrameSize, 4096)
+		genH, err := trace.NewFixedSize(r.env.rng(96), tenantHogFrameSize, 4096)
 		if err != nil {
 			return FigTenantPoint{}, nil, 0, err
 		}
@@ -297,13 +298,13 @@ func (r *tenantRun) runPoint(on bool, factor float64) (FigTenantPoint, *tenantSe
 // FigTenantSingle runs one configuration of the multi-tenant study — the
 // solo baseline plus the requested point — and returns both. cmd/isobench
 // uses it for one-shot runs without the full sweep.
-func FigTenantSingle(scale Scale, controllerOn bool, hogFactor float64) (solo, point FigTenantPoint, err error) {
-	r, err := tenantCalibrate(scale)
+func FigTenantSingle(env Env, controllerOn bool, hogFactor float64) (solo, point FigTenantPoint, err error) {
+	r, err := tenantCalibrate(env)
 	if err != nil {
 		return FigTenantPoint{}, FigTenantPoint{}, err
 	}
 	// The baseline and the requested point are independent machines.
-	ps, err := runTrials("F-TENANT/single", 2, func(trial int) (FigTenantPoint, error) {
+	ps, err := runTrials(env, 2, func(trial int) (FigTenantPoint, error) {
 		if trial == 0 {
 			p, _, _, err := r.runPoint(false, 0)
 			return p, err
@@ -333,8 +334,8 @@ func FigTenantSingle(scale Scale, controllerOn bool, hogFactor float64) (solo, p
 // way and CAT chunk in one reallocation, and the victim's tail recovers.
 // A final row stops the hog and keeps the victim running until the
 // controller walks the isolation back out.
-func FigTenant(scale Scale) ([]FigTenantPoint, *Table, error) {
-	r, err := tenantCalibrate(scale)
+func FigTenant(env Env) ([]FigTenantPoint, *Table, error) {
+	r, err := tenantCalibrate(env)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -352,7 +353,7 @@ func FigTenant(scale Scale) ([]FigTenantPoint, *Table, error) {
 		endNs float64
 	}
 	factors := []float64{0, 1, 2, 3}
-	sweep, err := runTrials("F-TENANT", 2*len(factors), func(trial int) (sweepPoint, error) {
+	sweep, err := runTrials(env, 2*len(factors), func(trial int) (sweepPoint, error) {
 		on := trial >= len(factors)
 		p, s, endNs, err := runPoint(on, factors[trial%len(factors)])
 		return sweepPoint{p, s, endNs}, err
@@ -375,7 +376,7 @@ func FigTenant(scale Scale) ([]FigTenantPoint, *Table, error) {
 	// the sweep run); once the calm outlasts the release hysteresis the
 	// controller hands the socket back in one reallocation, then one more
 	// batch measures the victim's post-release tail.
-	genR, err := trace.NewFixedSize(rng(98), tenantVictimFrameSize, 4096)
+	genR, err := trace.NewFixedSize(env.rng(98), tenantVictimFrameSize, 4096)
 	if err != nil {
 		return nil, nil, err
 	}

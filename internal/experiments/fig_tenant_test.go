@@ -11,7 +11,8 @@ import (
 // within 1.2x of solo and the hog is fenced in exactly one reallocation;
 // the recovery row walks the isolation back out in exactly one release.
 func TestFigTenantClosedLoop(t *testing.T) {
-	pts, tab, err := FigTenant(Quick)
+	t.Parallel()
+	pts, tab, err := FigTenant(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,18 +100,19 @@ func TestFigTenantClosedLoop(t *testing.T) {
 // TestFigTenantDeterministic pins the whole experiment to its seeds: two
 // runs must agree point for point, including every controller decision.
 func TestFigTenantDeterministic(t *testing.T) {
-	a, ta, err := FigTenant(Quick)
+	t.Parallel()
+	a, ta, err := FigTenant(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, tb, err := FigTenant(Quick)
+	b, tb, err := FigTenant(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Error("two FigTenant(Quick) runs disagree")
+		t.Error("two FigTenant(quick) runs disagree")
 	}
 	if !reflect.DeepEqual(ta, tb) {
-		t.Error("two FigTenant(Quick) tables disagree")
+		t.Error("two FigTenant(quick) tables disagree")
 	}
 }

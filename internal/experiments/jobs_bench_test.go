@@ -18,17 +18,17 @@ import (
 // pins that); this benchmark measures only the wall-clock side of the
 // same contract.
 func BenchmarkJobsScaling(b *testing.B) {
-	defer SetJobs(1)
 	for _, jobs := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
 			if jobs > 1 && runtime.NumCPU() == 1 {
 				b.Skipf("runtime.NumCPU()=1: scaling point jobs=%d not measurable", jobs)
 			}
-			SetJobs(jobs)
+			env := quick
+			env.Jobs = jobs
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, _, err := Figure8(Quick)
+				res, _, err := Figure8(env)
 				if err != nil {
 					b.Fatal(err)
 				}

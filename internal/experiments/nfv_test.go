@@ -8,7 +8,8 @@ import (
 )
 
 func TestFigure12Shape(t *testing.T) {
-	res, tab, err := Figure12(Quick)
+	t.Parallel()
+	res, tab, err := Figure12(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,8 @@ func TestFigure12Shape(t *testing.T) {
 }
 
 func TestFigure13And14Shape(t *testing.T) {
-	f13, _, err := Figure13(Quick)
+	t.Parallel()
+	f13, _, err := Figure13(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func TestFigure13And14Shape(t *testing.T) {
 		t.Errorf("F13 throughput %.1f Gbps outside the NIC/CPU-limited band", f13.BaseGbps)
 	}
 
-	f14, _, err := Figure14(Quick)
+	f14, _, err := Figure14(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +85,8 @@ func TestFigure13And14Shape(t *testing.T) {
 }
 
 func TestFigure15Knee(t *testing.T) {
-	res, _, err := Figure15(Quick)
+	t.Parallel()
+	res, _, err := Figure15(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +118,8 @@ func TestFigure15Knee(t *testing.T) {
 }
 
 func TestFigure17Shape(t *testing.T) {
-	res, _, err := Figure17(Quick)
+	t.Parallel()
+	res, _, err := Figure17(quick)
 	if err != nil {
 		t.Fatal(err)
 	}

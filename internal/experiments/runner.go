@@ -4,50 +4,48 @@ import (
 	"math/rand"
 
 	"sliceaware/internal/parallel"
+	"sliceaware/internal/telemetry"
 )
 
-// SetJobs fixes the worker count used to fan independent trials of one
-// figure across cores (the cmd tools' -jobs flag). n <= 0 selects
-// GOMAXPROCS. Regardless of the setting, output is byte-identical to a
-// sequential run: every trial builds its own testbed and RNGs, and
-// results are collected in trial order.
-func SetJobs(n int) { parallel.SetJobs(n) }
+// Env is everything a harness reads besides its own code: the run-wide
+// seed, the worker count, the sample-count scale and the telemetry
+// collector. Harnesses hold no package-level state, so any number of them
+// may run at once, each on its own Env.
+type Env struct {
+	// Seed is the run-wide seed every experiment derives its randomness
+	// from. Each call site owns a fixed stream number (Env.rng), so one
+	// seed reproduces the entire figure set while keeping the streams
+	// independent.
+	Seed int64
+	// Jobs is the number of workers the independent trials of one
+	// experiment fan out on; <= 0 selects GOMAXPROCS. Output is
+	// byte-identical for every value.
+	Jobs int
+	// Scale selects sample counts.
+	Scale Scale
+	// Telemetry, when non-nil, instruments every DuT the harness builds.
+	// Telemetry is observation-only: it must not change any figure's
+	// numbers (telemetry_determinism_test.go holds this line).
+	Telemetry *telemetry.Collector
+}
 
-// Jobs reports the configured worker count.
-func Jobs() int { return parallel.Jobs() }
+// rng derives the generator for one experiment stream from the run seed.
+func (e Env) rng(stream int64) *rand.Rand {
+	return rand.New(rand.NewSource(e.Seed*-0x61c8864680b583eb ^ stream))
+}
 
-// effectiveJobs is the worker count a harness actually uses. An armed
-// telemetry collector forces sequential execution: the collector's
-// timeline/flight-recorder paths are single-writer by design, and
-// interleaved trials would shuffle its event order.
-func effectiveJobs() int {
-	if collector != nil {
-		return 1
+// runTrials fans the n independent trials of one experiment across
+// env.Jobs workers and returns their results in trial order. A trial must
+// be self-contained — fresh machine, fresh RNGs, no writes to shared
+// state — which every harness in this package upholds; the
+// jobs-equivalence tests in seed_guard_test.go pin the byte-identical
+// guarantee. An armed collector runs the trials one after another: its
+// timeline and flight recorder are single-writer, and interleaved trials
+// would shuffle its event order.
+func runTrials[T any](env Env, n int, fn func(trial int) (T, error)) ([]T, error) {
+	jobs := env.Jobs
+	if env.Telemetry != nil {
+		jobs = 1
 	}
-	return parallel.Jobs()
-}
-
-// runTrials fans the n independent trials of one figure across the
-// configured workers and returns their results in trial order. A trial
-// must be self-contained — fresh machine, fresh RNGs (rng streams or
-// trialRNG), no writes to shared state — which every harness in this
-// package upholds; the jobs-equivalence tests in seed_guard_test.go pin
-// the byte-identical guarantee.
-func runTrials[T any](figureID string, n int, fn func(trial int) (T, error)) ([]T, error) {
-	_ = figureID // reserved for per-figure scheduling/telemetry hooks
-	return parallel.Map(effectiveJobs(), n, fn)
-}
-
-// trialSeed derives the deterministic seed of one (figure, trial) pair
-// from the run-wide seed: seed = f(runSeed, figureID, trialIndex). New
-// harness code should draw from trialRNG instead of claiming another
-// fixed rng stream; the derivation keeps trials independent of worker
-// count and of each other.
-func trialSeed(figureID string, trial int) int64 {
-	return parallel.Seed(baseSeed, figureID, trial)
-}
-
-// trialRNG is the per-trial generator built from trialSeed.
-func trialRNG(figureID string, trial int) *rand.Rand {
-	return rand.New(rand.NewSource(trialSeed(figureID, trial)))
+	return parallel.Map(jobs, n, fn)
 }

@@ -23,6 +23,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the pinned seed golden fi
 // machines — a regression — or the change is intentional and the golden
 // is regenerated with -update.
 func TestTenantSubsystemLeavesSeedOutputUnchanged(t *testing.T) {
+	t.Parallel()
 	// Construct the subsystem's objects on a scratch machine first; they
 	// must not perturb any global state the experiments depend on.
 	m, err := cpusim.NewMachine(arch.HaswellE52667v3())
@@ -47,19 +48,18 @@ func TestTenantSubsystemLeavesSeedOutputUnchanged(t *testing.T) {
 		t.Fatalf("disarmed controller closed %d epochs, want 0", got.Epochs)
 	}
 
-	SetSeed(1)
 	var buf bytes.Buffer
-	if _, tab, err := Figure8(Quick); err != nil {
+	if _, tab, err := Figure8(quick); err != nil {
 		t.Fatal(err)
 	} else {
 		tab.Fprint(&buf)
 	}
-	if _, tab, err := Figure13(Quick); err != nil {
+	if _, tab, err := Figure13(quick); err != nil {
 		t.Fatal(err)
 	} else {
 		tab.Fprint(&buf)
 	}
-	if _, tab, err := Figure14(Quick); err != nil {
+	if _, tab, err := Figure14(quick); err != nil {
 		t.Fatal(err)
 	} else {
 		tab.Fprint(&buf)
@@ -92,20 +92,20 @@ func TestTenantSubsystemLeavesSeedOutputUnchanged(t *testing.T) {
 // pinned from the sequential pre-engine output. Any divergence means a
 // trial leaked state across workers or collection order broke.
 func TestParallelJobsLeaveTablesByteIdentical(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("two full quick renders of F-TENANT+F-OVERLOAD")
 	}
-	defer SetJobs(1)
 	render := func(jobs int) []byte {
-		SetJobs(jobs)
-		SetSeed(1)
+		env := quick
+		env.Jobs = jobs
 		var buf bytes.Buffer
-		if _, tab, err := FigTenant(Quick); err != nil {
+		if _, tab, err := FigTenant(env); err != nil {
 			t.Fatal(err)
 		} else {
 			tab.Fprint(&buf)
 		}
-		if _, tab, err := FigOverload(Quick); err != nil {
+		if _, tab, err := FigOverload(env); err != nil {
 			t.Fatal(err)
 		} else {
 			tab.Fprint(&buf)

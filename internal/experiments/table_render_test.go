@@ -54,6 +54,7 @@ func referenceRender(t *Table) string {
 }
 
 func TestFprintMatchesReferenceRenderer(t *testing.T) {
+	t.Parallel()
 	cases := []*Table{
 		{ID: "T0", Title: "empty"},
 		{ID: "T1", Title: "header only", Header: []string{"a", "bb", "ccc"}},

@@ -24,34 +24,11 @@ import (
 	"sync/atomic"
 )
 
-// jobs is the process-wide default worker count (the -jobs flag of the
-// cmd tools). It is stored atomically so a flag parse racing a background
-// trial read is defined behaviour, though in practice it is set once at
-// startup.
-var jobs atomic.Int64
-
-func init() { jobs.Store(1) }
-
-// SetJobs fixes the default worker count. n <= 0 selects GOMAXPROCS.
-func SetJobs(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	jobs.Store(int64(n))
-}
-
-// Jobs reports the default worker count (at least 1).
-func Jobs() int {
-	if n := int(jobs.Load()); n > 1 {
-		return n
-	}
-	return 1
-}
-
 // Map runs fn(i) for every i in [0, n) on up to workers goroutines and
-// returns the n results in index order. workers <= 1 (or n <= 1) runs
-// inline on the calling goroutine with no synchronization at all, so the
-// sequential path costs exactly what the pre-engine loop did.
+// returns the n results in index order; workers <= 0 selects GOMAXPROCS.
+// One worker (or n <= 1) runs inline on the calling goroutine with no
+// synchronization at all, so the sequential path costs exactly what the
+// pre-engine loop did.
 //
 // On error the results slice is still returned (completed trials keep
 // their slots) together with the error of the lowest-indexed failed trial
@@ -63,10 +40,13 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return out, nil
 	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 || n == 1 {
+	if workers == 1 {
 		for i := 0; i < n; i++ {
 			var err error
 			if out[i], err = fn(i); err != nil {

@@ -34,12 +34,14 @@ func TestMapOrderedAcrossWorkerCounts(t *testing.T) {
 func TestMapReportsLowestIndexedError(t *testing.T) {
 	errLow, errHigh := errors.New("low"), errors.New("high")
 	// Fail two trials; regardless of completion order the lower index wins.
+	highDone := make(chan struct{})
 	got, err := Map(4, 16, func(i int) (int, error) {
 		switch i {
 		case 11:
+			defer close(highDone)
 			return 0, errHigh
 		case 5:
-			time.Sleep(time.Millisecond) // finish after trial 11
+			<-highDone // finish after trial 11
 			return 0, errLow
 		}
 		return i, nil
@@ -77,14 +79,16 @@ func TestMapZeroTrials(t *testing.T) {
 	}
 }
 
-func TestMapActuallyRunsConcurrently(t *testing.T) {
+// peersMeet runs Map(workers, 2, ...) over two trials that can only finish
+// if both are in flight at once.
+func peersMeet(t *testing.T, workers int) {
+	t.Helper()
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("single-proc environment")
 	}
-	// Two trials that can only finish if both are in flight at once.
 	start := make(chan struct{})
 	var arrived atomic.Int64
-	_, err := Map(2, 2, func(i int) (int, error) {
+	_, err := Map(workers, 2, func(i int) (int, error) {
 		if arrived.Add(1) == 2 {
 			close(start)
 		}
@@ -92,13 +96,20 @@ func TestMapActuallyRunsConcurrently(t *testing.T) {
 		case <-start:
 			return i, nil
 		case <-time.After(5 * time.Second):
-			return 0, fmt.Errorf("trial %d never saw a peer: Map is not concurrent", i)
+			return 0, fmt.Errorf("trial %d never saw a peer: Map(%d, ...) is not concurrent", i, workers)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 }
+
+func TestMapActuallyRunsConcurrently(t *testing.T) { peersMeet(t, 2) }
+
+// TestMapZeroWorkersMeansGOMAXPROCS holds the rule every -jobs and
+// -workers flag relies on: a worker count of 0 fans out on GOMAXPROCS
+// workers instead of running inline.
+func TestMapZeroWorkersMeansGOMAXPROCS(t *testing.T) { peersMeet(t, 0) }
 
 func TestSeedDeterministicAndDistinct(t *testing.T) {
 	seen := map[int64]string{}
@@ -117,22 +128,6 @@ func TestSeedDeterministicAndDistinct(t *testing.T) {
 	}
 	if Seed(1, "F8", 0) == Seed(2, "F8", 0) {
 		t.Fatal("run seed does not influence trial seed")
-	}
-}
-
-func TestSetJobsClamps(t *testing.T) {
-	defer SetJobs(1)
-	SetJobs(6)
-	if got := Jobs(); got != 6 {
-		t.Fatalf("Jobs()=%d, want 6", got)
-	}
-	SetJobs(0)
-	if got := Jobs(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Jobs()=%d after SetJobs(0), want GOMAXPROCS=%d", got, runtime.GOMAXPROCS(0))
-	}
-	SetJobs(-3)
-	if got := Jobs(); got < 1 {
-		t.Fatalf("Jobs()=%d, want >=1", got)
 	}
 }
 
