@@ -1,6 +1,6 @@
 // Command fleet is the multi-process experiment orchestrator: it
-// expands a declarative scenario file (JSON or TOML, see
-// internal/scenario) into concrete scenarios, fans them across N
+// expands a declarative JSON scenario file (see internal/scenario)
+// into concrete scenarios, fans them across N
 // worker processes running the repo's own binaries (reproduce,
 // nfvbench, kvsbench, isobench, or a slicekvsd+loadgen+statsink
 // serving trio), enforces per-scenario timeouts with process-group
@@ -152,7 +152,7 @@ func moduleRoot() (string, error) {
 }
 
 func main() {
-	file := flag.String("f", "", "scenario file (.json or .toml)")
+	file := flag.String("f", "", "scenario file (.json)")
 	workers := flag.Int("workers", 2, "concurrent scenario processes (0 = GOMAXPROCS)")
 	outDir := flag.String("out", "", "run directory root (default fleet-out/<file name>)")
 	binDir := flag.String("bin", "", "directory with prebuilt repo binaries (default: build into <out>/bin)")

@@ -139,11 +139,6 @@ func (p *Profile) CyclesToNanos(cycles float64) float64 {
 	return cycles / p.FrequencyHz * 1e9
 }
 
-// NanosToCycles converts nanoseconds to core cycles.
-func (p *Profile) NanosToCycles(ns float64) float64 {
-	return ns * p.FrequencyHz / 1e9
-}
-
 // Validate reports a descriptive error for an inconsistent profile.
 func (p *Profile) Validate() error {
 	switch {

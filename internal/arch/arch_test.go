@@ -58,9 +58,6 @@ func TestCyclesTimeRoundTrip(t *testing.T) {
 	if got := p.CyclesToNanos(32); got != 10 {
 		t.Errorf("32 cycles = %v ns, want 10", got)
 	}
-	if got := p.NanosToCycles(10); got != 32 {
-		t.Errorf("10 ns = %v cycles, want 32", got)
-	}
 }
 
 func TestValidateRejectsBadProfiles(t *testing.T) {

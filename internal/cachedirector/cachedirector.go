@@ -92,10 +92,8 @@ type Director struct {
 	// wd is the optional placement watchdog (nil until EnableWatchdog).
 	wd *watchdog
 	// ladder is the optional degradation controller (nil until
-	// EnableLadder); probeBreaker optionally gates watchdog probes (nil
-	// until EnableProbeBreaker).
-	ladder       *overload.Ladder
-	probeBreaker *overload.Breaker
+	// EnableLadder).
+	ladder *overload.Ladder
 
 	// tele surfaces placement decisions and watchdog transitions; nil
 	// handles make every update a no-op.
@@ -166,22 +164,6 @@ func New(machine *cpusim.Machine, cfg Config) (*Director, error) {
 	}
 	return d, nil
 }
-
-// SetCoreSlice overrides the target slice for a core (multi-threaded apps
-// sharing data may prefer a compromise slice, §8).
-func (d *Director) SetCoreSlice(core, slice int) error {
-	if core < 0 || core >= len(d.coreSlice) {
-		return fmt.Errorf("cachedirector: core %d out of range", core)
-	}
-	if slice < 0 || slice >= d.hash.Slices() {
-		return fmt.Errorf("cachedirector: slice %d out of range", slice)
-	}
-	d.coreSlice[core] = slice
-	return nil
-}
-
-// CoreSlice returns the target slice for a core.
-func (d *Director) CoreSlice(core int) int { return d.coreSlice[core] }
 
 // InitPool pre-computes the per-core headroom table of every mbuf in the
 // pool and stores it in udata64 (the initialization-phase pass of §4.2).
@@ -275,13 +257,7 @@ func (d *Director) Prepare(m *dpdk.Mbuf, queue int) {
 	if d.wd != nil && d.wd.due() {
 		// Probe the placement the table intended, even while degraded:
 		// recovery needs evidence that the believed mapping works again.
-		// An open probe breaker skips the probe (and its flush+load cost)
-		// until the cooldown admits half-open trials.
-		if err := d.probeBreaker.Allow(float64(d.wd.prepared)); err != nil {
-			d.wd.stats.BreakerSkips++
-		} else {
-			d.probePlacement(m, queue, lines)
-		}
+		d.probePlacement(m, queue, lines)
 	}
 }
 

@@ -50,25 +50,9 @@ func TestConfigValidation(t *testing.T) {
 	// Default targets: primary slice per core; for the Haswell ring that
 	// is the co-located slice.
 	for c := 0; c < m.Cores(); c++ {
-		if d.CoreSlice(c) != c {
-			t.Errorf("core %d target slice = %d, want %d", c, d.CoreSlice(c), c)
+		if d.coreSlice[c] != c {
+			t.Errorf("core %d target slice = %d, want %d", c, d.coreSlice[c], c)
 		}
-	}
-}
-
-func TestSetCoreSlice(t *testing.T) {
-	d := newDirector(t, newMachine(t))
-	if err := d.SetCoreSlice(0, 5); err != nil {
-		t.Fatal(err)
-	}
-	if d.CoreSlice(0) != 5 {
-		t.Error("override ignored")
-	}
-	if err := d.SetCoreSlice(-1, 0); err == nil {
-		t.Error("bad core accepted")
-	}
-	if err := d.SetCoreSlice(0, 99); err == nil {
-		t.Error("bad slice accepted")
 	}
 }
 
@@ -100,9 +84,9 @@ func TestInitPoolPlacesHeaderLines(t *testing.T) {
 		for core := 0; core < m.Cores(); core++ {
 			h := d.HeadroomFor(mb, core)
 			pa := pool.Mapping().Phys(mb.DataBaseVA() + uint64(h))
-			if got := m.LLC.Hash().Slice(pa); got != d.CoreSlice(core) {
+			if got := m.LLC.Hash().Slice(pa); got != d.coreSlice[core] {
 				t.Fatalf("mbuf %#x core %d: headroom %d lands on slice %d, want %d",
-					mb.BaseVA(), core, h, got, d.CoreSlice(core))
+					mb.BaseVA(), core, h, got, d.coreSlice[core])
 			}
 			checked++
 		}
@@ -146,8 +130,8 @@ func TestPrepareSetsHeadroomAndChargesCore(t *testing.T) {
 		t.Errorf("prepare charged %d cycles, want %d", got, PrepareCycles)
 	}
 	pa := pool.Mapping().Phys(mb.DataVA())
-	if got := m.LLC.Hash().Slice(pa); got != d.CoreSlice(3) {
-		t.Errorf("prepared data line on slice %d, want %d", got, d.CoreSlice(3))
+	if got := m.LLC.Hash().Slice(pa); got != d.coreSlice[3] {
+		t.Errorf("prepared data line on slice %d, want %d", got, d.coreSlice[3])
 	}
 }
 
@@ -170,10 +154,10 @@ func TestAttachEndToEnd(t *testing.T) {
 		port.Deliver(trace.Packet{Size: 64, FlowID: uint64(i)})
 	}
 	for q := 0; q < 8; q++ {
-		for _, mb := range port.RxBurst(q, 64) {
+		for _, mb := range port.RxBurstInto(q, 64, nil) {
 			pa := mb.DataPhys()
-			if got := m.LLC.SliceOf(pa); got != d.CoreSlice(q) {
-				t.Errorf("queue %d: header line on slice %d, want %d", q, got, d.CoreSlice(q))
+			if got := m.LLC.SliceOf(pa); got != d.coreSlice[q] {
+				t.Errorf("queue %d: header line on slice %d, want %d", q, got, d.coreSlice[q])
 			}
 			if !m.LLC.Contains(pa) {
 				t.Error("header line not resident after DDIO")
@@ -231,8 +215,8 @@ func TestTargetOffsetPlacesDeeperLine(t *testing.T) {
 	mb := pool.Get()
 	d.Prepare(mb, 2)
 	pa := pool.Mapping().Phys(mb.DataVA() + 128)
-	if got := m.LLC.Hash().Slice(pa); got != d.CoreSlice(2) {
-		t.Errorf("offset-128 line on slice %d, want %d", got, d.CoreSlice(2))
+	if got := m.LLC.Hash().Slice(pa); got != d.coreSlice[2] {
+		t.Errorf("offset-128 line on slice %d, want %d", got, d.coreSlice[2])
 	}
 }
 
@@ -331,8 +315,8 @@ func TestAppSortedSkipsPrepareCost(t *testing.T) {
 	}
 	// Placement must still be correct.
 	pa := pool.Mapping().Phys(mb.DataVA())
-	if got := m.LLC.Hash().Slice(pa); got != d.CoreSlice(2) {
-		t.Errorf("app-sorted placement on slice %d, want %d", got, d.CoreSlice(2))
+	if got := m.LLC.Hash().Slice(pa); got != d.coreSlice[2] {
+		t.Errorf("app-sorted placement on slice %d, want %d", got, d.coreSlice[2])
 	}
 }
 

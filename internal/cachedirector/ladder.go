@@ -60,33 +60,8 @@ func (d *Director) EnableLadder(cfg overload.LadderConfig) error {
 	return nil
 }
 
-// EnableProbeBreaker arms a circuit breaker around the watchdog's
-// placement probes: when probes persistently contradict the believed
-// mapping (or the uncore read keeps failing) the breaker opens and probes
-// are skipped for the cooldown, sparing the consuming cores the flush+load
-// cost of supervision that is only confirming bad news. The breaker's
-// clock is the watchdog's prepared-mbuf count, so Cooldown is expressed in
-// prepared packets (zero defaults to 4096). Requires EnableWatchdog first.
-func (d *Director) EnableProbeBreaker(cfg overload.BreakerConfig) error {
-	if d.wd == nil {
-		return fmt.Errorf("cachedirector: probe breaker needs the watchdog enabled first")
-	}
-	if cfg.Cooldown == 0 {
-		cfg.Cooldown = 4096
-	}
-	b, err := overload.NewBreaker(cfg)
-	if err != nil {
-		return err
-	}
-	d.probeBreaker = b
-	return nil
-}
-
 // Ladder exposes the armed degradation controller (nil when disarmed).
 func (d *Director) Ladder() *overload.Ladder { return d.ladder }
-
-// ProbeBreaker exposes the armed probe breaker (nil when disarmed).
-func (d *Director) ProbeBreaker() *overload.Breaker { return d.probeBreaker }
 
 // ObservePressure feeds one backpressure sample ([0,1], e.g. from the
 // netsim pressure callback) into the ladder and surfaces any resulting
@@ -104,8 +79,6 @@ func (d *Director) ObservePressure(nowNs, pressure float64) {
 // will use, combining every degradation signal:
 //
 //   - the pressure-driven ladder level;
-//   - an open probe breaker floors the level at LevelHeaderOnly (placement
-//     supervision is failing, so at minimum stop paying for it);
 //   - a watchdog in ModeDegraded forces LevelPassthrough (the believed
 //     mapping is wrong — slice-aware placement would be actively harmful).
 //
@@ -118,9 +91,5 @@ func (d *Director) CurrentLevel() Level {
 	if d.ladder == nil {
 		return LevelFull
 	}
-	lvl := Level(d.ladder.Level())
-	if d.probeBreaker.State() == overload.BreakerOpen && lvl < LevelHeaderOnly {
-		lvl = LevelHeaderOnly
-	}
-	return lvl
+	return Level(d.ladder.Level())
 }

@@ -1,7 +1,6 @@
 package cachedirector
 
 import (
-	"errors"
 	"testing"
 
 	"sliceaware/internal/dpdk"
@@ -37,9 +36,6 @@ func TestEnableLadderValidation(t *testing.T) {
 	d := newDirector(t, newMachine(t))
 	if err := d.EnableLadder(overload.LadderConfig{MaxLevel: 5}); err == nil {
 		t.Error("ladder deeper than the director's rungs accepted")
-	}
-	if err := d.EnableProbeBreaker(overload.BreakerConfig{}); err == nil {
-		t.Error("probe breaker without a watchdog accepted")
 	}
 	if err := d.EnableLadder(overload.LadderConfig{}); err != nil {
 		t.Fatalf("default ladder rejected: %v", err)
@@ -113,76 +109,6 @@ func TestLadderLevelsDispatchPrepare(t *testing.T) {
 	}
 }
 
-// A persistently wrong placement belief must open the probe breaker, which
-// suspends probing (sparing the flush+load cost), floors the ladder at
-// header-only, and admits a half-open trial after the cooldown that closes
-// the breaker once the profile verifies again.
-func TestProbeBreakerSuspendsAndRecoversProbes(t *testing.T) {
-	d, pool := watchdogFixture(t, nil)
-	// Re-arm the watchdog with a window too large to fill during this
-	// test, so only the breaker reacts to the miss storm.
-	if err := d.EnableWatchdog(WatchdogConfig{CheckEvery: 1, Window: 64}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.EnableLadder(overload.LadderConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.EnableProbeBreaker(overload.BreakerConfig{
-		Window: 4, FailureThreshold: 1.0, Cooldown: 8, HalfOpenProbes: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	wrong, err := faults.NewMispredictedHash(d.hash, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.hash = wrong
-
-	mb := pool.Get()
-	// Four probes, all contradicted: the breaker window fills and trips.
-	for i := 0; i < 4; i++ {
-		d.Prepare(mb, i%8)
-	}
-	if st := d.ProbeBreaker().State(); st != overload.BreakerOpen {
-		t.Fatalf("breaker state after miss storm = %v, want open", st)
-	}
-	if lvl := d.CurrentLevel(); lvl != LevelHeaderOnly {
-		t.Errorf("open breaker floors level at %v, want header-only", lvl)
-	}
-
-	// During the cooldown every due probe is skipped, not performed.
-	before := d.WatchdogStats().Probes
-	for i := 0; i < 7; i++ {
-		d.Prepare(mb, i%8)
-	}
-	st := d.WatchdogStats()
-	if st.Probes != before {
-		t.Errorf("probes ran while the breaker was open: %d → %d", before, st.Probes)
-	}
-	if st.BreakerSkips != 7 {
-		t.Errorf("breaker skips = %d, want 7", st.BreakerSkips)
-	}
-
-	// The operator fixes the profile; the cooldown has elapsed, so the
-	// next due probe is a half-open trial that verifies and recloses.
-	if err := wrong.SetRate(0); err != nil {
-		t.Fatal(err)
-	}
-	d.Prepare(mb, 0)
-	if st := d.ProbeBreaker().State(); st != overload.BreakerClosed {
-		t.Fatalf("breaker state after verified trial = %v, want closed", st)
-	}
-	if bs := d.ProbeBreaker().Stats(); bs.Trips != 1 || bs.Recoveries != 1 {
-		t.Errorf("breaker stats %+v, want 1 trip / 1 recovery", bs)
-	}
-	if lvl := d.CurrentLevel(); lvl != LevelFull {
-		t.Errorf("recovered level = %v, want full", lvl)
-	}
-	if st := d.WatchdogStats(); st.Probes != before+1 {
-		t.Errorf("probe count after recovery = %d, want %d", st.Probes, before+1)
-	}
-}
-
 // A watchdog in degraded mode overrides everything: the effective level is
 // passthrough no matter what the ladder says.
 func TestWatchdogDegradedForcesPassthrough(t *testing.T) {
@@ -219,15 +145,5 @@ func TestLevelString(t *testing.T) {
 		if got := lvl.String(); got != want {
 			t.Errorf("Level(%d).String() = %q, want %q", int(lvl), got, want)
 		}
-	}
-}
-
-// An invalid breaker config must surface its own error, not a breaker-open
-// sentinel or a silent success.
-func TestProbeBreakerConfigErrorSurfaces(t *testing.T) {
-	d, _ := watchdogFixture(t, nil)
-	err := d.EnableProbeBreaker(overload.BreakerConfig{FailureThreshold: 2})
-	if err == nil || errors.Is(err, overload.ErrBreakerOpen) {
-		t.Errorf("invalid breaker config error = %v", err)
 	}
 }

@@ -56,7 +56,6 @@ type WatchdogConfig struct {
 type WatchdogStats struct {
 	Probes       uint64 // placement verifications performed
 	ProbeMisses  uint64 // probes whose polled slice contradicted the belief
-	BreakerSkips uint64 // probes skipped because the probe breaker was open
 	Degradations uint64 // Active→Degraded transitions
 	Recoveries   uint64 // Degraded→Active transitions
 }
@@ -167,14 +166,6 @@ func (d *Director) probePlacement(m *dpdk.Mbuf, queue, lines int) {
 	d.ctrProbes.Inc(queue)
 	if !verified {
 		d.ctrMisses.Inc(queue)
-	}
-	// Feed the probe breaker: a run of contradicted probes opens it and
-	// suspends probing for the cooldown. Surfacing state changes as events
-	// keeps the timeline readable next to the watchdog transitions.
-	prev := d.probeBreaker.State()
-	d.probeBreaker.Record(float64(w.prepared), verified)
-	if cur := d.probeBreaker.State(); cur != prev {
-		d.tele.Event("probe_breaker_" + cur.String())
 	}
 	if tr := w.record(verified); tr != "" {
 		d.tele.Event("watchdog_" + tr)

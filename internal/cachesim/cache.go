@@ -126,17 +126,11 @@ func (c *Cache) Ways() int { return c.ways }
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
 
-// Capacity returns the number of lines the cache can hold.
-func (c *Cache) Capacity() int { return c.sets * c.ways }
-
 // Len returns the number of valid lines currently cached.
 func (c *Cache) Len() int { return c.occupied }
 
 // Stats returns a copy of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the event counters without touching cache state.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 func (c *Cache) setIndex(line uint64) int { return int(line & c.setMask) }
 
@@ -338,11 +332,6 @@ func (c *Cache) MaskLen(mask WayMask) int {
 		n += bits.OnesCount64(c.valid[idx] & uint64(mask))
 	}
 	return n
-}
-
-// SetOccupancy returns the number of valid ways in the set holding line.
-func (c *Cache) SetOccupancy(line uint64) int {
-	return bits.OnesCount64(c.valid[c.setIndex(line)])
 }
 
 // MaskOfWays builds a WayMask of the first n ways (CAT-style contiguous

@@ -53,9 +53,6 @@ func (c *Cache) SetPolicy(p Policy) error {
 	}
 }
 
-// Policy returns the active replacement policy.
-func (c *Cache) Policy() Policy { return c.policy }
-
 // insertionAge returns the age stamp a fresh fill receives. Under LRU it
 // is the current clock (MRU). Under LIP it is 0 (immediate eviction
 // candidate). Under BIP it is 0 except for every 32nd insertion.

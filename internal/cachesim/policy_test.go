@@ -4,11 +4,11 @@ import "testing"
 
 func TestPolicyAccessors(t *testing.T) {
 	c := MustNew("t", 1, 4)
-	if c.Policy() != LRU {
+	if c.policy != LRU {
 		t.Error("default policy not LRU")
 	}
-	if err := c.SetPolicy(BIP); err != nil || c.Policy() != BIP {
-		t.Errorf("SetPolicy(BIP): %v, %v", err, c.Policy())
+	if err := c.SetPolicy(BIP); err != nil || c.policy != BIP {
+		t.Errorf("SetPolicy(BIP): %v, %v", err, c.policy)
 	}
 	if err := c.SetPolicy(Policy(9)); err == nil {
 		t.Error("unknown policy accepted")

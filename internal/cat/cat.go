@@ -252,9 +252,3 @@ func (e *Experiment) Run(ops int, noisyPerOp int, write bool, rng *rand.Rand) (R
 	}
 	return res, nil
 }
-
-// MainLines exposes the main working set (tests check placement).
-func (e *Experiment) MainLines() []uint64 { return e.mainLines }
-
-// NoisyLines exposes the neighbour's working set.
-func (e *Experiment) NoisyLines() []uint64 { return e.noisyLines }

@@ -36,7 +36,7 @@ func TestDefaultsAndValidation(t *testing.T) {
 	}
 	// Default working set: ¾ slice + L2 = ¾·1.375 MB + 1 MB ≈ 2 MB (§7).
 	want := (1408<<10)*3/4 + 1<<20
-	if got := len(e.MainLines()) * 64; got != want {
+	if got := len(e.mainLines) * 64; got != want {
 		t.Errorf("main WS = %d B, want %d", got, want)
 	}
 	if _, err := New(m, Config{Scenario: NoCAT, MainCore: 3, NoisyCore: 3}); err == nil {
@@ -56,7 +56,7 @@ func TestSliceIsolatedPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, va := range e.MainLines() {
+	for _, va := range e.mainLines {
 		pa, err := m.Space.Translate(va)
 		if err != nil {
 			t.Fatal(err)
@@ -65,7 +65,7 @@ func TestSliceIsolatedPlacement(t *testing.T) {
 			t.Fatalf("main line on slice %d, want 0", got)
 		}
 	}
-	for _, va := range e.NoisyLines() {
+	for _, va := range e.noisyLines {
 		pa, _ := m.Space.Translate(va)
 		if got := m.LLC.SliceOf(pa); got == 0 {
 			t.Fatal("noisy line on slice 0 — isolation broken")

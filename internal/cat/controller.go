@@ -98,9 +98,6 @@ var ErrDDIOProtected = fmt.Errorf("cat: capacity mask swallows DDIO ways")
 // disables the guard. Masks already programmed are not re-validated.
 func (c *Controller) SetDDIOProtect(mask cachesim.WayMask) { c.protect = mask }
 
-// DDIOProtect reports the armed guard mask (0 = disabled).
-func (c *Controller) DDIOProtect() cachesim.WayMask { return c.protect }
-
 // Associate binds a core to a class of service (IA32_PQR_ASSOC).
 func (c *Controller) Associate(core, cos int) error {
 	if core < 0 || core >= len(c.assoc) {
@@ -125,13 +122,4 @@ func (c *Controller) applyAll() {
 func contiguous(m uint64) bool {
 	shifted := m >> uint(bits.TrailingZeros64(m))
 	return shifted&(shifted+1) == 0
-}
-
-// WaysOf returns how many ways a class currently owns.
-func (c *Controller) WaysOf(cos int) (int, error) {
-	m, err := c.Mask(cos)
-	if err != nil {
-		return 0, err
-	}
-	return bits.OnesCount64(uint64(m)), nil
 }

@@ -2,10 +2,14 @@ package cat
 
 import (
 	"errors"
+	"math/bits"
 	"testing"
 
 	"sliceaware/internal/cachesim"
 )
+
+// waysOf returns how many ways a class currently owns.
+func waysOf(c *Controller, cos int) int { return bits.OnesCount64(uint64(c.masks[cos])) }
 
 func TestControllerDefaults(t *testing.T) {
 	m := newSkylake(t)
@@ -18,9 +22,8 @@ func TestControllerDefaults(t *testing.T) {
 	}
 	// Every COS starts with the full 11-way mask; every core in COS0.
 	for cos := 0; cos < 4; cos++ {
-		w, err := c.WaysOf(cos)
-		if err != nil || w != 11 {
-			t.Errorf("COS%d ways = %d, %v", cos, w, err)
+		if w := waysOf(c, cos); w != 11 {
+			t.Errorf("COS%d ways = %d", cos, w)
 		}
 	}
 	for core := 0; core < m.Cores(); core++ {
@@ -66,8 +69,8 @@ func TestControllerValidation(t *testing.T) {
 	if _, err := c.COSOf(99); err == nil {
 		t.Error("COSOf(99) accepted")
 	}
-	if _, err := c.WaysOf(-1); err == nil {
-		t.Error("WaysOf(-1) accepted")
+	if _, err := c.Mask(-1); err == nil {
+		t.Error("Mask(-1) accepted")
 	}
 }
 
@@ -90,7 +93,7 @@ func TestControllerIsolatesFills(t *testing.T) {
 	if err := c.Associate(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if w, _ := c.WaysOf(1); w != 2 {
+	if w := waysOf(c, 1); w != 2 {
 		t.Errorf("COS1 ways = %d", w)
 	}
 	if cos, _ := c.COSOf(0); cos != 1 {
@@ -163,8 +166,8 @@ func TestSetDDIOProtect(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.SetDDIOProtect(tc.protect)
-			if got := c.DDIOProtect(); got != tc.protect {
-				t.Fatalf("DDIOProtect() = %#x, want %#x", uint64(got), uint64(tc.protect))
+			if got := c.protect; got != tc.protect {
+				t.Fatalf("protect = %#x, want %#x", uint64(got), uint64(tc.protect))
 			}
 			err = c.SetCapacityMask(1, tc.mask)
 			switch {
@@ -177,7 +180,7 @@ func TestSetDDIOProtect(t *testing.T) {
 			}
 			// A rejected mask must leave the programmed state untouched.
 			if tc.wantErr != nil {
-				if w, _ := c.WaysOf(1); w != 11 {
+				if w := waysOf(c, 1); w != 11 {
 					t.Errorf("rejected mask changed COS1 to %d ways", w)
 				}
 			}

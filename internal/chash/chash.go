@@ -215,17 +215,3 @@ func ForProfileSlices(n int) (Hash, error) {
 	}
 	return NewGeneralizedHash(n)
 }
-
-// LineStride is the smallest address stride at which the slice mapping can
-// change: one cache line.
-const LineStride = 64
-
-// Distribution counts how many of the first n lines starting at base map to
-// each slice; used by tests and the uniformity experiments.
-func Distribution(h Hash, base uint64, n int) []int {
-	counts := make([]int, h.Slices())
-	for i := 0; i < n; i++ {
-		counts[h.Slice(base+uint64(i)*LineStride)]++
-	}
-	return counts
-}

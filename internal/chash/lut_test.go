@@ -48,7 +48,7 @@ func TestSliceLUTAgreesWithHashes(t *testing.T) {
 			}
 			// Corners: consecutive lines at the bottom and top of the range.
 			for i := 0; i < 4096; i++ {
-				for _, pa := range []uint64{uint64(i) * LineStride, 1<<AddressBits - 1 - uint64(i)*LineStride} {
+				for _, pa := range []uint64{uint64(i) * 64, 1<<AddressBits - 1 - uint64(i)*64} {
 					if got, want := lut.Slice(pa), h.Slice(pa); got != want {
 						t.Fatalf("Slice(%#x) = %d, want %d", pa, got, want)
 					}
@@ -63,7 +63,7 @@ func TestSliceLUTAgreesWithHashes(t *testing.T) {
 func TestSliceLUTFallback(t *testing.T) {
 	h := oddHash{}
 	lut := NewSliceLUT(h)
-	for pa := uint64(0); pa < 1<<16; pa += LineStride {
+	for pa := uint64(0); pa < 1<<16; pa += 64 {
 		if got, want := lut.Slice(pa), h.Slice(pa); got != want {
 			t.Fatalf("Slice(%#x) = %d, want %d", pa, got, want)
 		}
@@ -79,7 +79,7 @@ func TestSliceLUTOfLUT(t *testing.T) {
 	if l2.fallback != nil {
 		t.Fatal("LUT of LUT should copy tables, not delegate")
 	}
-	for pa := uint64(0); pa < 1<<16; pa += LineStride {
+	for pa := uint64(0); pa < 1<<16; pa += 64 {
 		if l1.Slice(pa) != l2.Slice(pa) {
 			t.Fatalf("copied LUT disagrees at %#x", pa)
 		}
@@ -99,7 +99,7 @@ func BenchmarkXORHashSlice(b *testing.B) {
 	h := Haswell8()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sinkSlice = h.Slice(uint64(i) * LineStride)
+		sinkSlice = h.Slice(uint64(i) * 64)
 	}
 }
 
@@ -107,7 +107,7 @@ func BenchmarkSliceLUT(b *testing.B) {
 	l := NewSliceLUT(Haswell8())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sinkSlice = l.Slice(uint64(i) * LineStride)
+		sinkSlice = l.Slice(uint64(i) * 64)
 	}
 }
 
@@ -118,7 +118,7 @@ func BenchmarkGeneralizedHashSlice(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sinkSlice = h.Slice(uint64(i) * LineStride)
+		sinkSlice = h.Slice(uint64(i) * 64)
 	}
 }
 
@@ -130,6 +130,6 @@ func BenchmarkSliceLUTGeneralized(b *testing.B) {
 	l := NewSliceLUT(h)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sinkSlice = l.Slice(uint64(i) * LineStride)
+		sinkSlice = l.Slice(uint64(i) * 64)
 	}
 }

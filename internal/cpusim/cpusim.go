@@ -158,16 +158,10 @@ func (m *Machine) ResetCaches() {
 	m.privLines.Clear()
 }
 
-// DMAWrite models the NIC writing size bytes at physical address pa: every
-// touched line is invalidated in all private caches and allocated into the
-// LLC through the DDIO way mask.
-func (m *Machine) DMAWrite(pa uint64, size int) {
-	m.DMAWriteMasked(pa, size, 0)
-}
-
-// DMAWriteMasked is DMAWrite with the fills confined to an explicit DDIO
-// way mask (a tenant's I/O-way share). A zero mask uses the socket-wide
-// DDIO mask, making it exactly DMAWrite.
+// DMAWriteMasked models the NIC writing size bytes at physical address
+// pa: every touched line is invalidated in all private caches and
+// allocated into the LLC through a DDIO way mask — an explicit one (a
+// tenant's I/O-way share), or the socket-wide DDIO mask when mask is 0.
 func (m *Machine) DMAWriteMasked(pa uint64, size int, mask cachesim.WayMask) {
 	if size <= 0 {
 		return
@@ -218,12 +212,6 @@ func (m *Machine) backInvalidate(v cachesim.Victim) {
 	}
 }
 
-// ID returns the core number.
-func (c *Core) ID() int { return c.id }
-
-// Machine returns the owning machine.
-func (c *Core) Machine() *Machine { return c.m }
-
 // Cycles returns the core's consumed cycles (its TSC).
 func (c *Core) Cycles() uint64 { return c.tsc }
 
@@ -232,12 +220,6 @@ func (c *Core) AddCycles(n uint64) { c.tsc += n }
 
 // Stats returns a copy of the core's access statistics.
 func (c *Core) Stats() AccessStats { return c.stats }
-
-// ResetStats zeroes the core's statistics and TSC.
-func (c *Core) ResetStats() {
-	c.stats = AccessStats{}
-	c.tsc = 0
-}
 
 // Read performs a load from a virtual address, charging and returning its
 // cost in cycles (including any TLB walk when TLB modelling is enabled).

@@ -42,13 +42,6 @@ func (m *Machine) EnablePrefetch(cfg PrefetchConfig) {
 	}
 }
 
-// DisablePrefetch turns hardware prefetching off (the default).
-func (m *Machine) DisablePrefetch() {
-	for _, c := range m.cores {
-		c.prefetch = nil
-	}
-}
-
 // pageLines is the number of lines per 4 kB page; prefetchers never cross
 // a page boundary (they work on physical addresses and cannot assume the
 // next page is related).

@@ -125,15 +125,3 @@ func TestPrefetchNeverCrossesPages(t *testing.T) {
 		t.Error("prefetcher crossed a page boundary")
 	}
 }
-
-func TestDisablePrefetch(t *testing.T) {
-	m := newHaswell(t)
-	m.EnablePrefetch(PrefetchConfig{AdjacentLine: true})
-	m.DisablePrefetch()
-	mp := mapPage(t, m)
-	c := m.Core(0)
-	c.Read(mp.VirtBase)
-	if c.Stats().Prefetches != 0 {
-		t.Error("prefetch ran after DisablePrefetch")
-	}
-}

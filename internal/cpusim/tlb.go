@@ -70,13 +70,6 @@ func newTLBArray(name string, entries int) *cachesim.Cache {
 	return cachesim.MustNew(name, sets, ways)
 }
 
-// DisableTLB removes the TLBs (the default: translations are free).
-func (m *Machine) DisableTLB() {
-	for _, c := range m.cores {
-		c.tlb = nil
-	}
-}
-
 // TLBStats reports a core's TLB hits and misses since EnableTLB.
 func (c *Core) TLBStats() (hits, misses uint64) {
 	if c.tlb == nil {

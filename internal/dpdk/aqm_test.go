@@ -121,7 +121,7 @@ func TestPortAQMDisarmAndReset(t *testing.T) {
 	if built != 2 {
 		t.Fatalf("factory called %d times for 2 queues", built)
 	}
-	if port.QueueAQM(0) != as[0] || port.QueueAQM(1) != as[1] {
+	if port.aqm[0] != as[0] || port.aqm[1] != as[1] {
 		t.Error("QueueAQM does not report the installed disciplines")
 	}
 	port.ResetAQM()
@@ -132,7 +132,7 @@ func TestPortAQMDisarmAndReset(t *testing.T) {
 		t.Fatal("armed AQM should have dropped")
 	}
 	port.SetAQM(nil)
-	if port.QueueAQM(0) != nil {
+	if port.aqm != nil {
 		t.Error("SetAQM(nil) did not disarm")
 	}
 	if _, ok := port.Deliver(trace.Packet{Size: 64}); !ok {
@@ -165,7 +165,7 @@ func TestPortCoDelBoundsStandingQueue(t *testing.T) {
 			// Offered 1 pkt/µs, drained 1 pkt/2µs: 2× overload.
 			port.Deliver(trace.Packet{Size: 64, FlowID: uint64(i), Timestamp: now})
 			if i%2 == 0 {
-				if ms := port.RxBurst(0, 1); len(ms) > 0 {
+				if ms := port.RxBurstInto(0, 1, nil); len(ms) > 0 {
 					// Measure steady state, past CoDel's control-law ramp.
 					if s := now - ms[0].Pkt.Timestamp; i >= total*3/4 && s > maxSojourn {
 						maxSojourn = s

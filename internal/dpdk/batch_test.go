@@ -93,8 +93,8 @@ func TestDeliverPresteeredMatchesDeliver(t *testing.T) {
 		}
 		if i%17 == 0 { // drain periodically so both paths see ring pressure
 			for q := 0; q < a.Queues(); q++ {
-				a.TxBurst(q, a.RxBurst(q, 64))
-				b.TxBurst(q, b.RxBurst(q, 64))
+				a.TxBurst(q, a.RxBurstInto(q, 64, nil))
+				b.TxBurst(q, b.RxBurstInto(q, 64, nil))
 			}
 		}
 	}
@@ -140,7 +140,7 @@ func BenchmarkDeliverPresteered(b *testing.B) {
 				port.DeliverPresteered(pkt, int(queues[j]))
 			}
 			for q := 0; q < port.Queues(); q++ {
-				port.TxBurst(q, port.RxBurst(q, len(pkts)))
+				port.TxBurst(q, port.RxBurstInto(q, len(pkts), nil))
 			}
 		}
 	})
@@ -153,7 +153,7 @@ func BenchmarkDeliverPresteered(b *testing.B) {
 				port.Deliver(pkt)
 			}
 			for q := 0; q < port.Queues(); q++ {
-				port.TxBurst(q, port.RxBurst(q, len(pkts)))
+				port.TxBurst(q, port.RxBurstInto(q, len(pkts), nil))
 			}
 		}
 	})

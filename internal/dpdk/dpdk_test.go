@@ -31,8 +31,8 @@ func newPool(t *testing.T, space *phys.Space, n int) *Mempool {
 func TestMempoolLayout(t *testing.T) {
 	space := phys.NewSpace(8 << 30)
 	p := newPool(t, space, 16)
-	if p.Capacity() != 16 || p.Available() != 16 {
-		t.Fatalf("capacity/available = %d/%d", p.Capacity(), p.Available())
+	if p.capacity != 16 || p.Available() != 16 {
+		t.Fatalf("capacity/available = %d/%d", p.capacity, p.Available())
 	}
 	m := p.Get()
 	if m == nil {
@@ -47,8 +47,8 @@ func TestMempoolLayout(t *testing.T) {
 	if m.DataVA() != m.DataBaseVA()+DefaultHeadroom {
 		t.Error("DataVA inconsistent with headroom")
 	}
-	if m.DataRoom() != DefaultDataRoom || m.HeadroomCapacity() != CacheDirectorHeadroom {
-		t.Errorf("rooms = %d/%d", m.DataRoom(), m.HeadroomCapacity())
+	if m.dataRoom != DefaultDataRoom || m.HeadroomCapacity() != CacheDirectorHeadroom {
+		t.Errorf("rooms = %d/%d", m.dataRoom, m.HeadroomCapacity())
 	}
 	if m.BaseVA()%64 != 0 {
 		t.Error("mbuf not line-aligned")
@@ -76,7 +76,7 @@ func TestMempoolExhaustionAndPut(t *testing.T) {
 	if p.Get() != nil {
 		t.Error("exhausted pool returned an mbuf")
 	}
-	gets, _, failures := p.AllocStats()
+	gets, failures := p.gets, p.failures
 	if gets != 2 || failures != 1 {
 		t.Errorf("gets/failures = %d/%d", gets, failures)
 	}
@@ -163,16 +163,18 @@ func TestRingFIFO(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		ms = append(ms, p.Get())
 	}
-	if got := r.EnqueueBurst(ms); got != 4 {
-		t.Fatalf("enqueued %d", got)
+	for _, m := range ms {
+		if !r.Enqueue(m) {
+			t.Fatal("enqueue into a ring with room failed")
+		}
 	}
 	if r.Enqueue(p.Get()) {
 		t.Error("enqueue into full ring succeeded")
 	}
-	if r.Len() != 4 || r.Free() != 0 {
-		t.Errorf("len/free = %d/%d", r.Len(), r.Free())
+	if r.Len() != 4 {
+		t.Errorf("len = %d", r.Len())
 	}
-	out := r.DequeueBurst(10)
+	out := r.DequeueBurstAppend(nil, 10)
 	if len(out) != 4 {
 		t.Fatalf("dequeued %d", len(out))
 	}
@@ -183,9 +185,6 @@ func TestRingFIFO(t *testing.T) {
 	}
 	if r.Dequeue() != nil {
 		t.Error("dequeue from empty ring returned an mbuf")
-	}
-	if r.DequeueBurst(0) != nil {
-		t.Error("zero-burst returned non-nil")
 	}
 	if _, err := NewRing("t", 0); err == nil {
 		t.Error("zero-capacity ring accepted")
@@ -236,7 +235,7 @@ func TestPortDeliverAndRx(t *testing.T) {
 	if got := port.RxQueueLen(q); got != 1 {
 		t.Fatalf("rx queue len = %d", got)
 	}
-	ms := port.RxBurst(q, 32)
+	ms := port.RxBurstInto(q, 32, nil)
 	if len(ms) != 1 || ms[0].Pkt.FlowID != 7 || ms[0].PktLen() != 128 {
 		t.Fatalf("rx burst wrong: %+v", ms)
 	}
@@ -255,7 +254,7 @@ func TestPortDeliverAndRx(t *testing.T) {
 	if st.TxPackets != 1 || st.TxBytes != 128 {
 		t.Errorf("tx stats = %+v", st)
 	}
-	if port.Pool(q).Available() != port.Pool(q).Capacity() {
+	if port.Pool(q).Available() != port.Pool(q).capacity {
 		t.Error("TxBurst did not free mbufs")
 	}
 }
@@ -270,12 +269,16 @@ func TestPortChainsOversizedPackets(t *testing.T) {
 	if !ok {
 		t.Fatal("delivery failed")
 	}
-	ms := port.RxBurst(0, 1)
+	ms := port.RxBurstInto(0, 1, nil)
 	if len(ms) != 1 {
 		t.Fatal("no packet")
 	}
-	if ms[0].Segments() != 3 {
-		t.Errorf("1500 B over 512 B rooms → %d segments, want 3", ms[0].Segments())
+	segs := 0
+	for s := ms[0]; s != nil; s = s.Next {
+		segs++
+	}
+	if segs != 3 {
+		t.Errorf("1500 B over 512 B rooms → %d segments, want 3", segs)
 	}
 	if ms[0].PktLen() != 1500 {
 		t.Errorf("PktLen = %d", ms[0].PktLen())
@@ -356,8 +359,8 @@ func TestSteeringModes(t *testing.T) {
 	if fd.SteerQueue(trace.Packet{FlowID: 5}) != fd.SteerQueue(trace.Packet{FlowID: 5}) {
 		t.Error("FlowDirector not sticky per flow")
 	}
-	if fd.FlowRules() != 40 {
-		t.Errorf("FlowRules = %d", fd.FlowRules())
+	if len(fd.fdirTable) != 40 {
+		t.Errorf("FlowRules = %d", len(fd.fdirTable))
 	}
 	if RSS.String() == "" || FlowDirector.String() == "" || Steering(9).String() == "" {
 		t.Error("steering strings broken")
@@ -416,7 +419,7 @@ func TestPrepareHookRuns(t *testing.T) {
 	if hookQueue != q {
 		t.Errorf("hook saw queue %d, delivery used %d", hookQueue, q)
 	}
-	ms := port.RxBurst(q, 1)
+	ms := port.RxBurstInto(q, 1, nil)
 	if ms[0].Headroom() != 256 {
 		t.Errorf("headroom = %d, want hook's 256", ms[0].Headroom())
 	}

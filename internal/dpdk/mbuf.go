@@ -54,10 +54,6 @@ type Mbuf struct {
 // BaseVA returns the virtual address of the mbuf metadata.
 func (m *Mbuf) BaseVA() uint64 { return m.base }
 
-// MetadataVA returns the address of the metadata (alias of BaseVA, named
-// for call-site clarity).
-func (m *Mbuf) MetadataVA() uint64 { return m.base }
-
 // DataBaseVA returns the address where headroom begins (data_off = 0).
 func (m *Mbuf) DataBaseVA() uint64 { return m.base + MetadataSize }
 
@@ -83,9 +79,6 @@ func (m *Mbuf) SetHeadroom(h int) error {
 // HeadroomCapacity returns the provisioned headroom bytes.
 func (m *Mbuf) HeadroomCapacity() int { return m.headroomCap }
 
-// DataRoom returns the size of the data area.
-func (m *Mbuf) DataRoom() int { return m.dataRoom }
-
 // DataLen returns the packet bytes stored in this segment.
 func (m *Mbuf) DataLen() int { return m.dataLen }
 
@@ -94,15 +87,6 @@ func (m *Mbuf) PktLen() int {
 	n := 0
 	for s := m; s != nil; s = s.Next {
 		n += s.dataLen
-	}
-	return n
-}
-
-// Segments returns the number of chained segments.
-func (m *Mbuf) Segments() int {
-	n := 0
-	for s := m; s != nil; s = s.Next {
-		n++
 	}
 	return n
 }
@@ -129,8 +113,7 @@ type Mempool struct {
 
 	faults *faults.Injector
 
-	gets, puts uint64
-	failures   uint64
+	gets, failures uint64 // allocation attempts that succeeded / failed
 }
 
 // SetFaultInjector arms the pool's allocation path: while a
@@ -209,9 +192,6 @@ func min(a, b int) int {
 // Name returns the pool name.
 func (p *Mempool) Name() string { return p.name }
 
-// Capacity returns the total mbuf population.
-func (p *Mempool) Capacity() int { return p.capacity }
-
 // Available returns the number of free mbufs.
 func (p *Mempool) Available() int { return len(p.free) }
 
@@ -241,7 +221,6 @@ func (p *Mempool) Put(m *Mbuf) {
 		next := m.Next
 		m.Next = nil
 		m.pool.free = append(m.pool.free, m)
-		m.pool.puts++
 		m = next
 	}
 }
@@ -253,9 +232,4 @@ func (p *Mempool) ForEach(fn func(*Mbuf)) {
 	for _, m := range p.all {
 		fn(m)
 	}
-}
-
-// AllocStats reports pool traffic: gets, puts, and failed gets.
-func (p *Mempool) AllocStats() (gets, puts, failures uint64) {
-	return p.gets, p.puts, p.failures
 }

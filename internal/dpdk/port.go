@@ -232,9 +232,6 @@ func (p *Port) InstallFlowRule(flowID uint64, queue int) error {
 // Pool returns queue q's mempool.
 func (p *Port) Pool(q int) *Mempool { return p.pools[q] }
 
-// Steering returns the active steering mode.
-func (p *Port) Steering() Steering { return p.steering }
-
 // SetMbufPrepare installs the driver hook (CacheDirector's entry point).
 func (p *Port) SetMbufPrepare(f MbufPrepareFunc) { p.prepare = f }
 
@@ -253,15 +250,6 @@ func (p *Port) SetAQM(f func(queue int) overload.AQM) {
 	for q := range p.aqm {
 		p.aqm[q] = f(q)
 	}
-}
-
-// QueueAQM reports queue q's installed discipline (nil when disarmed),
-// for stats readout.
-func (p *Port) QueueAQM(q int) overload.AQM {
-	if p.aqm == nil {
-		return nil
-	}
-	return p.aqm[q]
 }
 
 // ResetAQM clears every discipline's clock-anchored state, for runs that
@@ -445,13 +433,9 @@ var (
 	errRingInjected = fmt.Errorf("%w: %w", ErrRingFull, faults.ErrInjected)
 )
 
-// RxBurst polls up to max packets from queue q (PMD receive).
-func (p *Port) RxBurst(q, max int) []*Mbuf {
-	return p.rx[q].DequeueBurst(p.faults.TruncateBurst(max))
-}
-
-// RxBurstInto is RxBurst appending into dst, so a poll loop can reuse one
-// scratch buffer instead of allocating a slice per burst.
+// RxBurstInto polls up to max packets from queue q (PMD receive),
+// appending them to dst so a poll loop can reuse one scratch buffer
+// instead of allocating a slice per burst.
 func (p *Port) RxBurstInto(q, max int, dst []*Mbuf) []*Mbuf {
 	return p.rx[q].DequeueBurstAppend(dst, p.faults.TruncateBurst(max))
 }

@@ -30,9 +30,6 @@ func (r *Ring) Capacity() int { return len(r.buf) }
 // Len returns the current occupancy.
 func (r *Ring) Len() int { return r.n }
 
-// Free returns remaining space.
-func (r *Ring) Free() int { return len(r.buf) - r.n }
-
 // Enqueue adds one mbuf; false when full.
 func (r *Ring) Enqueue(m *Mbuf) bool {
 	if r.n == len(r.buf) {
@@ -42,16 +39,6 @@ func (r *Ring) Enqueue(m *Mbuf) bool {
 	r.tail = (r.tail + 1) % len(r.buf)
 	r.n++
 	return true
-}
-
-// EnqueueBurst adds as many of ms as fit, returning the count enqueued.
-func (r *Ring) EnqueueBurst(ms []*Mbuf) int {
-	for i, m := range ms {
-		if !r.Enqueue(m) {
-			return i
-		}
-	}
-	return len(ms)
 }
 
 // Peek returns the head-of-line mbuf without removing it; nil when empty.
@@ -74,17 +61,6 @@ func (r *Ring) Dequeue() *Mbuf {
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
 	return m
-}
-
-// DequeueBurst removes up to max mbufs into a fresh slice.
-func (r *Ring) DequeueBurst(max int) []*Mbuf {
-	if max > r.n {
-		max = r.n
-	}
-	if max <= 0 {
-		return nil
-	}
-	return r.DequeueBurstAppend(make([]*Mbuf, 0, max), max)
 }
 
 // DequeueBurstAppend removes up to max mbufs, appending them to dst so a

@@ -38,9 +38,6 @@ func TestTenantSubsystemLeavesSeedOutputUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctrl.Armed() {
-		t.Fatal("controller must start disarmed")
-	}
 	for i := 0; i < 10; i++ {
 		ctrl.Tick(float64(i) * 1e5) // disarmed ticks are no-ops
 	}

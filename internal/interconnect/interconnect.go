@@ -161,9 +161,6 @@ func (m *MeshGrid) Cores() int { return m.cores }
 // Slices implements Topology.
 func (m *MeshGrid) Slices() int { return m.slices }
 
-// CoreTile returns the tile index a core occupies.
-func (m *MeshGrid) CoreTile(core int) int { return m.corePos[core] }
-
 func abs(v int) int {
 	if v < 0 {
 		return -v

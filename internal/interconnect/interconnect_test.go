@@ -79,7 +79,7 @@ func TestMeshDistances(t *testing.T) {
 	}
 	// A core is co-located with its tile: zero penalty there.
 	for c := 0; c < 8; c++ {
-		if p := m.Penalty(c, m.CoreTile(c)); p != 0 {
+		if p := m.Penalty(c, m.corePos[c]); p != 0 {
 			t.Errorf("core %d: penalty to own tile = %d", c, p)
 		}
 	}
@@ -99,7 +99,7 @@ func TestMeshCorePlacementDistinct(t *testing.T) {
 	m, _ := NewMesh(8, 18, 6, 3)
 	seen := map[int]bool{}
 	for c := 0; c < 8; c++ {
-		tile := m.CoreTile(c)
+		tile := m.corePos[c]
 		if seen[tile] {
 			t.Errorf("two cores share tile %d", tile)
 		}
@@ -108,8 +108,8 @@ func TestMeshCorePlacementDistinct(t *testing.T) {
 	// Placement mirrors Table 4's primary slices.
 	want := []int{0, 4, 8, 12, 10, 14, 3, 15}
 	for c, w := range want {
-		if m.CoreTile(c) != w {
-			t.Errorf("core %d tile = %d, want %d", c, m.CoreTile(c), w)
+		if m.corePos[c] != w {
+			t.Errorf("core %d tile = %d, want %d", c, m.corePos[c], w)
 		}
 	}
 }
@@ -150,8 +150,8 @@ func TestPreferences(t *testing.T) {
 		t.Fatalf("got %d preference rows", len(prefs))
 	}
 	for _, p := range prefs {
-		if p.Primary != m.CoreTile(p.Core) {
-			t.Errorf("core %d primary = S%d, want its own tile S%d", p.Core, p.Primary, m.CoreTile(p.Core))
+		if p.Primary != m.corePos[p.Core] {
+			t.Errorf("core %d primary = S%d, want its own tile S%d", p.Core, p.Primary, m.corePos[p.Core])
 		}
 		if len(p.Ordered) != 18 {
 			t.Errorf("core %d ordered list has %d entries", p.Core, len(p.Ordered))

@@ -31,7 +31,6 @@ import (
 // Request/response sizing from the paper: 64 B keys and values carried in
 // 128 B TCP packets.
 const (
-	KeySize     = 64
 	ValueSize   = 64
 	RequestSize = 128
 )
@@ -249,9 +248,6 @@ func (s *Store) valueLines(key uint64) []uint64 {
 	return s.valueAddr[int(key)*lp : int(key+1)*lp]
 }
 
-// ValueAddr exposes a key's first value line (tests verify placement).
-func (s *Store) ValueAddr(key uint64) uint64 { return s.valueLines(key)[0] }
-
 // Serve handles one request already resident in an mbuf: parse, index
 // lookup, value access, response write.
 func (s *Store) serve(mb *dpdk.Mbuf, key uint64, isGet bool) {
@@ -412,7 +408,3 @@ func (s *Store) RestoreCounts(gets, sets uint64) { s.gets, s.sets = gets, sets }
 func (s *Store) PreferredSlice() int {
 	return interconnect.Preferences(s.machine.Topo)[s.cfg.ServingCore].Primary
 }
-
-// ServingCore reports the core the store polls and serves on — tenant
-// registries use it to check the store runs on cores the tenant owns.
-func (s *Store) ServingCore() int { return s.cfg.ServingCore }

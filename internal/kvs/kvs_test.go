@@ -40,7 +40,7 @@ func TestSliceAwarePlacement(t *testing.T) {
 	}
 	// Hot values must be on the serving core's slice.
 	for k := uint64(0); k < 1024; k += 37 {
-		pa, err := m.Space.Translate(s.ValueAddr(k))
+		pa, err := m.Space.Translate(s.valueLines(k)[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestSliceAwarePlacement(t *testing.T) {
 	// Cold values spread (at least two distinct slices in a sample).
 	seen := map[int]bool{}
 	for k := uint64(2000); k < 2200; k++ {
-		pa, _ := m.Space.Translate(s.ValueAddr(k))
+		pa, _ := m.Space.Translate(s.valueLines(k)[0])
 		seen[m.LLC.SliceOf(pa)] = true
 	}
 	if len(seen) < 2 {
@@ -67,7 +67,7 @@ func TestNormalPlacementSpreads(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for k := uint64(0); k < 1<<12; k += 16 {
-		pa, _ := m.Space.Translate(s.ValueAddr(k))
+		pa, _ := m.Space.Translate(s.valueLines(k)[0])
 		seen[m.LLC.SliceOf(pa)] = true
 	}
 	if len(seen) != 8 {

@@ -30,9 +30,6 @@ type RetryPolicy struct {
 // the line set, modelled by MigrationContention events). Nil disarms.
 func (s *Store) SetFaultInjector(fi *faults.Injector) { s.faults = fi }
 
-// SetMigrationRetry overrides the contention retry policy.
-func (s *Store) SetMigrationRetry(p RetryPolicy) { s.retry = p }
-
 // SetBreaker arms a circuit breaker around the per-key swap: once the
 // recent swap attempts are mostly contention losses the breaker opens and
 // MigrateTopK skips remaining keys cheaply (no backoff burn), instead of
@@ -56,24 +53,6 @@ func (s *Store) EnableHotTracking() {
 	if s.hotCounts == nil {
 		s.hotCounts = make([]uint32, s.cfg.Keys)
 	}
-}
-
-// HotTrackingEnabled reports whether counting is active.
-func (s *Store) HotTrackingEnabled() bool { return s.hotCounts != nil }
-
-// ResetEpoch zeroes the access counters (epoch boundary).
-func (s *Store) ResetEpoch() {
-	for i := range s.hotCounts {
-		s.hotCounts[i] = 0
-	}
-}
-
-// AccessCount returns a key's count in the current epoch.
-func (s *Store) AccessCount(key uint64) uint32 {
-	if s.hotCounts == nil || key >= uint64(len(s.hotCounts)) {
-		return 0
-	}
-	return s.hotCounts[key]
 }
 
 // sliceHomed reports whether a key's value currently lives entirely in the

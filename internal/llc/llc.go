@@ -326,13 +326,3 @@ func (l *SlicedLLC) SetPolicy(p cachesim.Policy) error {
 	}
 	return nil
 }
-
-// Occupancy returns the number of valid lines per slice — the slice
-// imbalance measure discussed in §8.
-func (l *SlicedLLC) Occupancy() []int {
-	out := make([]int, len(l.slices))
-	for i, s := range l.slices {
-		out[i] = s.Len()
-	}
-	return out
-}

@@ -263,8 +263,8 @@ func TestOccupancyAndEventsReset(t *testing.T) {
 		l.Insert(uint64(i*64), false, cachesim.AllWays)
 	}
 	total := 0
-	for _, n := range l.Occupancy() {
-		total += n
+	for _, s := range l.slices {
+		total += s.Len()
 	}
 	if total != 100 {
 		t.Errorf("total occupancy = %d, want 100", total)

@@ -156,20 +156,6 @@ func (c *Controller) Arm() {
 	c.armed = true
 }
 
-// Disarm freezes the control loop; the applied plan stays in force.
-func (c *Controller) Disarm() {
-	if c == nil {
-		return
-	}
-	c.armed = false
-}
-
-// Armed reports whether the loop runs.
-func (c *Controller) Armed() bool { return c != nil && c.armed }
-
-// Monitor exposes the controller's sensor.
-func (c *Controller) Monitor() *Monitor { return c.mon }
-
 // Level reports the currently applied plan level.
 func (c *Controller) Level() int { return c.level }
 
@@ -178,9 +164,6 @@ func (c *Controller) Decisions() []Decision { return c.decisions }
 
 // Stats reports cumulative epoch activity.
 func (c *Controller) Stats() ControllerStats { return c.stats }
-
-// Breaker exposes the flap damper (for tests and dashboards).
-func (c *Controller) Breaker() *overload.Breaker { return c.breaker }
 
 // Tick drives the loop from the simulated clock; call it on every arrival
 // (or any other monotonic event stream). Epochs close when at least

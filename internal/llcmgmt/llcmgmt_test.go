@@ -9,7 +9,6 @@ import (
 	"sliceaware/internal/cat"
 	"sliceaware/internal/cpusim"
 	"sliceaware/internal/dpdk"
-	"sliceaware/internal/kvs"
 	"sliceaware/internal/nfv"
 	"sliceaware/internal/overload"
 )
@@ -95,8 +94,8 @@ func TestRegisterValidation(t *testing.T) {
 			case tc.wantErr != nil && tc.wantErr != errAny && !errors.Is(err, tc.wantErr):
 				t.Errorf("err = %v, want %v", err, tc.wantErr)
 			}
-			if tc.wantErr != nil && len(r.Tenants()) != 1 {
-				t.Errorf("rejected tenant was registered anyway (%d tenants)", len(r.Tenants()))
+			if tc.wantErr != nil && len(r.tenants) != 1 {
+				t.Errorf("rejected tenant was registered anyway (%d tenants)", len(r.tenants))
 			}
 		})
 	}
@@ -110,17 +109,17 @@ func TestRegisterProgramsStaticBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, core := range []int{2, 3} {
-		cos, _ := r.CAT().COSOf(core)
-		if cos != tn.COS() {
-			t.Errorf("core %d in COS%d, want COS%d", core, cos, tn.COS())
+		cos, _ := r.cat.COSOf(core)
+		if cos != tn.cos {
+			t.Errorf("core %d in COS%d, want COS%d", core, cos, tn.cos)
 		}
 	}
-	got, _ := r.CAT().Mask(tn.COS())
+	got, _ := r.cat.Mask(tn.cos)
 	if got != mask {
-		t.Errorf("COS%d mask = %#x, want %#x", tn.COS(), uint64(got), uint64(mask))
+		t.Errorf("COS%d mask = %#x, want %#x", tn.cos, uint64(got), uint64(mask))
 	}
-	if tn.AppliedCATMask() != mask {
-		t.Errorf("applied CAT mask = %#x, want %#x", uint64(tn.AppliedCATMask()), uint64(mask))
+	if tn.appliedCAT != mask {
+		t.Errorf("applied CAT mask = %#x, want %#x", uint64(tn.appliedCAT), uint64(mask))
 	}
 }
 
@@ -158,31 +157,6 @@ func TestAttachNet(t *testing.T) {
 	}
 	if _, err := r.AttachNet(gap, NetWorkloadConfig{Chain: scanChain(t)}); !errors.Is(err, ErrWorkload) {
 		t.Errorf("non-contiguous cores: err = %v, want ErrWorkload", err)
-	}
-}
-
-func TestAttachKVS(t *testing.T) {
-	r := newTestRegistry(t)
-	tn, err := r.Register(TenantConfig{Name: "kv", Cores: []int{2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mine, err := kvs.New(r.Machine(), kvs.Config{Keys: 64, ServingCore: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.AttachKVS(tn, mine); err != nil {
-		t.Fatal(err)
-	}
-	if tn.Store() != mine {
-		t.Error("store not attached")
-	}
-	foreign, err := kvs.New(r.Machine(), kvs.Config{Keys: 64, ServingCore: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.AttachKVS(tn, foreign); !errors.Is(err, ErrWorkload) {
-		t.Errorf("foreign serving core: err = %v, want ErrWorkload", err)
 	}
 }
 
@@ -257,7 +231,7 @@ func TestHysteresisReleaseAfterCalm(t *testing.T) {
 	}
 	// Probation runs clean: the breaker records the release as sound.
 	feed(c, 8, 0.1, 0.1, 0.1, 0.1)
-	if st := c.Breaker().Stats(); st.Trips != 0 {
+	if st := c.breaker.Stats(); st.Trips != 0 {
 		t.Errorf("clean release tripped the breaker: %+v", st)
 	}
 	if s := c.Stats(); s.Flaps != 0 {
@@ -282,7 +256,7 @@ func TestFlapSuppression(t *testing.T) {
 	}
 	now = feed(c, now, 0.1, 0.1, 0.1, 0.1, 0.1) // release #2
 	now = feed(c, now, 0.9)                     // flap #2 → breaker trips
-	if st := c.Breaker().State(); st != overload.BreakerOpen {
+	if st := c.breaker.State(); st != overload.BreakerOpen {
 		t.Fatalf("breaker %v after second flap, want open", st)
 	}
 	now = feed(c, now, 0.9, 0.9) // re-isolate #3
@@ -334,22 +308,22 @@ func TestIsolationPlanMasks(t *testing.T) {
 
 	c.isolate()
 	ddio := r.Machine().LLC.DDIOWayMask()
-	if want := cachesim.MaskOfWayRange(19, 20); victim.AppliedDDIOMask() != want {
+	if want := cachesim.MaskOfWayRange(19, 20); victim.appliedDDIO != want {
 		t.Errorf("victim DDIO mask = %#x, want %#x (top I/O way)",
-			uint64(victim.AppliedDDIOMask()), uint64(want))
+			uint64(victim.appliedDDIO), uint64(want))
 	}
-	if want := cachesim.MaskOfWayRange(18, 19); hog.AppliedDDIOMask() != want {
+	if want := cachesim.MaskOfWayRange(18, 19); hog.appliedDDIO != want {
 		t.Errorf("hog DDIO mask = %#x, want %#x (rest of the I/O region)",
-			uint64(hog.AppliedDDIOMask()), uint64(want))
+			uint64(hog.appliedDDIO), uint64(want))
 	}
-	if victim.AppliedDDIOMask()&hog.AppliedDDIOMask() != 0 {
+	if victim.appliedDDIO&hog.appliedDDIO != 0 {
 		t.Error("tenant DDIO shares overlap")
 	}
-	if victim.Port().DDIOMask() != victim.AppliedDDIOMask() {
+	if victim.Port().DDIOMask() != victim.appliedDDIO {
 		t.Error("victim port not programmed")
 	}
 	// CAT: disjoint contiguous chunks below the DDIO region.
-	vm, hm := victim.AppliedCATMask(), hog.AppliedCATMask()
+	vm, hm := victim.appliedCAT, hog.appliedCAT
 	if vm&hm != 0 {
 		t.Errorf("CAT chunks overlap: victim %#x hog %#x", uint64(vm), uint64(hm))
 	}
@@ -361,8 +335,8 @@ func TestIsolationPlanMasks(t *testing.T) {
 		t.Error("empty CAT chunk under isolation")
 	}
 	for _, core := range victim.Cores() {
-		cos, _ := r.CAT().COSOf(core)
-		if cos != victim.COS() {
+		cos, _ := r.cat.COSOf(core)
+		if cos != victim.cos {
 			t.Errorf("victim core %d in COS%d", core, cos)
 		}
 	}
@@ -371,20 +345,20 @@ func TestIsolationPlanMasks(t *testing.T) {
 	if victim.Port().DDIOMask() != 0 || hog.Port().DDIOMask() != 0 {
 		t.Error("release left a DDIO override in place")
 	}
-	if victim.AppliedCATMask() != 0 {
-		t.Errorf("victim applied CAT = %#x after release, want 0 (COS0)", uint64(victim.AppliedCATMask()))
+	if victim.appliedCAT != 0 {
+		t.Errorf("victim applied CAT = %#x after release, want 0 (COS0)", uint64(victim.appliedCAT))
 	}
 	for _, core := range victim.Cores() {
-		if cos, _ := r.CAT().COSOf(core); cos != 0 {
+		if cos, _ := r.cat.COSOf(core); cos != 0 {
 			t.Errorf("victim core %d in COS%d after release, want COS0", core, cos)
 		}
 	}
 	// The hog registered a static budget: release restores it.
-	if hog.AppliedCATMask() != cachesim.MaskOfWayRange(0, 4) {
+	if hog.appliedCAT != cachesim.MaskOfWayRange(0, 4) {
 		t.Errorf("hog applied CAT = %#x after release, want its registered %#x",
-			uint64(hog.AppliedCATMask()), uint64(cachesim.MaskOfWayRange(0, 4)))
+			uint64(hog.appliedCAT), uint64(cachesim.MaskOfWayRange(0, 4)))
 	}
-	got, _ := r.CAT().Mask(hog.COS())
+	got, _ := r.cat.Mask(hog.cos)
 	if got != cachesim.MaskOfWayRange(0, 4) {
 		t.Errorf("hog COS mask = %#x after release", uint64(got))
 	}

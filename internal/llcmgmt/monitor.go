@@ -59,12 +59,6 @@ func NewMonitor(reg *Registry, window int) *Monitor {
 	}
 }
 
-// Window reports the configured sliding-window length in epochs.
-func (m *Monitor) Window() int { return m.window }
-
-// Samples returns the retained window, oldest first.
-func (m *Monitor) Samples() []Sample { return m.samples }
-
 // rebase (re)programs the uncore sessions and snapshots per-tenant
 // first-touch baselines.
 func (m *Monitor) rebase() {

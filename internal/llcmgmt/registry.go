@@ -27,7 +27,6 @@ import (
 	"sliceaware/internal/cat"
 	"sliceaware/internal/cpusim"
 	"sliceaware/internal/dpdk"
-	"sliceaware/internal/kvs"
 	"sliceaware/internal/netsim"
 	"sliceaware/internal/nfv"
 	"sliceaware/internal/slicemem"
@@ -106,9 +105,8 @@ type Tenant struct {
 	idx int
 	cos int
 
-	port  *dpdk.Port
-	dut   *netsim.DuT
-	store *kvs.Store
+	port *dpdk.Port
+	dut  *netsim.DuT
 
 	// compromise is the slice minimizing mean access cost over the
 	// tenant's cores (slicemem.CompromiseSlice) — where the controller
@@ -124,35 +122,14 @@ type Tenant struct {
 // Name returns the tenant's name.
 func (t *Tenant) Name() string { return t.cfg.Name }
 
-// Class returns the tenant's class.
-func (t *Tenant) Class() TenantClass { return t.cfg.Class }
-
 // Cores returns a copy of the tenant's core list (ascending).
 func (t *Tenant) Cores() []int { return append([]int(nil), t.cfg.Cores...) }
-
-// COS returns the class-of-service index the registry assigned.
-func (t *Tenant) COS() int { return t.cos }
 
 // Port returns the tenant's NIC port (nil before AttachNet).
 func (t *Tenant) Port() *dpdk.Port { return t.port }
 
 // DuT returns the tenant's device under test (nil before AttachNet).
 func (t *Tenant) DuT() *netsim.DuT { return t.dut }
-
-// Store returns the tenant's KVS store (nil before AttachKVS).
-func (t *Tenant) Store() *kvs.Store { return t.store }
-
-// CompromiseSlice returns the slice minimizing mean access cost over the
-// tenant's cores — the controller's preferred slice for tenant state.
-func (t *Tenant) CompromiseSlice() int { return t.compromise }
-
-// AppliedDDIOMask reports the I/O-way mask the controller last programmed
-// for this tenant's port (0 = socket-wide sharing).
-func (t *Tenant) AppliedDDIOMask() cachesim.WayMask { return t.appliedDDIO }
-
-// AppliedCATMask reports the capacity mask currently backing the tenant's
-// cores (0 = COS0's full mask).
-func (t *Tenant) AppliedCATMask() cachesim.WayMask { return t.appliedCAT }
 
 // Registry owns the machine-wide tenancy map: which tenant owns which
 // cores, flows and way budgets, and the CAT controller programming them.
@@ -191,15 +168,6 @@ func NewRegistry(machine *cpusim.Machine, tele *telemetry.Collector) (*Registry,
 
 // Machine returns the shared machine.
 func (r *Registry) Machine() *cpusim.Machine { return r.machine }
-
-// CAT returns the registry's CAT controller.
-func (r *Registry) CAT() *cat.Controller { return r.cat }
-
-// Telemetry returns the registry's collector (possibly nil).
-func (r *Registry) Telemetry() *telemetry.Collector { return r.tele }
-
-// Tenants returns the registered tenants in registration order.
-func (r *Registry) Tenants() []*Tenant { return r.tenants }
 
 // Register validates a tenant's claim against every other tenant's and, on
 // success, assigns a COS, programs any static CAT budget, and registers
@@ -375,19 +343,4 @@ func (r *Registry) AttachNet(t *Tenant, cfg NetWorkloadConfig) (*netsim.DuT, err
 	}
 	t.port, t.dut = port, dut
 	return dut, nil
-}
-
-// AttachKVS binds an existing store to the tenant after checking its
-// serving core is one the tenant owns.
-func (r *Registry) AttachKVS(t *Tenant, store *kvs.Store) error {
-	if store == nil {
-		return fmt.Errorf("%w: nil store", ErrWorkload)
-	}
-	owner, ok := r.coreOwner[store.ServingCore()]
-	if !ok || owner != t.idx {
-		return fmt.Errorf("%w: store serves on core %d, which tenant %q does not own",
-			ErrWorkload, store.ServingCore(), t.cfg.Name)
-	}
-	t.store = store
-	return nil
 }

@@ -497,18 +497,12 @@ func (d *DuT) Drain() float64 {
 	return end
 }
 
-// Telemetry returns the DuT's collector (nil when uninstrumented).
-func (d *DuT) Telemetry() *telemetry.Collector { return d.tele }
-
 // CoreOffset reports the first machine core this DuT's queues poll on.
 func (d *DuT) CoreOffset() int { return d.coreOffset }
 
 // Latencies returns per-packet DuT residency in ns (queueing + service),
 // i.e. end-to-end latency without the loopback component.
 func (d *DuT) Latencies() []float64 { return d.latencies }
-
-// Processed returns the number of packets completed.
-func (d *DuT) Processed() uint64 { return d.processed }
 
 // Port exposes the DuT's port (for drop/throughput counters).
 func (d *DuT) Port() *dpdk.Port { return d.port }

@@ -152,7 +152,7 @@ func TestResetKeepsCachesWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	dut.Reset()
-	if len(dut.Latencies()) != 0 || dut.Processed() != 0 {
+	if len(dut.Latencies()) != 0 || dut.processed != 0 {
 		t.Error("Reset left measurements")
 	}
 	res, err := RunPPS(dut, gen, 500, 1000)

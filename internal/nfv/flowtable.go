@@ -43,9 +43,6 @@ func NewFlowTable(space *phys.Space, buckets int) (*FlowTable, error) {
 // Len returns the number of live flows.
 func (t *FlowTable) Len() int { return t.used }
 
-// Buckets returns the table capacity.
-func (t *FlowTable) Buckets() int { return t.buckets }
-
 func (t *FlowTable) slot(key uint64) int {
 	h := key + 1
 	h ^= h >> 33
@@ -109,7 +106,6 @@ type NAPT struct {
 	table    *FlowTable
 	publicIP uint32
 	nextPort uint16
-	drops    uint64
 }
 
 // NewNAPT builds the translator with a table sized for the expected flow
@@ -138,25 +134,12 @@ func (n *NAPT) Process(core *cpusim.Core, mb *dpdk.Mbuf) bool {
 			n.nextPort = 1024 // wrapped; ephemeral range only
 		}
 		if err := n.table.Insert(core, flow, uint64(port)); err != nil {
-			n.drops++
 			return false
 		}
 	}
 	// Rewrite source IP/port from the translation entry.
 	core.Write(mb.DataVA())
 	return true
-}
-
-// Drops reports packets the NAPT could not translate (table full).
-func (n *NAPT) Drops() uint64 { return n.drops }
-
-// Flows reports the live translation count.
-func (n *NAPT) Flows() int { return n.table.Len() }
-
-// Translation returns the external port assigned to a flow, if any.
-func (n *NAPT) Translation(flow uint64) (uint16, bool) {
-	v, ok := n.table.Lookup(nil, flow)
-	return uint16(v), ok
 }
 
 // LoadBalancer spreads flows over backends with flow-based round-robin
@@ -167,7 +150,6 @@ type LoadBalancer struct {
 	backends int
 	next     int
 	counts   []uint64
-	drops    uint64
 }
 
 // NewLoadBalancer builds the LB.
@@ -196,27 +178,10 @@ func (lb *LoadBalancer) Process(core *cpusim.Core, mb *dpdk.Mbuf) bool {
 		v = uint64(lb.next)
 		lb.next = (lb.next + 1) % lb.backends
 		if err := lb.table.Insert(core, flow, v); err != nil {
-			lb.drops++
 			return false
 		}
 	}
 	lb.counts[v]++
 	core.Write(mb.DataVA())
 	return true
-}
-
-// Drops reports packets dropped for want of table space.
-func (lb *LoadBalancer) Drops() uint64 { return lb.drops }
-
-// BackendCounts returns packets per backend.
-func (lb *LoadBalancer) BackendCounts() []uint64 {
-	out := make([]uint64, len(lb.counts))
-	copy(out, lb.counts)
-	return out
-}
-
-// BackendOf returns the backend a flow is pinned to, if any.
-func (lb *LoadBalancer) BackendOf(flow uint64) (int, bool) {
-	v, ok := lb.table.Lookup(nil, flow)
-	return int(v), ok
 }

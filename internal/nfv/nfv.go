@@ -82,9 +82,6 @@ func NewChain(name string, nfs ...NF) (*Chain, error) {
 // Name returns the chain's description.
 func (c *Chain) Name() string { return c.name }
 
-// NFs returns the pipeline's functions in order.
-func (c *Chain) NFs() []NF { return c.nfs }
-
 // Process runs the packet through every NF; false if any NF dropped it.
 func (c *Chain) Process(core *cpusim.Core, mb *dpdk.Mbuf) bool {
 	for _, nf := range c.nfs {

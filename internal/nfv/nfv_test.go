@@ -31,7 +31,7 @@ func rxPacket(t *testing.T, m *cpusim.Machine, pkt trace.Packet) (*dpdk.Port, *d
 	if _, ok := port.Deliver(pkt); !ok {
 		t.Fatal("deliver failed")
 	}
-	ms := port.RxBurst(0, 1)
+	ms := port.RxBurstInto(0, 1, nil)
 	if len(ms) != 1 {
 		t.Fatal("no packet")
 	}
@@ -94,8 +94,8 @@ func TestRouterLPM(t *testing.T) {
 			t.Errorf("Lookup(%#x) = %d,%v want %d,%v", tc.ip, nh, ok, tc.want, tc.ok)
 		}
 	}
-	if r.Routes() != 4 {
-		t.Errorf("Routes = %d", r.Routes())
+	if r.routes != 4 {
+		t.Errorf("Routes = %d", r.routes)
 	}
 }
 
@@ -264,8 +264,8 @@ func TestRouterProcessAndOffload(t *testing.T) {
 	if err := r.PopulateDefaultAndRandom(3120); err != nil {
 		t.Fatal(err)
 	}
-	if r.Routes() != 3120 {
-		t.Errorf("Routes = %d, want 3120 (the §5.2 table)", r.Routes())
+	if r.routes != 3120 {
+		t.Errorf("Routes = %d, want 3120 (the §5.2 table)", r.routes)
 	}
 	_, mb := rxPacket(t, m, trace.Packet{Size: 64, DstIP: 0x0a0a0a0a})
 	core := m.Core(0)
@@ -378,7 +378,7 @@ func TestNAPT(t *testing.T) {
 	if !n.Process(core, mb) {
 		t.Fatal("NAPT dropped")
 	}
-	p1, ok := n.Translation(100)
+	p1, ok := n.table.Lookup(nil, 100)
 	if !ok {
 		t.Fatal("no translation installed")
 	}
@@ -386,17 +386,17 @@ func TestNAPT(t *testing.T) {
 	if !n.Process(core, mb) {
 		t.Fatal("second packet dropped")
 	}
-	if p2, _ := n.Translation(100); p2 != p1 {
+	if p2, _ := n.table.Lookup(nil, 100); p2 != p1 {
 		t.Errorf("translation changed: %d → %d", p1, p2)
 	}
 	mb.Pkt.FlowID = 101
 	n.Process(core, mb)
-	p3, _ := n.Translation(101)
+	p3, _ := n.table.Lookup(nil, 101)
 	if p3 == p1 {
 		t.Error("two flows share an external port")
 	}
-	if n.Flows() != 2 {
-		t.Errorf("Flows = %d", n.Flows())
+	if n.table.Len() != 2 {
+		t.Errorf("Flows = %d", n.table.Len())
 	}
 	if n.Name() == "" {
 		t.Error("empty name")
@@ -419,21 +419,21 @@ func TestLoadBalancerRoundRobinSticky(t *testing.T) {
 		}
 	}
 	for f := uint64(0); f < 8; f++ {
-		b, ok := lb.BackendOf(f)
+		b, ok := lb.table.Lookup(nil, f)
 		if !ok {
 			t.Fatalf("flow %d unpinned", f)
 		}
-		if b != int(f%4) {
+		if b != f%4 {
 			t.Errorf("flow %d → backend %d, want %d", f, b, f%4)
 		}
 	}
 	// Stickiness: replaying flow 0 must not move it.
 	mb.Pkt.FlowID = 0
 	lb.Process(core, mb)
-	if b, _ := lb.BackendOf(0); b != 0 {
+	if b, _ := lb.table.Lookup(nil, 0); b != 0 {
 		t.Errorf("flow 0 moved to backend %d", b)
 	}
-	counts := lb.BackendCounts()
+	counts := lb.counts
 	var total uint64
 	for _, c := range counts {
 		total += c
@@ -468,7 +468,7 @@ func TestChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chain.Name() != "Router-NAPT-LB" || len(chain.NFs()) != 3 {
+	if chain.Name() != "Router-NAPT-LB" || len(chain.nfs) != 3 {
 		t.Error("chain metadata broken")
 	}
 	core := m.Core(0)
@@ -480,10 +480,10 @@ func TestChain(t *testing.T) {
 	if core.Cycles()-before < forwardComputeCycles {
 		t.Error("chain charged implausibly few cycles")
 	}
-	if n.Flows() != 1 {
-		t.Errorf("NAPT flows = %d", n.Flows())
+	if n.table.Len() != 1 {
+		t.Errorf("NAPT flows = %d", n.table.Len())
 	}
-	if _, ok := lb.BackendOf(5); !ok {
+	if _, ok := lb.table.Lookup(nil, 5); !ok {
 		t.Error("LB did not pin the flow")
 	}
 	if _, err := NewChain("empty"); err == nil {

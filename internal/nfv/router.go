@@ -31,8 +31,6 @@ type Router struct {
 
 	// HWOffload models Metron's FlowDirector table offload (§5.2).
 	HWOffload bool
-
-	drops uint64
 }
 
 const (
@@ -142,9 +140,6 @@ func prefixMask(length int) uint32 {
 	return ^uint32(0) << uint(32-length)
 }
 
-// Routes returns the number of installed routes.
-func (r *Router) Routes() int { return r.routes }
-
 // Lookup resolves dst to a next hop, charging the table accesses to core.
 // ok is false when no route covers dst.
 func (r *Router) Lookup(core *cpusim.Core, dst uint32) (nextHop uint16, ok bool) {
@@ -182,14 +177,10 @@ func (r *Router) Process(core *cpusim.Core, mb *dpdk.Mbuf) bool {
 		return true
 	}
 	if _, ok := r.Lookup(core, mb.Pkt.DstIP); !ok {
-		r.drops++
 		return false
 	}
 	return true
 }
-
-// Drops reports packets without a matching route.
-func (r *Router) Drops() uint64 { return r.drops }
 
 // PopulateDefaultAndRandom installs a default route plus n−1 synthetic
 // prefixes, mirroring the 3120-entry table of §5.2.

@@ -15,7 +15,6 @@ import (
 // all; CacheDirector must be configured with the matching TargetOffset.
 type TunnelInspector struct {
 	innerOffset int // byte offset of the inspected 64 B portion
-	drops       uint64
 }
 
 const tunnelComputeCycles = 120 // decapsulation arithmetic + signature match
@@ -34,17 +33,10 @@ func (ti *TunnelInspector) Name() string {
 	return fmt.Sprintf("TunnelInspector(+%dB)", ti.innerOffset)
 }
 
-// InnerOffset returns the inspected offset.
-func (ti *TunnelInspector) InnerOffset() int { return ti.innerOffset }
-
-// Drops reports packets too short to contain the inner header.
-func (ti *TunnelInspector) Drops() uint64 { return ti.drops }
-
 // Process implements NF: read and rewrite only the inner line — the outer
 // header is never touched (hardware classified it).
 func (ti *TunnelInspector) Process(core *cpusim.Core, mb *dpdk.Mbuf) bool {
 	if mb.PktLen() < ti.innerOffset+64 {
-		ti.drops++
 		return false
 	}
 	inner := mb.DataVA() + uint64(ti.innerOffset)

@@ -336,11 +336,3 @@ func (m *Monitor) FiredTotal() uint64 {
 	}
 	return m.fired
 }
-
-// SLOs returns the monitored objectives (nil for a nil monitor).
-func (m *Monitor) SLOs() []SLO {
-	if m == nil {
-		return nil
-	}
-	return m.cfg.SLOs
-}

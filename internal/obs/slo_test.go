@@ -163,7 +163,7 @@ func TestNilMonitorIsInert(t *testing.T) {
 	if got := m.Tick(tickAvail(50, 100)); got != nil {
 		t.Fatalf("nil monitor ticked to %v", got)
 	}
-	if m.Firing() != 0 || m.FiredTotal() != 0 || m.SLOs() != nil {
+	if m.Firing() != 0 || m.FiredTotal() != 0 {
 		t.Fatal("nil monitor not inert")
 	}
 	// NewMonitor with no SLOs yields the nil monitor.

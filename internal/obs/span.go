@@ -252,14 +252,6 @@ func (t *Tracer) Finish(tr *ReqTrace) {
 	t.mu.Unlock()
 }
 
-// Seq reports requests offered to the tracer; Sampled those traced.
-func (t *Tracer) Seq() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.seq.Load()
-}
-
 // Sampled reports how many requests carried a full trace.
 func (t *Tracer) Sampled() uint64 {
 	if t == nil {

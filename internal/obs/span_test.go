@@ -58,8 +58,8 @@ func TestTracerSampling(t *testing.T) {
 	if sampled != 4 {
 		t.Fatalf("sampled %d of 16 at 1/4, want 4", sampled)
 	}
-	if tr.Seq() != 16 || tr.Sampled() != 4 {
-		t.Fatalf("Seq=%d Sampled=%d, want 16/4", tr.Seq(), tr.Sampled())
+	if tr.seq.Load() != 16 || tr.Sampled() != 4 {
+		t.Fatalf("Seq=%d Sampled=%d, want 16/4", tr.seq.Load(), tr.Sampled())
 	}
 	if got := len(tr.Traces()); got != 4 {
 		t.Fatalf("retained %d traces, want 4", got)

@@ -86,12 +86,6 @@ func NewCoDel(cfg CoDelConfig) (*CoDel, error) {
 // Name implements AQM.
 func (c *CoDel) Name() string { return "codel" }
 
-// Config reports the effective (defaulted) configuration.
-func (c *CoDel) Config() CoDelConfig { return c.cfg }
-
-// Stats reports cumulative admit/drop counts.
-func (c *CoDel) Stats() AQMStats { return c.stats }
-
 // Reset implements AQM: clears the clock-anchored episode state so the
 // discipline can serve a run whose simulated clock restarts at zero.
 func (c *CoDel) Reset() {
@@ -185,8 +179,6 @@ type RED struct {
 	cfg REDConfig
 	rng *rand.Rand
 	avg float64
-
-	stats AQMStats
 }
 
 var _ AQM = (*RED)(nil)
@@ -220,12 +212,6 @@ func NewRED(cfg REDConfig) (*RED, error) {
 // Name implements AQM.
 func (r *RED) Name() string { return "red" }
 
-// Stats reports cumulative admit/drop counts.
-func (r *RED) Stats() AQMStats { return r.stats }
-
-// Avg reports the current smoothed occupancy fraction.
-func (r *RED) Avg() float64 { return r.avg }
-
 // Reset implements AQM: clears the smoothed average for a fresh run. The
 // RNG stream continues — reseeding mid-life would make two back-to-back
 // runs draw identical chaos, which is not how a persistent queue behaves.
@@ -240,17 +226,13 @@ func (r *RED) Admit(nowNs float64, qlen, qcap int, sojournNs float64) error {
 	r.avg += r.cfg.Weight * (frac - r.avg)
 	switch {
 	case r.avg < r.cfg.MinFrac:
-		r.stats.Admitted++
 		return nil
 	case r.avg >= r.cfg.MaxFrac:
-		r.stats.Dropped++
 		return errREDForced
 	}
 	p := r.cfg.MaxP * (r.avg - r.cfg.MinFrac) / (r.cfg.MaxFrac - r.cfg.MinFrac)
 	if r.rng.Float64() < p {
-		r.stats.Dropped++
 		return errREDEarly
 	}
-	r.stats.Admitted++
 	return nil
 }

@@ -138,7 +138,7 @@ func TestSyncBreakerHalfOpenToClosedConcurrent(t *testing.T) {
 	if allowed.Load() < probes {
 		t.Fatalf("only %d calls passed, need at least the %d closing probes", allowed.Load(), probes)
 	}
-	st := sb.Stats()
+	st := sb.b.Stats()
 	if st.Recoveries != 1 {
 		t.Fatalf("recoveries = %d, want exactly 1", st.Recoveries)
 	}

@@ -79,9 +79,6 @@ func NewLadder(cfg LadderConfig) (*Ladder, error) {
 	return &Ladder{cfg: cfg}, nil
 }
 
-// MaxLevel reports the deepest configured level.
-func (l *Ladder) MaxLevel() int { return l.cfg.MaxLevel }
-
 // Level reports the effective level: the pressure-driven level, raised to
 // the externally pinned floor. Nil-safe (level 0).
 func (l *Ladder) Level() int {

@@ -60,7 +60,7 @@ func TestCoDelStandingQueueDrops(t *testing.T) {
 	if drops == 0 {
 		t.Fatal("standing queue never triggered CoDel dropping state")
 	}
-	st := c.Stats()
+	st := c.stats
 	if st.Dropped != uint64(drops) || st.Admitted != uint64(400-drops) {
 		t.Errorf("stats %+v disagree with observed %d drops of 400", st, drops)
 	}
@@ -92,12 +92,12 @@ func TestCoDelResetClearsEpisode(t *testing.T) {
 	if !c.dropping {
 		t.Fatal("test setup: expected dropping state")
 	}
-	pre := c.Stats()
+	pre := c.stats
 	c.Reset()
 	if c.dropping || c.firstAboveNs != 0 || c.dropNextNs != 0 || c.count != 0 {
 		t.Error("Reset left episode state behind")
 	}
-	if c.Stats() != pre {
+	if c.stats != pre {
 		t.Error("Reset must preserve cumulative stats")
 	}
 	// A fresh run starting at t=0 must get its full grace interval again.

@@ -80,13 +80,3 @@ func (s *SyncBreaker) State() BreakerState {
 	defer s.mu.Unlock()
 	return s.b.State()
 }
-
-// Stats reports cumulative decision/transition counts.
-func (s *SyncBreaker) Stats() BreakerStats {
-	if s == nil {
-		return BreakerStats{}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Stats()
-}

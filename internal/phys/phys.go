@@ -157,47 +157,3 @@ func (m *Mapping) Phys(va uint64) uint64 {
 	}
 	return m.PhysBase + (va - m.VirtBase)
 }
-
-// Arena carves fixed-position sub-allocations out of a mapping. It is the
-// substrate for both the slice-aware allocator and the DPDK mempool.
-type Arena struct {
-	m    *Mapping
-	mu   sync.Mutex
-	next uint64 // offset of the next free byte
-}
-
-// NewArena wraps a mapping in a bump allocator.
-func NewArena(m *Mapping) *Arena { return &Arena{m: m} }
-
-// Mapping returns the backing mapping.
-func (a *Arena) Mapping() *Mapping { return a.m }
-
-// Alloc reserves size bytes aligned to align and returns the virtual
-// address. align must be a power of two.
-func (a *Arena) Alloc(size, align uint64) (uint64, error) {
-	if align == 0 || align&(align-1) != 0 {
-		return 0, fmt.Errorf("phys: alignment %d is not a power of two", align)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	start := (a.next + align - 1) &^ (align - 1)
-	if start+size > a.m.Size {
-		return 0, ErrOutOfMemory
-	}
-	a.next = start + size
-	return a.m.VirtBase + start, nil
-}
-
-// Remaining returns the bytes still available for allocation.
-func (a *Arena) Remaining() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.m.Size - a.next
-}
-
-// Reset discards all allocations, returning the arena to empty.
-func (a *Arena) Reset() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.next = 0
-}

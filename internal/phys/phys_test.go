@@ -112,46 +112,6 @@ func TestTranslateOffsetPreserving(t *testing.T) {
 	}
 }
 
-func TestArena(t *testing.T) {
-	s := NewSpace(4 << 30)
-	m, err := s.Map(1<<20, PageSize2M)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewArena(m)
-	v1, err := a.Alloc(100, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1%64 != 0 {
-		t.Errorf("allocation %#x not 64-aligned", v1)
-	}
-	v2, err := a.Alloc(100, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2 < v1+100 {
-		t.Errorf("allocations overlap: %#x then %#x", v1, v2)
-	}
-	if !m.Contains(v1) || !m.Contains(v2) {
-		t.Error("allocations escaped the mapping")
-	}
-	if _, err := a.Alloc(1, 3); err == nil {
-		t.Error("non-power-of-two alignment accepted")
-	}
-	if _, err := a.Alloc(m.Size, 64); err != ErrOutOfMemory {
-		t.Errorf("oversized alloc err = %v, want ErrOutOfMemory", err)
-	}
-	before := a.Remaining()
-	a.Reset()
-	if a.Remaining() <= before {
-		t.Error("Reset did not reclaim space")
-	}
-	if a.Mapping() != m {
-		t.Error("Mapping accessor broken")
-	}
-}
-
 func TestMappingPhysPanicsOutside(t *testing.T) {
 	s := NewSpace(1 << 30)
 	m, err := s.Map(PageSize4K, PageSize4K)

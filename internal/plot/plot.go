@@ -129,16 +129,3 @@ func leftPad(s string, w int) string {
 	}
 	return strings.Repeat(" ", w-len(s)) + s
 }
-
-// FromPairs builds a series from parallel x/y slices (shorter wins).
-func FromPairs(name string, xs, ys []float64) Series {
-	n := len(xs)
-	if len(ys) < n {
-		n = len(ys)
-	}
-	s := Series{Name: name}
-	for i := 0; i < n; i++ {
-		s.Points = append(s.Points, XY{xs[i], ys[i]})
-	}
-	return s
-}

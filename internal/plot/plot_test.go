@@ -11,8 +11,8 @@ func TestRenderBasics(t *testing.T) {
 		XLabel: "x",
 		YLabel: "y",
 		Series: []Series{
-			FromPairs("up", []float64{0, 1, 2, 3}, []float64{0, 1, 2, 3}),
-			FromPairs("down", []float64{0, 1, 2, 3}, []float64{3, 2, 1, 0}),
+			{Name: "up", Points: []XY{{0, 0}, {1, 1}, {2, 2}, {3, 3}}},
+			{Name: "down", Points: []XY{{0, 3}, {1, 2}, {2, 1}, {3, 0}}},
 		},
 	}
 	out := p.Render(40, 10)
@@ -28,7 +28,7 @@ func TestRenderBasics(t *testing.T) {
 }
 
 func TestRenderPlacesExtremes(t *testing.T) {
-	p := &Plot{Series: []Series{FromPairs("s", []float64{0, 10}, []float64{0, 100})}}
+	p := &Plot{Series: []Series{{Name: "s", Points: []XY{{0, 0}, {10, 100}}}}}
 	out := p.Render(20, 8)
 	rows := strings.Split(out, "\n")
 	// Top row must contain the max point marker, bottom data row the min.
@@ -46,31 +46,24 @@ func TestRenderEmptyAndDegenerate(t *testing.T) {
 		t.Errorf("empty plot: %q", out)
 	}
 	// A single point (degenerate ranges) must not panic or divide by zero.
-	one := &Plot{Series: []Series{FromPairs("pt", []float64{5}, []float64{7})}}
+	one := &Plot{Series: []Series{{Name: "pt", Points: []XY{{5, 7}}}}}
 	if out := one.Render(20, 8); !strings.Contains(out, "*") {
 		t.Errorf("single point not rendered:\n%s", out)
 	}
 }
 
 func TestRenderClampsTinyCanvas(t *testing.T) {
-	p := &Plot{Series: []Series{FromPairs("s", []float64{0, 1}, []float64{0, 1})}}
+	p := &Plot{Series: []Series{{Name: "s", Points: []XY{{0, 0}, {1, 1}}}}}
 	out := p.Render(1, 1) // clamped to 16×8
 	if len(strings.Split(out, "\n")) < 8 {
 		t.Error("tiny canvas not clamped")
 	}
 }
 
-func TestFromPairsUnevenLengths(t *testing.T) {
-	s := FromPairs("s", []float64{1, 2, 3}, []float64{4, 5})
-	if len(s.Points) != 2 {
-		t.Errorf("points = %d, want 2", len(s.Points))
-	}
-}
-
 func TestManySeriesMarkersCycle(t *testing.T) {
 	p := &Plot{}
 	for i := 0; i < 8; i++ {
-		p.Series = append(p.Series, FromPairs("s", []float64{float64(i)}, []float64{float64(i)}))
+		p.Series = append(p.Series, Series{Name: "s", Points: []XY{{float64(i), float64(i)}}})
 	}
 	out := p.Render(30, 8)
 	if !strings.Contains(out, "#") || !strings.Contains(out, "@") {

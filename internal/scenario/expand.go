@@ -8,17 +8,10 @@ import (
 	"sliceaware/internal/parallel"
 )
 
-// asInt accepts the integer encodings the two decoders produce (JSON
-// numbers arrive as float64, TOML integers as int64).
+// asInt accepts a JSON number (decoded as float64) that holds an integer.
 func asInt(v any) (int64, bool) {
-	switch x := v.(type) {
-	case float64:
-		if x == math.Trunc(x) && math.Abs(x) < 1<<53 {
-			return int64(x), true
-		}
-	case int64:
-		return x, true
-	case int:
+	x, ok := v.(float64)
+	if ok && x == math.Trunc(x) && math.Abs(x) < 1<<53 {
 		return int64(x), true
 	}
 	return 0, false

@@ -1,5 +1,5 @@
 // Package scenario defines the declarative experiment-scenario schema
-// behind cmd/fleet: a typed JSON/TOML document describing which repo
+// behind cmd/fleet: a typed JSON document describing which repo
 // tool to run (reproduce, nfvbench, kvsbench, isobench, a serving
 // daemon+loadgen+statsink trio, or a raw argv), at what scale, with
 // which experiment IDs, knobs, seed, timeout and expected artifacts —
@@ -38,7 +38,7 @@ import (
 	"sliceaware/internal/experiments"
 )
 
-// File is one scenario document (JSON or TOML).
+// File is one scenario document.
 type File struct {
 	// Name labels the run; defaults to the file's base name.
 	Name string `json:"name"`
@@ -248,30 +248,17 @@ var statsinkFlags = map[string]kind{
 
 var idRe = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._+=/-]*$`)
 
-// Load reads and strictly decodes a scenario file. The format follows
-// the extension: .json, or .toml (decoded by the built-in TOML subset
-// reader). Unknown fields are errors.
+// Load reads and strictly decodes a JSON scenario file. Any other
+// extension is an error. Unknown fields are errors.
 func Load(path string) (*File, error) {
+	if ext := strings.ToLower(filepath.Ext(path)); ext != ".json" {
+		return nil, fmt.Errorf("%s: unsupported scenario format %q (want .json)", path, ext)
+	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var jsonBytes []byte
-	switch ext := strings.ToLower(filepath.Ext(path)); ext {
-	case ".json":
-		jsonBytes = raw
-	case ".toml":
-		m, err := parseTOML(string(raw))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		if jsonBytes, err = json.Marshal(m); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-	default:
-		return nil, fmt.Errorf("%s: unsupported scenario format %q (want .json or .toml)", path, ext)
-	}
-	f, err := Decode(jsonBytes)
+	f, err := Decode(raw)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -404,10 +391,6 @@ func formatValue(v any) (string, error) {
 			return strconv.FormatInt(int64(x), 10), nil
 		}
 		return strconv.FormatFloat(x, 'g', -1, 64), nil
-	case int64:
-		return strconv.FormatInt(x, 10), nil
-	case int:
-		return strconv.Itoa(x), nil
 	case json.Number:
 		return x.String(), nil
 	default:

@@ -2,6 +2,10 @@ package scenario
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -290,5 +294,73 @@ func TestUnknownAxisRejected(t *testing.T) {
 func TestEmptyExpansionRejected(t *testing.T) {
 	if _, err := decode(t, `{"name": "empty"}`).Expand(); err == nil {
 		t.Fatal("empty file expanded successfully")
+	}
+}
+
+// TestCommittedScenariosLoadAndExpand loads and expands every committed
+// scenario file, and pins tenant-sweep's matrix expansion: IDs, derived
+// seeds and rendered flags.
+func TestCommittedScenariosLoadAndExpand(t *testing.T) {
+	paths, err := filepath.Glob("../../scenarios/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed scenario files: %v", err)
+	}
+	for _, path := range paths {
+		f, err := Load(path)
+		if err != nil {
+			t.Errorf("Load: %v", err)
+			continue
+		}
+		if f.Dir != filepath.Dir(path) {
+			t.Errorf("%s: Dir = %q", path, f.Dir)
+		}
+		if _, err := f.Expand(); err != nil {
+			t.Errorf("%s: Expand: %v", path, err)
+		}
+	}
+
+	f, err := Load("../../scenarios/tenant-sweep.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scs, err := f.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		id   string
+		seed int64
+		ctl  string
+		hog  string
+	}{
+		{"tenant/controller=true/hog=1.5", 524191535851366083, "true", "1.5"},
+		{"tenant/controller=true/hog=3", 8502538112461898388, "true", "3"},
+		{"tenant/controller=false/hog=1.5", -7128351859584036209, "false", "1.5"},
+		{"tenant/controller=false/hog=3", -7983348648006785787, "false", "3"},
+	}
+	if len(scs) != len(want) {
+		t.Fatalf("tenant-sweep expanded to %d scenarios, want %d", len(scs), len(want))
+	}
+	for i, w := range want {
+		sc := scs[i]
+		args := []string{"-seed=" + strconv.FormatInt(w.seed, 10), "-jobs=1", "-controller=" + w.ctl,
+			"-hog=" + w.hog, "-metrics-out=telemetry.json", "-mode=tenant"}
+		if sc.ID != w.id || sc.Seed != w.seed || !sc.SeedDerived || !reflect.DeepEqual(sc.Args, args) {
+			t.Errorf("scenario %d = %q seed %d (derived %v) args %q; want %q seed %d args %q",
+				i, sc.ID, sc.Seed, sc.SeedDerived, sc.Args, w.id, w.seed, args)
+		}
+	}
+}
+
+func TestLoadRejectsUnknownExtension(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"s.yaml", "s.toml"} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "want .json") {
+			t.Errorf("Load(%s) error = %v, want an unsupported-format error", name, err)
+		}
 	}
 }

@@ -42,26 +42,3 @@ func Example() {
 	// 64 lines, all on slice 3: true
 	// contiguous 4 kB touches 8 slices
 }
-
-// ExampleSlabAllocator builds a slice-homed object cache (§8's slab
-// coloring): every object — even multi-line ones — lives entirely in the
-// chosen slice.
-func ExampleSlabAllocator() {
-	space := phys.NewSpace(8 << 30)
-	alloc, err := slicemem.New(space, chash.Haswell8())
-	if err != nil {
-		log.Fatal(err)
-	}
-	slab, err := slicemem.NewSlabAllocator(alloc, 5, 200, 16)
-	if err != nil {
-		log.Fatal(err)
-	}
-	obj, err := slab.Get()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("object: %d bytes over %d lines on slice %d\n",
-		obj.Size(), len(obj.Lines()), slab.Slice())
-	// Output:
-	// object: 200 bytes over 4 lines on slice 5
-}

@@ -9,8 +9,7 @@
 // directly), learn each line's slice from the Complex Addressing hash, and
 // build per-slice pools of 64 B lines. Because the hash changes slice
 // almost every line, a slice-aware "buffer" is inherently non-contiguous —
-// the Region type captures that, and ScatterBuffer provides the linked-line
-// layout sketched in §8 for objects larger than one line.
+// the Region type captures that.
 package slicemem
 
 import (
@@ -29,7 +28,7 @@ type Allocator struct {
 	space *phys.Space
 	hash  chash.Hash
 
-	pageSize uint64
+	pageSize uint64 // 1 GB; package tests shrink it to reach a second page
 	pages    []*phys.Mapping
 	cursor   uint64 // next unscanned VA within pages[len(pages)-1]
 
@@ -52,21 +51,8 @@ func New(space *phys.Space, h chash.Hash) (*Allocator, error) {
 	}, nil
 }
 
-// SetPageSize selects the hugepage size backing future scans (1 GB default;
-// 2 MB exercises the paper's claim that page size doesn't matter).
-func (a *Allocator) SetPageSize(sz uint64) error {
-	if sz != phys.PageSize2M && sz != phys.PageSize1G {
-		return fmt.Errorf("slicemem: page size %d is not a hugepage size", sz)
-	}
-	a.pageSize = sz
-	return nil
-}
-
 // Slices returns the number of LLC slices the allocator distributes over.
 func (a *Allocator) Slices() int { return a.hash.Slices() }
-
-// Hash returns the Complex Addressing function in use.
-func (a *Allocator) Hash() chash.Hash { return a.hash }
 
 // Region is a slice-homed allocation: a set of 64 B lines, all mapping to
 // the same LLC slice (or the same slice set for multi-slice allocations).
@@ -278,25 +264,6 @@ func (a *Allocator) ensureScanWindow(size uint64) error {
 	return nil
 }
 
-// PooledLines reports how many banked lines exist per slice — a measure of
-// the memory fragmentation cost §8 concedes.
-func (a *Allocator) PooledLines() []int {
-	out := make([]int, len(a.pools))
-	for i, p := range a.pools {
-		out[i] = len(p)
-	}
-	return out
-}
-
-// MappedBytes reports total hugepage memory mapped so far.
-func (a *Allocator) MappedBytes() uint64 {
-	var n uint64
-	for _, p := range a.pages {
-		n += p.Size
-	}
-	return n
-}
-
 // PreferredSlices returns the cheapest slices for a core under the given
 // topology, primary first — the policy input for "closest slice" placement.
 func PreferredSlices(t interconnect.Topology, core int) []int {
@@ -334,39 +301,3 @@ func CompromiseSlice(t interconnect.Topology, cores []int) (int, error) {
 	}
 	return best, nil
 }
-
-// ScatterBuffer lays an object larger than one line across multiple
-// slice-homed lines (the linked-line scheme of §8). Offsets address the
-// object as if it were contiguous.
-type ScatterBuffer struct {
-	region *Region
-	size   int
-}
-
-// NewScatterBuffer allocates a scatter buffer of size bytes homed to slice.
-func NewScatterBuffer(a *Allocator, slice, size int) (*ScatterBuffer, error) {
-	r, err := a.AllocBytes(slice, size)
-	if err != nil {
-		return nil, err
-	}
-	return &ScatterBuffer{region: r, size: size}, nil
-}
-
-// Size returns the logical object size in bytes.
-func (b *ScatterBuffer) Size() int { return b.size }
-
-// Region exposes the underlying slice-homed region.
-func (b *ScatterBuffer) Region() *Region { return b.region }
-
-// AddrOf translates a logical byte offset to the virtual address holding it.
-func (b *ScatterBuffer) AddrOf(off int) (uint64, error) {
-	if off < 0 || off >= b.size {
-		return 0, fmt.Errorf("slicemem: offset %d outside buffer of %d bytes", off, b.size)
-	}
-	line := off / LineSize
-	return b.region.Line(line) + uint64(off%LineSize), nil
-}
-
-// LineAddrs returns the address of every line the object spans, in logical
-// order — what a consumer walks to touch the whole object.
-func (b *ScatterBuffer) LineAddrs() []uint64 { return b.region.Lines() }

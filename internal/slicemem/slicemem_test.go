@@ -159,7 +159,7 @@ func TestFreeAndReuse(t *testing.T) {
 	if r.Len() != 0 {
 		t.Error("Free left lines in the region")
 	}
-	if got := a.PooledLines()[5]; got < 50 {
+	if got := len(a.pools[5]); got < 50 {
 		t.Errorf("pool for slice 5 has %d lines after free, want ≥50", got)
 	}
 	r2, err := a.AllocLines(5, 50)
@@ -187,9 +187,9 @@ func TestScanBanksOtherSlices(t *testing.T) {
 	if _, err := a.AllocLines(0, 1000); err != nil {
 		t.Fatal(err)
 	}
-	pooled := a.PooledLines()
 	total := 0
-	for s, n := range pooled {
+	for s, pool := range a.pools {
+		n := len(pool)
 		if s != 0 && n == 0 {
 			t.Errorf("slice %d pool empty after scanning for slice 0", s)
 		}
@@ -203,9 +203,7 @@ func TestScanBanksOtherSlices(t *testing.T) {
 
 func TestMultipleHugepages(t *testing.T) {
 	a := newAlloc(t)
-	if err := a.SetPageSize(phys.PageSize2M); err != nil {
-		t.Fatal(err)
-	}
+	a.pageSize = phys.PageSize2M
 	// 2 MB page = 32768 lines ≈ 4096 per slice; ask for more to force a
 	// second page.
 	r, err := a.AllocLines(1, 6000)
@@ -215,11 +213,8 @@ func TestMultipleHugepages(t *testing.T) {
 	if r.Len() != 6000 {
 		t.Fatalf("got %d lines", r.Len())
 	}
-	if a.MappedBytes() < 2*phys.PageSize2M {
-		t.Errorf("MappedBytes = %d, expected ≥2 hugepages", a.MappedBytes())
-	}
-	if err := a.SetPageSize(12345); err == nil {
-		t.Error("bogus page size accepted")
+	if len(a.pages) < 2 {
+		t.Errorf("mapped %d hugepages, expected ≥2", len(a.pages))
 	}
 }
 
@@ -282,38 +277,6 @@ func TestCompromiseSlice(t *testing.T) {
 	}
 	if _, err := CompromiseSlice(ring, []int{9}); err == nil {
 		t.Error("bad core accepted")
-	}
-}
-
-func TestScatterBuffer(t *testing.T) {
-	a := newAlloc(t)
-	b, err := NewScatterBuffer(a, 6, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Size() != 200 {
-		t.Errorf("Size = %d", b.Size())
-	}
-	if got := len(b.LineAddrs()); got != 4 {
-		t.Errorf("200 B spans %d lines, want 4", got)
-	}
-	for _, va := range b.LineAddrs() {
-		if s, _ := a.SliceOf(va); s != 6 {
-			t.Errorf("scatter line on slice %d, want 6", s)
-		}
-	}
-	addr, err := b.AddrOf(130)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := b.Region().Line(2) + 2; addr != want {
-		t.Errorf("AddrOf(130) = %#x, want %#x", addr, want)
-	}
-	if _, err := b.AddrOf(200); err == nil {
-		t.Error("out-of-range offset accepted")
-	}
-	if _, err := b.AddrOf(-1); err == nil {
-		t.Error("negative offset accepted")
 	}
 }
 

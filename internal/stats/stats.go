@@ -57,39 +57,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Variance returns the population variance.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// Skewness returns the standardized third moment — the "degree of
-// distortion from the normal distribution" §3.1 cites for KVS workloads.
-func Skewness(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	sd := math.Sqrt(Variance(xs))
-	if sd == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		d := (x - m) / sd
-		sum += d * d * d
-	}
-	return sum / float64(len(xs))
-}
-
 // Summary bundles the latency statistics every figure reports.
 type Summary struct {
 	N    int
@@ -288,14 +255,6 @@ type PiecewiseFit struct {
 	Knee float64
 	Low  LinearFit
 	High QuadFit
-}
-
-// Eval evaluates the piecewise model.
-func (f PiecewiseFit) Eval(x float64) float64 {
-	if x < f.Knee {
-		return f.Low.Eval(x)
-	}
-	return f.High.Eval(x)
 }
 
 // String renders both branches.

@@ -61,34 +61,6 @@ func TestPercentileMonotone(t *testing.T) {
 	}
 }
 
-func TestMeanVarianceSkewness(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); got != 5 {
-		t.Errorf("Mean = %v", got)
-	}
-	if got := Variance(xs); got != 4 {
-		t.Errorf("Variance = %v", got)
-	}
-	// Symmetric data has ~zero skewness; right-tailed data positive.
-	sym := []float64{1, 2, 3, 4, 5}
-	if got := Skewness(sym); math.Abs(got) > 1e-9 {
-		t.Errorf("symmetric skewness = %v", got)
-	}
-	tail := []float64{1, 1, 1, 1, 10}
-	if got := Skewness(tail); got <= 0 {
-		t.Errorf("right-tailed skewness = %v, want > 0", got)
-	}
-	if got := Skewness([]float64{5, 5, 5}); got != 0 {
-		t.Errorf("constant skewness = %v", got)
-	}
-	if !math.IsNaN(Skewness([]float64{1})) {
-		t.Error("skewness of singleton not NaN")
-	}
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Variance(nil)) {
-		t.Error("empty mean/variance not NaN")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	xs := make([]float64, 100)
 	for i := range xs {
@@ -225,11 +197,11 @@ func TestFitPiecewise(t *testing.T) {
 	if f.Low.R2 < 0.999 || f.High.R2 < 0.999 {
 		t.Errorf("branch R² = %v / %v", f.Low.R2, f.High.R2)
 	}
-	if math.Abs(f.Eval(10)-17.5) > 0.1 {
-		t.Errorf("Eval(10) = %v", f.Eval(10))
+	if math.Abs(f.Low.Eval(10)-17.5) > 0.1 {
+		t.Errorf("Low.Eval(10) = %v", f.Low.Eval(10))
 	}
-	if math.Abs(f.Eval(60)-(2000-6000+4320)) > 5 {
-		t.Errorf("Eval(60) = %v", f.Eval(60))
+	if math.Abs(f.High.Eval(60)-(2000-6000+4320)) > 5 {
+		t.Errorf("High.Eval(60) = %v", f.High.Eval(60))
 	}
 	if f.String() == "" {
 		t.Error("empty String")
@@ -268,12 +240,6 @@ func TestEmptyInputReturnsNaN(t *testing.T) {
 	}
 	if got := Mean(nil); !math.IsNaN(got) {
 		t.Errorf("Mean(nil) = %v, want NaN", got)
-	}
-	if got := Variance(nil); !math.IsNaN(got) {
-		t.Errorf("Variance(nil) = %v, want NaN", got)
-	}
-	if got := Skewness(nil); !math.IsNaN(got) {
-		t.Errorf("Skewness(nil) = %v, want NaN", got)
 	}
 	if got := CDF(nil, 8); got != nil {
 		t.Errorf("CDF(nil) = %v, want nil", got)

@@ -37,7 +37,7 @@ func TestMetricsHandlerNilRegistry(t *testing.T) {
 
 func TestStartMetricsServerRoundTrip(t *testing.T) {
 	reg := NewRegistry(1)
-	reg.Gauge("live_gauge", "a live gauge").Set(7)
+	reg.GaugeL("live_gauge", "a live gauge", "").Set(7)
 	s, err := StartMetricsServer("127.0.0.1:0", MetricsHandler(reg))
 	if err != nil {
 		t.Fatal(err)

@@ -2,13 +2,14 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
 )
 
-// TestRegistryConcurrentScrapeAndRecord hammers WritePrometheus and
-// WriteJSON while shard goroutines record into counters, gauges, and
+// TestRegistryConcurrentScrapeAndRecord hammers WritePrometheus and the
+// JSON snapshot while shard goroutines record into counters, gauges, and
 // histograms and new series keep registering — the exact interleaving a
 // live daemon sees when Prometheus scrapes mid-storm. The test's job is
 // to fail under -race; the assertions are sanity floor checks.
@@ -19,7 +20,7 @@ func TestRegistryConcurrentScrapeAndRecord(t *testing.T) {
 
 	reg := NewRegistry(shards)
 	ctr := reg.CounterL("race_requests_total", "r", `op="get"`)
-	g := reg.Gauge("race_level", "g")
+	g := reg.GaugeL("race_level", "g", "")
 	h := reg.Histogram("race_latency_ns", "h", ExpBuckets(1, 2, 20))
 	reg.GaugeFunc("race_func", "f", "", func() float64 { return 1 })
 
@@ -64,8 +65,8 @@ func TestRegistryConcurrentScrapeAndRecord(t *testing.T) {
 					return
 				}
 				buf.Reset()
-				if err := reg.WriteJSON(&buf); err != nil {
-					t.Errorf("WriteJSON: %v", err)
+				if err := json.NewEncoder(&buf).Encode(reg.snapshotJSON()); err != nil {
+					t.Errorf("encoding the JSON snapshot: %v", err)
 					return
 				}
 			}

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -45,14 +44,6 @@ func NewRegistry(shards int) *Registry {
 		shards = 1
 	}
 	return &Registry{shards: shards, families: make(map[string]*family)}
-}
-
-// Shards reports the shard count (1 for a nil registry).
-func (r *Registry) Shards() int {
-	if r == nil {
-		return 1
-	}
-	return r.shards
 }
 
 func (r *Registry) getFamily(name, help, kind string) *family {
@@ -132,11 +123,6 @@ func (c *Counter) Value() uint64 {
 type Gauge struct {
 	name, labels string
 	bits         uint64
-}
-
-// Gauge returns (creating on first use) the unlabelled gauge `name`.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.GaugeL(name, help, "")
 }
 
 // GaugeL returns (creating on first use) the gauge `name{labels}`.
@@ -425,11 +411,4 @@ func (r *Registry) snapshotJSON() registryJSON {
 		}
 	}
 	return out
-}
-
-// WriteJSON renders the registry as one JSON document. Nil-safe.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.snapshotJSON())
 }

@@ -12,8 +12,8 @@ import (
 
 func TestCounterShardMerge(t *testing.T) {
 	r := NewRegistry(4)
-	if r.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", r.Shards())
+	if r.shards != 4 {
+		t.Fatalf("shards = %d, want 4", r.shards)
 	}
 	c := r.Counter("test_total", "a test counter")
 	for shard := 0; shard < 4; shard++ {
@@ -51,7 +51,7 @@ func TestCounterLabelsDistinct(t *testing.T) {
 
 func TestGaugeAndGaugeFunc(t *testing.T) {
 	r := NewRegistry(1)
-	g := r.Gauge("mode", "current mode")
+	g := r.GaugeL("mode", "current mode", "")
 	g.Set(2.5)
 	if got := g.Value(); got != 2.5 {
 		t.Errorf("gauge Value() = %v, want 2.5", got)
@@ -112,7 +112,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	c.Add(0, 40)
 	c.Add(1, 2)
 	r.CounterL("pkts_total", "packets", `cause="ring"`).Inc(0)
-	r.Gauge("mode", "mode").Set(1)
+	r.GaugeL("mode", "mode", "").Set(1)
 	h := r.Histogram("svc_ns", "service time", []float64{10, 100})
 	h.Observe(0, 7)
 	h.Observe(1, 50)
@@ -166,7 +166,7 @@ func TestRegistryJSON(t *testing.T) {
 	r.Counter("a_total", "a").Inc(0)
 	r.Histogram("h_ns", "h", []float64{1}).Observe(0, 0.5)
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(r.snapshotJSON()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -427,8 +427,8 @@ func TestTimelineDecimation(t *testing.T) {
 	if got := len(tl.Samples()); got != 2 {
 		t.Fatalf("after decimation %d samples remain, want 2", got)
 	}
-	if tl.IntervalNs() != 200 {
-		t.Errorf("IntervalNs() = %v, want doubled to 200", tl.IntervalNs())
+	if tl.intervalNs != 200 {
+		t.Errorf("interval = %v ns, want doubled to 200", tl.intervalNs)
 	}
 	for i, s := range tl.Samples() {
 		var lk uint64
@@ -526,7 +526,7 @@ func TestCollectorDefaultsAndClock(t *testing.T) {
 func TestNilCollectorZeroAlloc(t *testing.T) {
 	var c *Collector
 	ctr := c.Registry().Counter("x_total", "x")
-	g := c.Registry().Gauge("g", "g")
+	g := c.Registry().GaugeL("g", "g", "")
 	h := c.Registry().Histogram("h_ns", "h", nil)
 	allocs := testing.AllocsPerRun(100, func() {
 		ctr.Inc(0)

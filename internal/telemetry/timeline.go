@@ -165,14 +165,6 @@ func (t *Timeline) Events() []TimelineEvent {
 	return t.events
 }
 
-// IntervalNs reports the current (possibly decimation-doubled) interval.
-func (t *Timeline) IntervalNs() float64 {
-	if t == nil {
-		return 0
-	}
-	return t.intervalNs
-}
-
 // Totals sums every sample's deltas into one per-slice heat total.
 func (t *Timeline) Totals() []llc.CBoEvents {
 	if t == nil || t.src == nil {

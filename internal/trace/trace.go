@@ -52,9 +52,6 @@ type Generator interface {
 	Next() Packet
 }
 
-// NumPriorities is the number of traffic classes generators emit.
-const NumPriorities = 4
-
 // PriorityOf derives a packet's traffic class from its flow identity: a
 // deterministic hash spread so most traffic is low-priority (bulk) and
 // each higher class is rarer — roughly 9/16, 4/16, 2/16, 1/16 of flows.
@@ -179,9 +176,6 @@ func (g *CampusMix) drawSize() int {
 	}
 }
 
-// Flows returns the flow population size.
-func (g *CampusMix) Flows() int { return len(g.flows) }
-
 // FixedSize emits packets of one size over a configurable number of flows,
 // modelling FastClick's RatedSource runs (64 B at 1000 pps in Fig 12 and
 // the fixed-size rows of Table 2).
@@ -217,26 +211,4 @@ func (f *FixedSize) Next() Packet {
 		Proto:    protoTCP,
 		Priority: PriorityOf(uint64(flow)),
 	}
-}
-
-// SizeStats summarizes a generator's size mix over n draws; the campus
-// generator's output should land near the paper's bucket shares.
-func SizeStats(g Generator, n int) (small, medium, large float64) {
-	if n <= 0 {
-		return 0, 0, 0
-	}
-	var s, m, l int
-	for i := 0; i < n; i++ {
-		p := g.Next()
-		switch {
-		case p.Size < 100:
-			s++
-		case p.Size < 500:
-			m++
-		default:
-			l++
-		}
-	}
-	tot := float64(n)
-	return float64(s) / tot, float64(m) / tot, float64(l) / tot
 }

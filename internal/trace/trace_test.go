@@ -6,12 +6,30 @@ import (
 	"testing"
 )
 
+// sizeShares draws n packets and returns the fractions below 100 B,
+// below 500 B and the rest: the campus trace's three size buckets.
+func sizeShares(g Generator, n int) (small, medium, large float64) {
+	var s, m, l int
+	for i := 0; i < n; i++ {
+		switch size := g.Next().Size; {
+		case size < 100:
+			s++
+		case size < 500:
+			m++
+		default:
+			l++
+		}
+	}
+	tot := float64(n)
+	return float64(s) / tot, float64(m) / tot, float64(l) / tot
+}
+
 func TestCampusMixBuckets(t *testing.T) {
 	g, err := NewCampusMix(rand.New(rand.NewSource(1)), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, medium, large := SizeStats(g, 200000)
+	small, medium, large := sizeShares(g, 200000)
 	// The paper's campus trace: 26.9 % / 11.8 % / 61.3 %.
 	if math.Abs(small-0.269) > 0.01 {
 		t.Errorf("small fraction = %.3f, want ≈0.269", small)
@@ -38,8 +56,8 @@ func TestCampusMixSizesInRange(t *testing.T) {
 			t.Fatalf("flow %d out of range", p.FlowID)
 		}
 	}
-	if g.Flows() != 128 {
-		t.Errorf("Flows = %d", g.Flows())
+	if len(g.flows) != 128 {
+		t.Errorf("flows = %d", len(g.flows))
 	}
 }
 
@@ -108,9 +126,5 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := NewFixedSize(rng, 64, 0); err == nil {
 		t.Error("zero flows accepted")
-	}
-	g, _ := NewFixedSize(rng, 64, 1)
-	if s, m, l := SizeStats(g, 0); s != 0 || m != 0 || l != 0 {
-		t.Error("SizeStats with zero draws")
 	}
 }

@@ -61,9 +61,6 @@ func (v *VM) Name() string { return v.cfg.Name }
 // Slices returns the slice set backing the VM (nil-ish spread for Shared).
 func (v *VM) Slices() []int { return v.slices }
 
-// Lines exposes the VM's working-set lines (tests check placement).
-func (v *VM) Lines() []uint64 { return v.lines }
-
 // Hypervisor owns placement and scheduling of the guests.
 type Hypervisor struct {
 	machine *cpusim.Machine
@@ -87,9 +84,6 @@ func New(machine *cpusim.Machine, policy Policy) (*Hypervisor, error) {
 		ownedSlice: make(map[int]string),
 	}, nil
 }
-
-// Policy returns the placement policy.
-func (h *Hypervisor) Policy() Policy { return h.policy }
 
 // VMs returns the placed guests.
 func (h *Hypervisor) VMs() []*VM { return h.vms }

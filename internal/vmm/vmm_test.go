@@ -80,7 +80,7 @@ func TestSliceIsolatedPlacementDisjoint(t *testing.T) {
 		for _, s := range vm.Slices() {
 			claim[s] = true
 		}
-		for _, va := range vm.Lines() {
+		for _, va := range vm.lines {
 			pa, err := m.Space.Translate(va)
 			if err != nil {
 				t.Fatal(err)

@@ -39,9 +39,9 @@ func TestFlushIsDetachThenCommit(t *testing.T) {
 		if err := b.Commit(b.Detach()); err != nil {
 			t.Fatal(err)
 		}
-		if a.DurableSeq() != r[1] || b.DurableSeq() != r[1] || a.Flushes() != b.Flushes() {
+		if a.durable.Load() != r[1] || b.durable.Load() != r[1] || a.flushes.Load() != b.flushes.Load() {
 			t.Fatalf("after %v: durable %d/%d flushes %d/%d, want %d and equal counts",
-				r, a.DurableSeq(), b.DurableSeq(), a.Flushes(), b.Flushes(), r[1])
+				r, a.durable.Load(), b.durable.Load(), a.flushes.Load(), b.flushes.Load(), r[1])
 		}
 	}
 	a.Close()
@@ -63,8 +63,8 @@ func TestDetachOfNothingIsAnEmptyBatch(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatalf("empty detach holds %d records", b.Len())
 	}
-	if err := j.Commit(b); err != nil || j.DurableSeq() != 3 || j.Flushes() != 0 {
-		t.Fatalf("empty commit: err %v durable %d flushes %d, want nil/3/0", err, j.DurableSeq(), j.Flushes())
+	if err := j.Commit(b); err != nil || j.durable.Load() != 3 || j.flushes.Load() != 0 {
+		t.Fatalf("empty commit: err %v durable %d flushes %d, want nil/3/0", err, j.durable.Load(), j.flushes.Load())
 	}
 }
 
@@ -109,19 +109,19 @@ func TestCommitAdvancesDurableSeq(t *testing.T) {
 	if b.Len() != 4 || b.Last() != 14 {
 		t.Fatalf("batch holds %d records through %d, want 4 through 14", b.Len(), b.Last())
 	}
-	if j.Pending() != 0 || j.LastSeq() != 14 || j.DurableSeq() != 10 {
-		t.Fatalf("after detach: pending %d last %d durable %d, want 0/14/10", j.Pending(), j.LastSeq(), j.DurableSeq())
+	if j.Pending() != 0 || j.lastSeq != 14 || j.durable.Load() != 10 {
+		t.Fatalf("after detach: pending %d last %d durable %d, want 0/14/10", j.Pending(), j.lastSeq, j.durable.Load())
 	}
 	// Appends continue while the batch is out.
 	appendRange(t, j, 15, 16)
-	if j.DurableSeq() != 10 {
-		t.Fatalf("durable moved to %d before any commit", j.DurableSeq())
+	if j.durable.Load() != 10 {
+		t.Fatalf("durable moved to %d before any commit", j.durable.Load())
 	}
 	if err := j.Commit(b); err != nil {
 		t.Fatal(err)
 	}
-	if j.DurableSeq() != 14 || j.Pending() != 2 {
-		t.Fatalf("after commit: durable %d pending %d, want 14/2", j.DurableSeq(), j.Pending())
+	if j.durable.Load() != 14 || j.Pending() != 2 {
+		t.Fatalf("after commit: durable %d pending %d, want 14/2", j.durable.Load(), j.Pending())
 	}
 }
 
@@ -227,7 +227,7 @@ func TestCommitFailurePoisonsAcrossGoroutines(t *testing.T) {
 	go func() {
 		var max uint64
 		for i := 0; i < 1000; i++ {
-			if d := j.DurableSeq(); d > max {
+			if d := j.durable.Load(); d > max {
 				max = d
 			}
 		}

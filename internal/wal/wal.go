@@ -138,7 +138,6 @@ type Journal struct {
 	pending int    // records in buf
 	first   uint64 // seqno of buf's first record
 	lastSeq uint64 // last appended seqno (durable or not)
-	appends uint64
 
 	durable atomic.Uint64 // last fsynced seqno
 	flushes atomic.Uint64
@@ -218,7 +217,6 @@ func (j *Journal) Append(r Record) error {
 	}
 	j.lastSeq = r.Seq
 	j.pending++
-	j.appends++
 	return nil
 }
 
@@ -306,18 +304,6 @@ func (j *Journal) DropPending() {
 
 // Pending reports the records buffered and not yet detached.
 func (j *Journal) Pending() int { return j.pending }
-
-// LastSeq reports the last appended seqno (durable or not).
-func (j *Journal) LastSeq() uint64 { return j.lastSeq }
-
-// DurableSeq reports the last fsynced seqno.
-func (j *Journal) DurableSeq() uint64 { return j.durable.Load() }
-
-// Appends and Flushes report lifetime operation counts.
-func (j *Journal) Appends() uint64 { return j.appends }
-
-// Flushes reports how many group commits reached disk.
-func (j *Journal) Flushes() uint64 { return j.flushes.Load() }
 
 // Close flushes any buffered records and closes the file. No Batch may be
 // in flight.

@@ -33,8 +33,8 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, j, 1, 20, keys)
-	if j.DurableSeq() != 20 || j.Pending() != 0 {
-		t.Fatalf("durable=%d pending=%d, want 20/0", j.DurableSeq(), j.Pending())
+	if j.durable.Load() != 20 || j.Pending() != 0 {
+		t.Fatalf("durable=%d pending=%d, want 20/0", j.durable.Load(), j.Pending())
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)

@@ -75,9 +75,6 @@ func (z *Zipf) Next() uint64 {
 // N implements Generator.
 func (z *Zipf) N() uint64 { return z.n }
 
-// Theta returns the skew parameter.
-func (z *Zipf) Theta() float64 { return z.theta }
-
 // Uniform draws keys uniformly from [0, N).
 type Uniform struct {
 	rng *rand.Rand
@@ -99,19 +96,3 @@ func (u *Uniform) Next() uint64 { return uint64(u.rng.Int63n(int64(u.n))) }
 
 // N implements Generator.
 func (u *Uniform) N() uint64 { return u.n }
-
-// HotFraction estimates, by sampling k draws, the fraction of draws that
-// fall within the hottest hotKeys ranks — the quantity that determines how
-// much of a skewed working set the LLC can capture.
-func HotFraction(g Generator, draws int, hotKeys uint64) float64 {
-	if draws <= 0 {
-		return 0
-	}
-	hits := 0
-	for i := 0; i < draws; i++ {
-		if g.Next() < hotKeys {
-			hits++
-		}
-	}
-	return float64(hits) / float64(draws)
-}

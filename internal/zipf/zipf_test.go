@@ -21,7 +21,7 @@ func TestZipfRangeAndDeterminism(t *testing.T) {
 			t.Fatalf("key %d out of range", a)
 		}
 	}
-	if g1.N() != 1<<16 || g1.Theta() != 0.99 {
+	if g1.N() != 1<<16 || g1.theta != 0.99 {
 		t.Error("accessors broken")
 	}
 }
@@ -33,7 +33,13 @@ func TestZipfSkew(t *testing.T) {
 	}
 	// With theta=0.99 over 1M keys, the hottest ~1% of keys should absorb
 	// well over half the draws — the property Fig 8 depends on.
-	frac := HotFraction(g, 100000, 1<<20/100)
+	hits := 0
+	for i := 0; i < 100000; i++ {
+		if g.Next() < 1<<20/100 {
+			hits++
+		}
+	}
+	frac := float64(hits) / 100000
 	if frac < 0.5 {
 		t.Errorf("hottest 1%% absorbs %.1f%% of draws, want >50%%", frac*100)
 	}
@@ -89,9 +95,5 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := NewUniform(rng, 0); err == nil {
 		t.Error("empty uniform accepted")
-	}
-	g, _ := NewUniform(rng, 5)
-	if HotFraction(g, 0, 1) != 0 {
-		t.Error("HotFraction with zero draws")
 	}
 }
