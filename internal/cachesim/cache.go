@@ -30,19 +30,9 @@ type WayMask uint64
 // AllWays allows allocation into every way of the cache.
 const AllWays = WayMask(^uint64(0))
 
-// Stats counts cache events since construction or the last ResetStats.
-type Stats struct {
-	Hits       uint64
-	Misses     uint64
-	Insertions uint64
-	Evictions  uint64 // valid lines displaced by insertions
-	Writebacks uint64 // dirty lines displaced or flushed
-}
-
 // Cache is one set-associative cache. Not safe for concurrent use; the
 // simulated machine serializes accesses per cache.
 type Cache struct {
-	name     string
 	ways     int
 	sets     int
 	setMask  uint64
@@ -55,7 +45,6 @@ type Cache struct {
 	clock    uint64
 	miss     uint64 // the line the last Lookup missed, absent while missOK
 	missOK   bool
-	stats    Stats
 	occupied int
 
 	policy   Policy
@@ -71,7 +60,6 @@ func New(name string, sets, ways int) (*Cache, error) {
 		return nil, fmt.Errorf("cachesim: %s: ways must be in 1..64, got %d", name, ways)
 	}
 	return &Cache{
-		name:    name,
 		ways:    ways,
 		sets:    sets,
 		setMask: uint64(sets - 1),
@@ -85,12 +73,12 @@ func New(name string, sets, ways int) (*Cache, error) {
 // MaxGroupSlots is the most members × ways a NewGroup index can address.
 const MaxGroupSlots = 255
 
-// NewGroup creates n caches of one geometry, named name-0 … name-(n-1),
-// that share a single line index — the slices of a sliced LLC. Each member
-// behaves exactly as a cache from New provided a line is resident in at
-// most one member at a time, which the slice hash guarantees. The index
-// stores member·ways + way + 1 in a byte, so n·ways may not exceed
-// MaxGroupSlots. Like a single Cache, a group is not safe for concurrent use.
+// NewGroup creates n caches of one geometry that share a single line
+// index — the slices of a sliced LLC. Each member behaves exactly as a
+// cache from New provided a line is resident in at most one member at a
+// time, which the slice hash guarantees. The index stores member·ways +
+// way + 1 in a byte, so n·ways may not exceed MaxGroupSlots. Like a single
+// Cache, a group is not safe for concurrent use.
 func NewGroup(name string, n, sets, ways int) ([]*Cache, error) {
 	if n*ways > MaxGroupSlots {
 		return nil, fmt.Errorf("cachesim: %s: %d caches × %d ways exceed the %d slots of a shared index", name, n, ways, MaxGroupSlots)
@@ -98,7 +86,7 @@ func NewGroup(name string, n, sets, ways int) ([]*Cache, error) {
 	index := new(lineIndex)
 	group := make([]*Cache, n)
 	for i := range group {
-		c, err := New(fmt.Sprintf("%s-%d", name, i), sets, ways)
+		c, err := New(name, sets, ways)
 		if err != nil {
 			return nil, err
 		}
@@ -117,20 +105,11 @@ func MustNew(name string, sets, ways int) *Cache {
 	return c
 }
 
-// Name returns the cache's diagnostic name.
-func (c *Cache) Name() string { return c.name }
-
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
-
-// Len returns the number of valid lines currently cached.
-func (c *Cache) Len() int { return c.occupied }
-
-// Stats returns a copy of the event counters.
-func (c *Cache) Stats() Stats { return c.stats }
 
 func (c *Cache) setIndex(line uint64) int { return int(line & c.setMask) }
 
@@ -172,7 +151,6 @@ func (c *Cache) Lookup(line uint64, write bool) bool {
 	idx := c.setIndex(line)
 	w := c.find(idx, line)
 	if w < 0 {
-		c.stats.Misses++
 		c.miss, c.missOK = line, true
 		return false
 	}
@@ -181,7 +159,6 @@ func (c *Cache) Lookup(line uint64, write bool) bool {
 	if write {
 		c.dirty[idx] |= 1 << uint(w)
 	}
-	c.stats.Hits++
 	return true
 }
 
@@ -212,7 +189,6 @@ func (c *Cache) Insert(line uint64, dirty bool, mask WayMask) Victim {
 		return Victim{}
 	}
 
-	c.stats.Insertions++
 	c.missOK = false
 
 	// An empty in-range mask degenerates to all ways so a misconfigured CAT
@@ -234,10 +210,6 @@ func (c *Cache) Insert(line uint64, dirty bool, mask WayMask) Victim {
 		}
 		vb := uint64(1) << uint(victimWay)
 		v = Victim{Line: c.lines[base+victimWay], Dirty: c.dirty[idx]&vb != 0, Evicted: true}
-		c.stats.Evictions++
-		if v.Dirty {
-			c.stats.Writebacks++
-		}
 		c.setSlot(v.Line, 0)
 		c.occupied--
 	}
@@ -278,9 +250,6 @@ func (c *Cache) Invalidate(line uint64) (present, dirty bool) {
 	}
 	wb := uint64(1) << uint(w)
 	dirty = c.dirty[idx]&wb != 0
-	if dirty {
-		c.stats.Writebacks++
-	}
 	c.valid[idx] &^= wb
 	c.dirty[idx] &^= wb
 	c.setSlot(line, 0)
@@ -300,7 +269,6 @@ func (c *Cache) FlushAll() (writebacks int) {
 		}
 		wb := bits.OnesCount64(c.valid[idx] & c.dirty[idx])
 		writebacks += wb
-		c.stats.Writebacks += uint64(wb)
 		c.valid[idx] = 0
 		c.dirty[idx] = 0
 	}

@@ -63,9 +63,6 @@ func (s *LineSet) Remove(line uint64) bool {
 	return true
 }
 
-// Len returns the number of lines in the set.
-func (s *LineSet) Len() int { return s.count }
-
 // Clear empties the set, keeping the allocated pages for reuse.
 func (s *LineSet) Clear() {
 	if s.count == 0 {

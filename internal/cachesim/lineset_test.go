@@ -8,7 +8,7 @@ import (
 )
 
 // LineSet agrees with a map on lines from the dense directory, across the
-// dense limit and far above it, through Add, Remove, Has, Len, Lines and
+// dense limit and far above it, through Add, Remove, Has, Lines and
 // Clear.
 func TestLineSetMatchesMap(t *testing.T) {
 	var s LineSet
@@ -31,8 +31,8 @@ func TestLineSetMatchesMap(t *testing.T) {
 		} else {
 			want[line] = true
 		}
-		if probe := line ^ 1; s.Has(probe) != want[probe] || s.Len() != len(want) {
-			t.Fatalf("Has(%#x) = %v, Len %d; want %v, %d", probe, s.Has(probe), s.Len(), want[probe], len(want))
+		if probe := line ^ 1; s.Has(probe) != want[probe] || s.count != len(want) {
+			t.Fatalf("Has(%#x) = %v, count %d; want %v, %d", probe, s.Has(probe), s.count, want[probe], len(want))
 		}
 	}
 	var lines []uint64

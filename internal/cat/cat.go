@@ -205,9 +205,6 @@ func (e *Experiment) Warmup() {
 
 // Result reports one measured run.
 type Result struct {
-	Scenario     Scenario
-	Ops          int
-	MainCycles   uint64
 	ExecTimeMs   float64 // main application's execution time
 	MainDRAMRate float64 // fraction of main ops served from DRAM
 }
@@ -241,12 +238,7 @@ func (e *Experiment) Run(ops int, noisyPerOp int, write bool, rng *rand.Rand) (R
 	statsAfter := e.main.Stats()
 	dram := statsAfter.DRAMOps - statsBefore.DRAMOps
 	total := statsAfter.Reads + statsAfter.Writes - statsBefore.Reads - statsBefore.Writes
-	res := Result{
-		Scenario:   e.cfg.Scenario,
-		Ops:        ops,
-		MainCycles: cycles,
-		ExecTimeMs: float64(cycles) / e.machine.Profile.FrequencyHz * 1e3,
-	}
+	res := Result{ExecTimeMs: float64(cycles) / e.machine.Profile.FrequencyHz * 1e3}
 	if total > 0 {
 		res.MainDRAMRate = float64(dram) / float64(total)
 	}

@@ -113,13 +113,13 @@ func TestIsolationOrdering(t *testing.T) {
 		noCat := run(NoCAT, write)
 		ways := run(WayIsolated, write)
 		slice0 := run(SliceIsolated, write)
-		if slice0.MainCycles >= ways.MainCycles {
-			t.Errorf("write=%v: slice isolation (%d cyc) not faster than 2W CAT (%d cyc)",
-				write, slice0.MainCycles, ways.MainCycles)
+		if slice0.ExecTimeMs >= ways.ExecTimeMs {
+			t.Errorf("write=%v: slice isolation (%.4f ms) not faster than 2W CAT (%.4f ms)",
+				write, slice0.ExecTimeMs, ways.ExecTimeMs)
 		}
-		if ways.MainCycles >= noCat.MainCycles {
-			t.Errorf("write=%v: 2W CAT (%d cyc) not faster than NoCAT (%d cyc)",
-				write, ways.MainCycles, noCat.MainCycles)
+		if ways.ExecTimeMs >= noCat.ExecTimeMs {
+			t.Errorf("write=%v: 2W CAT (%.4f ms) not faster than NoCAT (%.4f ms)",
+				write, ways.ExecTimeMs, noCat.ExecTimeMs)
 		}
 		// The NoCAT run must actually be suffering DRAM misses from the
 		// neighbour's pollution.

@@ -49,12 +49,9 @@ type Machine struct {
 type AccessStats struct {
 	L1Hits     uint64
 	L2Hits     uint64
-	LLCHits    uint64
 	DRAMOps    uint64
 	Reads      uint64
 	Writes     uint64
-	Flushes    uint64
-	WBStalls   uint64 // dirty evictions that reached the LLC or DRAM
 	Prefetches uint64 // hardware-prefetch fills issued on this core's behalf
 }
 
@@ -275,7 +272,6 @@ func (c *Core) access(pa uint64, write bool) uint64 {
 	hit, slice := c.m.LLC.LookupCore(c.id, pa, false)
 	penalty := uint64(c.m.Topo.Penalty(c.id, slice))
 	if hit {
-		c.stats.LLCHits++
 		cost := uint64(p.LLCBase) + penalty
 		if p.LLCMode == arch.NonInclusive {
 			// Victim LLC: promote the line to L2 and retire the LLC copy
@@ -348,7 +344,6 @@ func (c *Core) handleL2Victim(v cachesim.Victim) {
 	switch p.LLCMode {
 	case arch.Inclusive:
 		if v.Dirty {
-			c.stats.WBStalls++
 			c.tsc += c.drainCost(slice)
 			if c.m.LLC.Contains(pa) {
 				lv, _ := c.m.LLC.Insert(pa, true, c.catMask) // refresh + dirty
@@ -358,7 +353,6 @@ func (c *Core) handleL2Victim(v cachesim.Victim) {
 			// to DRAM; the drain cost above covers the core-visible stall.
 		}
 	case arch.NonInclusive:
-		c.stats.WBStalls++
 		if v.Dirty {
 			c.tsc += c.drainCost(slice)
 		} else {
@@ -384,20 +378,10 @@ func (c *Core) handleLLCVictim(v cachesim.Victim) {
 	c.m.backInvalidate(v)
 }
 
-// Flush executes clflush on a virtual address: the line is written back (if
-// dirty) and invalidated from every level of the hierarchy.
-func (c *Core) Flush(va uint64) {
-	pa, err := c.m.Space.Translate(va)
-	if err != nil {
-		panic(err)
-	}
-	c.FlushPhys(pa)
-}
-
-// FlushPhys is Flush for a physical address.
+// FlushPhys executes clflush on a physical address: the line is written
+// back (if dirty) and invalidated from every level of the hierarchy.
 func (c *Core) FlushPhys(pa uint64) {
 	line := pa >> 6
-	c.stats.Flushes++
 	for _, core := range c.m.cores {
 		core.l1.Invalidate(line)
 		core.l2.Invalidate(line)

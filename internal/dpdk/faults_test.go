@@ -9,11 +9,11 @@ import (
 	"sliceaware/internal/trace"
 )
 
-// TestEnqueueBurstPartialFillAcrossWraparound enqueues a burst one mbuf at
-// a time, as the port RX path does, into a ring whose head sits mid-buffer: the
-// ring takes only as many as it has room for and keeps FIFO order across the
-// wrap boundary.
-func TestEnqueueBurstPartialFillAcrossWraparound(t *testing.T) {
+// TestRingPartialFillKeepsFIFOAcrossWraparound enqueues mbufs one at a
+// time, as the port RX path does, into a ring whose head sits mid-buffer:
+// the ring takes only as many as it has room for and keeps FIFO order
+// across the wrap boundary.
+func TestRingPartialFillKeepsFIFOAcrossWraparound(t *testing.T) {
 	r, err := NewRing("t", 4)
 	if err != nil {
 		t.Fatal(err)
@@ -67,10 +67,6 @@ func TestMempoolRecoversAfterExhaustion(t *testing.T) {
 		t.Fatal("pool did not recover after Put")
 	}
 	p.Put(b)
-	failures := p.failures
-	if failures != 1 {
-		t.Errorf("failures = %d, want 1 (recovered Gets must not count)", failures)
-	}
 }
 
 func TestInjectedMempoolExhaustion(t *testing.T) {
@@ -87,10 +83,6 @@ func TestInjectedMempoolExhaustion(t *testing.T) {
 	}
 	if p.Get() == nil {
 		t.Fatal("Get still failing outside the fault window")
-	}
-	failures := p.failures
-	if failures != 2 {
-		t.Errorf("failures = %d, want 2", failures)
 	}
 	if c := fi.Counts(); c.MempoolFails != 2 {
 		t.Errorf("injector counted %d mempool faults, want 2", c.MempoolFails)

@@ -103,17 +103,13 @@ func (m *Mbuf) Pool() *Mempool { return m.pool }
 // Mempool is a fixed population of mbufs carved from hugepage memory
 // (librte_mempool + librte_mbuf).
 type Mempool struct {
-	name     string
-	mapping  *phys.Mapping
-	elemSize uint64
-	capacity int
+	name    string
+	mapping *phys.Mapping
 
 	all  []*Mbuf // every mbuf, in element-array order
 	free []*Mbuf // LIFO free list, like DPDK's per-lcore cache
 
 	faults *faults.Injector
-
-	gets, failures uint64 // allocation attempts that succeeded / failed
 }
 
 // SetFaultInjector arms the pool's allocation path: while a
@@ -160,10 +156,8 @@ func NewMempool(space *phys.Space, cfg MempoolConfig) (*Mempool, error) {
 	}
 
 	p := &Mempool{
-		name:     cfg.Name,
-		mapping:  mapping,
-		elemSize: elem,
-		capacity: cfg.Mbufs,
+		name:    cfg.Name,
+		mapping: mapping,
 	}
 	p.all = make([]*Mbuf, cfg.Mbufs)
 	p.free = make([]*Mbuf, 0, cfg.Mbufs)
@@ -203,12 +197,10 @@ func (p *Mempool) Mapping() *phys.Mapping { return p.mapping }
 func (p *Mempool) Get() *Mbuf {
 	n := len(p.free)
 	if n == 0 || p.faults.Fire(faults.MempoolExhausted) {
-		p.failures++
 		return nil
 	}
 	m := p.free[n-1]
 	p.free = p.free[:n-1]
-	p.gets++
 	m.dataLen = 0
 	m.Next = nil
 	m.Pkt = trace.Packet{}

@@ -44,11 +44,8 @@ type MbufPrepareFunc func(m *Mbuf, queue int)
 // PortStats aggregates a port's traffic counters.
 type PortStats struct {
 	RxPackets uint64
-	RxBytes   uint64
 	RxDropped uint64 // every lost RX packet (sum of the breakdown below)
-	TxPackets uint64
 	TxBytes   uint64
-	Segments  uint64 // chained segments created for oversized packets
 
 	// Drop-cause breakdown of RxDropped, mirroring a real NIC's extended
 	// statistics (rx_missed, rx_nombuf, rx_crc_errors...).
@@ -205,9 +202,6 @@ func NewPort(machine *cpusim.Machine, cfg PortConfig) (*Port, error) {
 
 // Queues returns the queue count.
 func (p *Port) Queues() int { return p.queues }
-
-// Name returns the port's configured name ("" when unnamed).
-func (p *Port) Name() string { return p.name }
 
 // SetDDIOMask confines this port's DMA fills to an explicit LLC way mask —
 // the per-tenant I/O-way share the llcmgmt controller programs. A zero
@@ -391,7 +385,6 @@ func (p *Port) deliver(pkt trace.Packet, pre int) (queue int, ok bool) {
 		remaining -= segLen
 		seg.Next = next
 		seg = next
-		p.stats.Segments++
 		p.tm.segments.Inc(q)
 	}
 
@@ -412,7 +405,6 @@ func (p *Port) deliver(pkt trace.Packet, pre int) (queue int, ok bool) {
 		return q, false
 	}
 	p.stats.RxPackets++
-	p.stats.RxBytes += uint64(pkt.Size)
 	p.tm.rxPackets.Inc(q)
 	p.tm.rxBytes.Add(q, uint64(pkt.Size))
 	return q, true
@@ -450,7 +442,6 @@ func (p *Port) RxRingCap(q int) int { return p.rx[q].Capacity() }
 // return to their pool (the simulated wire has no further use for them).
 func (p *Port) TxBurst(q int, ms []*Mbuf) int {
 	for _, m := range ms {
-		p.stats.TxPackets++
 		p.stats.TxBytes += uint64(m.PktLen())
 		p.tm.txPackets.Inc(q)
 		p.tm.txBytes.Add(q, uint64(m.PktLen()))

@@ -6,7 +6,6 @@ import "fmt"
 // queues. The simulated machine is single-threaded, so no atomics are
 // needed; semantics (bounded, drop-on-full burst enqueue) match DPDK.
 type Ring struct {
-	name string
 	buf  []*Mbuf
 	head int // dequeue position
 	tail int // enqueue position
@@ -18,11 +17,8 @@ func NewRing(name string, capacity int) (*Ring, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("dpdk: ring %q: capacity must be positive, got %d", name, capacity)
 	}
-	return &Ring{name: name, buf: make([]*Mbuf, capacity)}, nil
+	return &Ring{buf: make([]*Mbuf, capacity)}, nil
 }
-
-// Name returns the ring name.
-func (r *Ring) Name() string { return r.name }
 
 // Capacity returns the maximum occupancy.
 func (r *Ring) Capacity() int { return len(r.buf) }

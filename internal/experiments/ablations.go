@@ -171,14 +171,13 @@ func AblationSteering(env Env) ([]SteeringPoint, *Table, error) {
 			return nil, nil, err
 		}
 		// Count per-queue load during the run.
-		perQueue := make([]int, 8)
-		gcount := &countingGen{inner: g, port: setup.dut.Port(), perQueue: perQueue}
+		gcount := &countingGen{inner: g, port: setup.dut.Port(), perQueue: make([]int, 8)}
 		res, err := netsim.RunRate(setup.dut, gcount, count, 100)
 		if err != nil {
 			return nil, nil, err
 		}
-		mn, mx := perQueue[0], perQueue[0]
-		for _, n := range perQueue {
+		mn, mx := gcount.perQueue[0], gcount.perQueue[0]
+		for _, n := range gcount.perQueue {
 			if n < mn {
 				mn = n
 			}

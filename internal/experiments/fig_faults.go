@@ -17,15 +17,13 @@ import (
 // FigFaultsPoint is one chaos configuration of the fault-injection
 // ablation: forwarding at 100 Gbps under a misbehaving pipeline.
 type FigFaultsPoint struct {
-	Label          string
-	MispredictRate float64 // fraction of lines the deployed profile mis-slices
-	Watchdog       bool
-	AchievedGbps   float64
-	P99Us          float64
-	DroppedPct     float64
-	Mode           cachedirector.Mode
-	Faults         faults.Counts
-	WatchdogStats  cachedirector.WatchdogStats
+	Label         string
+	AchievedGbps  float64
+	P99Us         float64
+	DroppedPct    float64
+	Mode          cachedirector.Mode
+	Faults        faults.Counts
+	WatchdogStats cachedirector.WatchdogStats
 }
 
 // faultsCase describes one row of the ablation.
@@ -140,13 +138,11 @@ func FigFaults(env Env) ([]FigFaultsPoint, *Table, error) {
 			return FigFaultsPoint{}, err
 		}
 		p := FigFaultsPoint{
-			Label:          c.label,
-			MispredictRate: c.mispredict,
-			Watchdog:       c.watchdog,
-			AchievedGbps:   res.AchievedGbps,
-			P99Us:          stats.Percentile(res.LatenciesNs, 99) / 1000,
-			DroppedPct:     float64(res.Dropped) / float64(res.OfferedPkts) * 100,
-			Faults:         res.FaultCounts,
+			Label:        c.label,
+			AchievedGbps: res.AchievedGbps,
+			P99Us:        stats.Percentile(res.LatenciesNs, 99) / 1000,
+			DroppedPct:   float64(res.Dropped) / float64(res.OfferedPkts) * 100,
+			Faults:       res.FaultCounts,
 		}
 		if dir != nil {
 			p.Mode = dir.Mode()

@@ -14,7 +14,6 @@ import (
 // HashRecoveryResult carries Fig 4's outcome.
 type HashRecoveryResult struct {
 	Recovered *reveng.RecoveredHash
-	Truth     *chash.XORHash
 	Match     bool
 }
 
@@ -34,7 +33,7 @@ func Figure4(env Env) (*HashRecoveryResult, *Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	res := &HashRecoveryResult{Recovered: rec, Truth: truth, Match: rec.Hash.Equal(truth)}
+	res := &HashRecoveryResult{Recovered: rec, Match: rec.Hash.Equal(truth)}
 
 	t := &Table{
 		ID:     "F4",
@@ -101,7 +100,6 @@ func Figure16(env Env) (*AccessTimeResult, *Table, error) {
 
 	l2SetStride := uint64(p.L2.Sets() * 64)
 	res := &AccessTimeResult{
-		Core:        0,
 		ReadCycles:  make([]float64, p.Slices),
 		WriteCycles: make([]float64, p.Slices),
 	}

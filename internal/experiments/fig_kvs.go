@@ -23,7 +23,6 @@ type KVSCell struct {
 
 // KVSResult carries all Fig 8 bars.
 type KVSResult struct {
-	Keys  uint64
 	Cells []KVSCell
 }
 
@@ -49,7 +48,7 @@ func Figure8(env Env) (*KVSResult, *Table, error) {
 	warm := env.Scale.pick(10000, 40000)
 	requests := env.Scale.pick(20000, 100000)
 
-	res := &KVSResult{Keys: keys}
+	res := &KVSResult{}
 	ratios := []float64{1.0, 0.95, 0.5}
 	type cellCfg struct {
 		skewed, sliceAware bool

@@ -36,7 +36,6 @@ func Table1() *Table {
 
 // AccessTimeResult carries Fig 5's per-slice access cycles from one core.
 type AccessTimeResult struct {
-	Core        int
 	ReadCycles  []float64 // per slice
 	WriteCycles []float64 // per slice
 }
@@ -62,7 +61,6 @@ func figure5On(m *cpusim.Machine, coreID, reps int) (*AccessTimeResult, *Table, 
 	}
 
 	res := &AccessTimeResult{
-		Core:        coreID,
 		ReadCycles:  make([]float64, p.Slices),
 		WriteCycles: make([]float64, p.Slices),
 	}

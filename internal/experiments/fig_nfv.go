@@ -104,9 +104,7 @@ func buildNFV(env Env, kind ChainKind, withCD bool, steering dpdk.Steering) (*nf
 
 // NFVLatencyResult carries a base-vs-CacheDirector latency comparison.
 type NFVLatencyResult struct {
-	Kind     ChainKind
-	Steering dpdk.Steering
-	Runs     int
+	Kind ChainKind
 
 	BaseLat []float64 // pooled DuT residency, ns
 	CDLat   []float64
@@ -123,7 +121,7 @@ func (r *NFVLatencyResult) Summaries() (base, cd stats.Summary) {
 // latencyCompare runs the paired experiment: `runs` back-to-back runs of
 // `count` packets per side, pooling latencies.
 func latencyCompare(env Env, kind ChainKind, steering dpdk.Steering, runs, count int, offeredGbps, pps float64, gen func(seed int64) (trace.Generator, error)) (*NFVLatencyResult, error) {
-	res := &NFVLatencyResult{Kind: kind, Steering: steering, Runs: runs}
+	res := &NFVLatencyResult{Kind: kind}
 	// The back-to-back runs within one side share a DuT on purpose (Reset
 	// keeps the caches warm), so a side is inherently sequential; the two
 	// sides are independent machines and make a two-trial fan-out.

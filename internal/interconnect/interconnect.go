@@ -93,7 +93,7 @@ func (r *RingBus) check(core, slice int) {
 // placed on a subset of tiles, and traversal cost is Manhattan distance.
 type MeshGrid struct {
 	cores, slices int
-	cols, rows    int
+	cols          int
 	hopCycles     int
 	corePos       []int // tile index of each core
 }
@@ -115,7 +115,7 @@ func NewMesh(cores, slices, cols, hopCycles int) (*MeshGrid, error) {
 	}
 	m := &MeshGrid{
 		cores: cores, slices: slices,
-		cols: cols, rows: slices / cols,
+		cols:      cols,
 		hopCycles: hopCycles,
 	}
 	m.corePos = placeCores(cores, slices)

@@ -91,8 +91,7 @@ type Store struct {
 
 	gets, sets uint64
 
-	// tele surfaces request and migration activity; nil handles no-op.
-	tele        *telemetry.Collector
+	// Request and migration activity counters; nil handles no-op.
 	ctrGets     *telemetry.Counter
 	ctrSets     *telemetry.Counter
 	ctrDropped  *telemetry.Counter
@@ -105,7 +104,6 @@ type Store struct {
 // SetTelemetry instruments the store: request outcome counters (sharded
 // by the serving core) and migration activity counters.
 func (s *Store) SetTelemetry(c *telemetry.Collector) {
-	s.tele = c
 	reg := c.Registry()
 	s.ctrGets = reg.CounterL("kvs_requests_total", "Requests served by outcome", `op="get"`)
 	s.ctrSets = reg.CounterL("kvs_requests_total", "Requests served by outcome", `op="set"`)
@@ -294,8 +292,6 @@ type Workload struct {
 
 // Result reports a run's aggregate performance.
 type Result struct {
-	Requests     int
-	Cycles       uint64
 	CyclesPerReq float64
 	TPSMillions  float64 // transactions per second, millions
 	Gets, Sets   uint64
@@ -336,8 +332,6 @@ func (s *Store) Run(w Workload) (Result, error) {
 	}
 	cycles := s.core.Cycles() - start
 	res := Result{
-		Requests:     w.Requests,
-		Cycles:       cycles,
 		CyclesPerReq: float64(cycles) / float64(w.Requests),
 		Gets:         s.gets,
 		Sets:         s.sets,

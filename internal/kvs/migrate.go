@@ -71,7 +71,6 @@ func (s *Store) sliceHomed(key uint64) bool {
 // MigrationResult reports one MigrateTopK call.
 type MigrationResult struct {
 	Migrated     int    // keys whose storage moved into the preferred slice
-	Evicted      int    // previously slice-homed keys displaced to make room
 	Retries      int    // swap attempts lost to contention (and retried or given up)
 	Skipped      int    // keys abandoned after exhausting the retry budget
 	BreakerSkips int    // keys skipped cheaply because the breaker was open
@@ -165,7 +164,6 @@ func (s *Store) MigrateTopK(k int) (MigrationResult, error) {
 			continue
 		}
 		res.Migrated++
-		res.Evicted++
 	}
 	res.Cycles = s.core.Cycles() - start
 	sc := s.cfg.ServingCore

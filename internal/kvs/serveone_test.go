@@ -97,7 +97,7 @@ func TestServeOneAgreesWithRun(t *testing.T) {
 		}
 		cycles += c
 	}
-	if cycles != res.Cycles {
-		t.Fatalf("ServeOne loop consumed %d cycles, Run consumed %d — paths diverged", cycles, res.Cycles)
+	if perReq := float64(cycles) / float64(requests); perReq != res.CyclesPerReq {
+		t.Fatalf("ServeOne loop consumed %v cycles per request, Run %v — paths diverged", perReq, res.CyclesPerReq)
 	}
 }

@@ -283,13 +283,15 @@ func (l *SlicedLLC) Invalidate(pa uint64) (present, dirty bool) {
 	return l.slices[l.SliceOf(pa)].Invalidate(line)
 }
 
-// FlushAll empties every slice.
-func (l *SlicedLLC) FlushAll() {
+// FlushAll empties every slice, returning the number of dirty lines
+// written back.
+func (l *SlicedLLC) FlushAll() (writebacks int) {
 	for _, s := range l.slices {
-		s.FlushAll()
+		writebacks += s.FlushAll()
 	}
 	l.dmaUnread.Clear()
 	l.dmaLeaked.Clear()
+	return writebacks
 }
 
 // Events returns a copy of the CBo counters for one slice.

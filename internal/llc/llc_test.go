@@ -264,7 +264,7 @@ func TestOccupancyAndEventsReset(t *testing.T) {
 	}
 	total := 0
 	for _, s := range l.slices {
-		total += s.Len()
+		total += s.MaskLen(cachesim.AllWays)
 	}
 	if total != 100 {
 		t.Errorf("total occupancy = %d, want 100", total)

@@ -105,11 +105,12 @@ func (r *refLLC) invalidate(pa uint64) (bool, bool) {
 	return r.slices[r.hash.Slice(pa)].Invalidate(line)
 }
 
-func (r *refLLC) flushAll() {
+func (r *refLLC) flushAll() (writebacks int) {
 	for _, s := range r.slices {
-		s.FlushAll()
+		writebacks += s.FlushAll()
 	}
 	r.unread, r.leaked = map[uint64]bool{}, map[uint64]bool{}
+	return writebacks
 }
 
 func (r *refLLC) setDDIOWays(n int) int {
@@ -158,8 +159,9 @@ func (o *llcOps) mask() cachesim.WayMask {
 }
 
 // checkLLCAgainstRef runs the program encoded in data on a SlicedLLC and on
-// refLLC, comparing every result and the counters after each operation and
-// every slice's lines and statistics at the end.
+// refLLC. After each operation it compares the result, the counters, every
+// slice's occupancy and the resident lines of the slices the operation
+// touched; at the end, every slice's lines and its lines in the DDIO ways.
 func checkLLCAgainstRef(t *testing.T, data []byte) {
 	o := &llcOps{data: data}
 	p, h := arch.HaswellE52667v3(), chash.Hash(chash.Haswell8())
@@ -185,27 +187,30 @@ func runLLCAgainstRef(t *testing.T, p *arch.Profile, h chash.Hash, o *llcOps) {
 	for step := 0; o.pos < len(o.data); step++ {
 		op := o.byte()
 		var got, want any
+		// touched is the slice whose lines the op may change: -1 for none,
+		// len(r.slices) for every slice.
+		touched := -1
 		switch op % 8 {
 		case 0, 7:
 			core, pa, write := int(op>>3)%3-1, o.pa(), op&0x40 != 0
 			h1, s1 := l.LookupCore(core, pa, write)
 			h2, s2 := r.lookup(core, pa, write)
-			got, want = [2]any{h1, s1}, [2]any{h2, s2}
+			got, want, touched = [2]any{h1, s1}, [2]any{h2, s2}, s2
 		case 1:
 			pa, dirty, m := o.pa(), op&8 != 0, o.mask()
 			v1, s1 := l.Insert(pa, dirty, m)
 			v2, s2 := r.insert(pa, dirty, m)
-			got, want = [2]any{v1, s1}, [2]any{v2, s2}
+			got, want, touched = [2]any{v1, s1}, [2]any{v2, s2}, s2
 		case 2, 3:
 			pa, m := o.pa(), o.mask()
 			v1, s1 := l.DMAInsertMasked(pa, m)
 			v2, s2 := r.dmaInsert(pa, m)
-			got, want = [2]any{v1, s1}, [2]any{v2, s2}
+			got, want, touched = [2]any{v1, s1}, [2]any{v2, s2}, s2
 		case 4:
 			pa := o.pa()
 			p1, d1 := l.Invalidate(pa)
 			p2, d2 := r.invalidate(pa)
-			got, want = [2]bool{p1, d1}, [2]bool{p2, d2}
+			got, want, touched = [2]bool{p1, d1}, [2]bool{p2, d2}, r.hash.Slice(pa)
 		case 5:
 			pa := o.pa()
 			got, want = l.Contains(pa), r.slices[r.hash.Slice(pa)].Contains(pa>>6)
@@ -216,11 +221,10 @@ func runLLCAgainstRef(t *testing.T, p *arch.Profile, h chash.Hash, o *llcOps) {
 		case 6:
 			switch op {
 			case 6: // rare: a flush empties everything
-				l.FlushAll()
-				r.flushAll()
+				got, want, touched = l.FlushAll(), r.flushAll(), len(r.slices)
 			case 14: // flush one slice and leave the others' lines alone
 				s := int(o.byte()) % l.Slices()
-				got, want = l.SliceCache(s).FlushAll(), r.slices[s].FlushAll()
+				got, want, touched = l.SliceCache(s).FlushAll(), r.slices[s].FlushAll(), s
 			default:
 				n := int(op >> 3 % 24)
 				got, want = l.SetDDIOWays(n), r.setDDIOWays(n)
@@ -237,11 +241,23 @@ func runLLCAgainstRef(t *testing.T, p *arch.Profile, h chash.Hash, o *llcOps) {
 				t.Fatalf("step %d: core %d first touch %+v, reference %+v", step, core, got, want)
 			}
 		}
+		// Every slice's occupancy, so an op on one slice cannot disturb
+		// another unseen, and the resident lines of the slices it touched.
+		for s, ref := range r.slices {
+			c := l.SliceCache(s)
+			if c.MaskLen(cachesim.AllWays) != ref.MaskLen(cachesim.AllWays) {
+				t.Fatalf("step %d (op %d): slice %d holds %d lines, reference %d",
+					step, op%8, s, c.MaskLen(cachesim.AllWays), ref.MaskLen(cachesim.AllWays))
+			}
+			if (s == touched || touched == len(r.slices)) && !reflect.DeepEqual(c.Lines(), ref.Lines()) {
+				t.Fatalf("step %d (op %d): slice %d's resident lines differ from the reference", step, op%8, s)
+			}
+		}
 	}
 	for s, ref := range r.slices {
 		c := l.SliceCache(s)
-		if c.Stats() != ref.Stats() || c.Len() != ref.Len() || c.MaskLen(r.ddio) != ref.MaskLen(r.ddio) {
-			t.Fatalf("slice %d: stats %+v len %d, reference %+v len %d", s, c.Stats(), c.Len(), ref.Stats(), ref.Len())
+		if c.MaskLen(r.ddio) != ref.MaskLen(r.ddio) {
+			t.Fatalf("slice %d: %d lines in the DDIO ways, reference %d", s, c.MaskLen(r.ddio), ref.MaskLen(r.ddio))
 		}
 		if !reflect.DeepEqual(c.Lines(), ref.Lines()) {
 			t.Fatalf("slice %d: resident lines differ from the reference", s)

@@ -53,7 +53,6 @@ type ControllerStats struct {
 	Isolations         uint64
 	Releases           uint64
 	SuppressedReleases uint64 // releases refused by the open breaker
-	Flaps              uint64 // releases whose probation saw pressure re-spike
 }
 
 // Controller is the deterministic closed-loop isolation controller: every
@@ -176,14 +175,14 @@ func (c *Controller) Tick(nowNs float64) {
 	if !c.started {
 		c.started = true
 		c.epochStart = nowNs
-		c.mon.Sample(nowNs) // establish counter baselines
+		c.mon.Sample() // establish counter baselines
 		return
 	}
 	if nowNs-c.epochStart < c.cfg.EpochNs {
 		return
 	}
 	c.epochStart = nowNs
-	c.mon.Sample(nowNs)
+	c.mon.Sample()
 	pressure := 0.0
 	for i, t := range c.reg.tenants {
 		t.pressure = c.mon.LeakPressure(i)
@@ -209,7 +208,6 @@ func (c *Controller) step(nowNs, pressure float64) {
 			// failed. The ladder will re-isolate on its own; the breaker
 			// remembers the flap.
 			c.breaker.Record(nowNs, false)
-			c.stats.Flaps++
 			c.probation = false
 		case c.stats.Epochs-c.releaseEpoch >= uint64(c.cfg.ProbationEpochs):
 			c.breaker.Record(nowNs, true)

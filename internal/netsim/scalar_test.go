@@ -16,15 +16,13 @@ import (
 // packet just offered. The steady-state throughput window skips the first
 // quarter (warm-up) and stops at the last arrival (excluding the drain
 // tail).
-func runLoop(d *DuT, gen trace.Generator, count int, gap func(trace.Packet) float64) (Result, float64) {
+func runLoop(d *DuT, gen trace.Generator, count int, gap func(trace.Packet) float64) Result {
 	base := d.beginRun(count)
 	t := 0.0
-	var offeredBits float64
 	var windowStartNs float64
 	var windowStartTx uint64
 	for i := 0; i < count; i++ {
 		pkt := gen.Next()
-		offeredBits += float64(pkt.Size * 8)
 		d.Arrive(pkt, t)
 		if i == count/4 {
 			windowStartNs = t
@@ -36,7 +34,7 @@ func runLoop(d *DuT, gen trace.Generator, count int, gap func(trace.Packet) floa
 	// the throughput measurement, then drain the leftovers.
 	d.advanceTo(t)
 	windowTx := d.port.Stats().TxBytes - windowStartTx
-	return d.endRun(base, count, t, windowStartNs, windowTx), offeredBits
+	return d.endRun(base, count, t, windowStartNs, windowTx)
 }
 
 // runRateScalar is the reference for RunRate.
@@ -49,15 +47,13 @@ func runRateScalar(d *DuT, gen trace.Generator, count int, offeredGbps float64) 
 		rate = NICCapGbps
 	}
 	minGapNs := 1e9 / NICCapPPS
-	res, _ := runLoop(d, gen, count, func(pkt trace.Packet) float64 {
+	return runLoop(d, gen, count, func(pkt trace.Packet) float64 {
 		wireNs := float64(pkt.Size*8) / rate // Gbps ⇒ bits/ns
 		if wireNs < minGapNs {
 			wireNs = minGapNs
 		}
 		return wireNs
-	})
-	res.OfferedGbps = offeredGbps
-	return res, nil
+	}), nil
 }
 
 // runPPSScalar is the reference for RunPPS.
@@ -69,7 +65,5 @@ func runPPSScalar(d *DuT, gen trace.Generator, count int, pps float64) (Result, 
 		pps = NICCapPPS
 	}
 	gap := 1e9 / pps
-	res, offeredBits := runLoop(d, gen, count, func(trace.Packet) float64 { return gap })
-	res.OfferedGbps = offeredBits / (float64(count) * gap)
-	return res, nil
+	return runLoop(d, gen, count, func(trace.Packet) float64 { return gap }), nil
 }

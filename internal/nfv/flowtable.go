@@ -18,7 +18,6 @@ type FlowTable struct {
 
 	keys     []uint64 // flow keys; 0 = empty (flow IDs are offset by 1)
 	vals     []uint64
-	used     int
 	probeCap int
 }
 
@@ -39,9 +38,6 @@ func NewFlowTable(space *phys.Space, buckets int) (*FlowTable, error) {
 		probeCap: buckets,
 	}, nil
 }
-
-// Len returns the number of live flows.
-func (t *FlowTable) Len() int { return t.used }
 
 func (t *FlowTable) slot(key uint64) int {
 	h := key + 1
@@ -84,9 +80,6 @@ func (t *FlowTable) Insert(core *cpusim.Core, key uint64, val uint64) error {
 			core.Read(t.bucketAddr(i))
 		}
 		if t.keys[i] == 0 || t.keys[i] == k {
-			if t.keys[i] == 0 {
-				t.used++
-			}
 			t.keys[i] = k
 			t.vals[i] = val
 			if core != nil {
@@ -104,18 +97,18 @@ func (t *FlowTable) Insert(core *cpusim.Core, key uint64, val uint64) error {
 // from the entry.
 type NAPT struct {
 	table    *FlowTable
-	publicIP uint32
 	nextPort uint16
 }
 
 // NewNAPT builds the translator with a table sized for the expected flow
-// population.
+// population. The simulator models the header rewrite as one line write,
+// so the public address it would write in is not kept.
 func NewNAPT(space *phys.Space, buckets int, publicIP uint32) (*NAPT, error) {
 	t, err := NewFlowTable(space, buckets)
 	if err != nil {
 		return nil, err
 	}
-	return &NAPT{table: t, publicIP: publicIP, nextPort: 1024}, nil
+	return &NAPT{table: t, nextPort: 1024}, nil
 }
 
 // Name implements NF.
@@ -149,7 +142,6 @@ type LoadBalancer struct {
 	table    *FlowTable
 	backends int
 	next     int
-	counts   []uint64
 }
 
 // NewLoadBalancer builds the LB.
@@ -161,7 +153,7 @@ func NewLoadBalancer(space *phys.Space, buckets, backends int) (*LoadBalancer, e
 	if err != nil {
 		return nil, err
 	}
-	return &LoadBalancer{table: t, backends: backends, counts: make([]uint64, backends)}, nil
+	return &LoadBalancer{table: t, backends: backends}, nil
 }
 
 // Name implements NF.
@@ -181,7 +173,6 @@ func (lb *LoadBalancer) Process(core *cpusim.Core, mb *dpdk.Mbuf) bool {
 			return false
 		}
 	}
-	lb.counts[v]++
 	core.Write(mb.DataVA())
 	return true
 }

@@ -319,8 +319,8 @@ func TestFlowTable(t *testing.T) {
 	if v, _ := ft.Lookup(nil, 42); v != 8 {
 		t.Errorf("overwrite lost: %d", v)
 	}
-	if ft.Len() != 1 {
-		t.Errorf("Len = %d", ft.Len())
+	if n := flows(ft); n != 1 {
+		t.Errorf("%d flows", n)
 	}
 	// Key 0 must work (offset encoding).
 	if err := ft.Insert(nil, 0, 99); err != nil {
@@ -334,12 +334,12 @@ func TestFlowTable(t *testing.T) {
 		if err := ft.Insert(nil, k, k); err != nil {
 			break
 		}
-		if ft.Len() > 64 {
+		if flows(ft) > 64 {
 			t.Fatal("table exceeded capacity")
 		}
 	}
-	if ft.Len() != 64 {
-		t.Errorf("final Len = %d, want 64", ft.Len())
+	if n := flows(ft); n != 64 {
+		t.Errorf("%d flows in the full table, want 64", n)
 	}
 	// All inserted keys still resolve after heavy probing.
 	for k := uint64(1); k < 60; k++ {
@@ -365,6 +365,17 @@ func TestFlowTableChargesAccesses(t *testing.T) {
 	if core.Stats().Reads == before {
 		t.Error("table operations charged no memory accesses")
 	}
+}
+
+// flows counts the table's occupied buckets.
+func flows(t *FlowTable) int {
+	n := 0
+	for _, k := range t.keys {
+		if k != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func TestNAPT(t *testing.T) {
@@ -395,8 +406,8 @@ func TestNAPT(t *testing.T) {
 	if p3 == p1 {
 		t.Error("two flows share an external port")
 	}
-	if n.table.Len() != 2 {
-		t.Errorf("Flows = %d", n.table.Len())
+	if f := flows(n.table); f != 2 {
+		t.Errorf("Flows = %d", f)
 	}
 	if n.Name() == "" {
 		t.Error("empty name")
@@ -429,17 +440,11 @@ func TestLoadBalancerRoundRobinSticky(t *testing.T) {
 	}
 	// Stickiness: replaying flow 0 must not move it.
 	mb.Pkt.FlowID = 0
-	lb.Process(core, mb)
+	if !lb.Process(core, mb) {
+		t.Fatal("LB dropped a pinned flow")
+	}
 	if b, _ := lb.table.Lookup(nil, 0); b != 0 {
 		t.Errorf("flow 0 moved to backend %d", b)
-	}
-	counts := lb.counts
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total != 9 {
-		t.Errorf("total processed = %d", total)
 	}
 	if _, err := NewLoadBalancer(m.Space, 64, 0); err == nil {
 		t.Error("zero backends accepted")
@@ -480,8 +485,8 @@ func TestChain(t *testing.T) {
 	if core.Cycles()-before < forwardComputeCycles {
 		t.Error("chain charged implausibly few cycles")
 	}
-	if n.table.Len() != 1 {
-		t.Errorf("NAPT flows = %d", n.table.Len())
+	if f := flows(n.table); f != 1 {
+		t.Errorf("NAPT flows = %d", f)
 	}
 	if _, ok := lb.table.Lookup(nil, 5); !ok {
 		t.Error("LB did not pin the flow")

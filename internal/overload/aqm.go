@@ -14,12 +14,6 @@ var (
 	errREDForced = fmt.Errorf("%w: red occupancy above max threshold", ErrAQM)
 )
 
-// AQMStats counts one discipline's decisions.
-type AQMStats struct {
-	Admitted uint64
-	Dropped  uint64
-}
-
 // CoDelConfig tunes the CoDel-style discipline. Zero values take the
 // documented defaults, calibrated to the simulated DuT's µs-scale
 // residency: CoDel guidance sets the interval near the worst-case
@@ -63,8 +57,6 @@ type CoDel struct {
 	// ring).
 	lastCount  int
 	lastExitNs float64
-
-	stats AQMStats
 }
 
 var _ AQM = (*CoDel)(nil)
@@ -109,19 +101,16 @@ func (c *CoDel) Admit(nowNs float64, qlen, qcap int, sojournNs float64) error {
 			c.lastCount = c.count
 			c.lastExitNs = nowNs
 		}
-		c.stats.Admitted++
 		return nil
 	}
 	if c.firstAboveNs == 0 {
 		// First observation above target: arm the interval timer.
 		c.firstAboveNs = nowNs + c.cfg.IntervalNs
-		c.stats.Admitted++
 		return nil
 	}
 	if !c.dropping {
 		if nowNs < c.firstAboveNs {
 			// Above target but the grace interval has not elapsed.
-			c.stats.Admitted++
 			return nil
 		}
 		// Sojourn stayed above target a full interval: a standing queue,
@@ -134,16 +123,13 @@ func (c *CoDel) Admit(nowNs float64, qlen, qcap int, sojournNs float64) error {
 			c.count = 1
 		}
 		c.dropNextNs = nowNs + c.cfg.IntervalNs/math.Sqrt(float64(c.count+1))
-		c.stats.Dropped++
 		return errCoDel
 	}
 	if nowNs >= c.dropNextNs {
 		c.count++
 		c.dropNextNs = nowNs + c.cfg.IntervalNs/math.Sqrt(float64(c.count+1))
-		c.stats.Dropped++
 		return errCoDel
 	}
-	c.stats.Admitted++
 	return nil
 }
 

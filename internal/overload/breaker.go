@@ -56,8 +56,6 @@ type BreakerConfig struct {
 
 // BreakerStats counts one breaker's decisions and transitions.
 type BreakerStats struct {
-	Allowed    uint64 // calls passed through (closed or half-open trial)
-	Rejected   uint64 // calls refused while open
 	Trips      uint64 // Closed/HalfOpen → Open transitions
 	Recoveries uint64 // HalfOpen → Closed transitions
 }
@@ -140,7 +138,6 @@ func (b *Breaker) Allow(now float64) error {
 	}
 	if b.state == BreakerOpen {
 		if now-b.openedAt < b.cfg.Cooldown {
-			b.stats.Rejected++
 			return ErrBreakerOpen
 		}
 		b.state = BreakerHalfOpen
@@ -149,12 +146,10 @@ func (b *Breaker) Allow(now float64) error {
 	}
 	if b.state == BreakerHalfOpen && b.cfg.HalfOpenMaxInflight > 0 {
 		if b.inflight >= b.cfg.HalfOpenMaxInflight {
-			b.stats.Rejected++
 			return ErrBreakerOpen
 		}
 		b.inflight++
 	}
-	b.stats.Allowed++
 	return nil
 }
 

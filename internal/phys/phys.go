@@ -61,9 +61,6 @@ func NewSpace(size uint64) *Space {
 	}
 }
 
-// Size returns the total capacity of the space.
-func (s *Space) Size() uint64 { return s.size }
-
 // Map allocates size bytes backed by pages of pageSize and returns the
 // mapping. Physical backing is contiguous per page; for hugepages this is
 // what gives slice-aware allocation its large contiguous window.

@@ -64,9 +64,6 @@ type Region struct {
 // Len returns the number of lines.
 func (r *Region) Len() int { return len(r.lines) }
 
-// Bytes returns the usable capacity.
-func (r *Region) Bytes() int { return len(r.lines) * LineSize }
-
 // Line returns the virtual address of line i.
 func (r *Region) Line(i int) uint64 { return r.lines[i] }
 

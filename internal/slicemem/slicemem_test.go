@@ -26,8 +26,8 @@ func TestAllocLinesAllOnRequestedSlice(t *testing.T) {
 		if err != nil {
 			t.Fatalf("slice %d: %v", slice, err)
 		}
-		if r.Len() != 100 || r.Bytes() != 6400 {
-			t.Fatalf("slice %d: region %d lines / %d bytes", slice, r.Len(), r.Bytes())
+		if r.Len() != 100 {
+			t.Fatalf("slice %d: region of %d lines", slice, r.Len())
 		}
 		for i := 0; i < r.Len(); i++ {
 			got, err := a.SliceOf(r.Line(i))

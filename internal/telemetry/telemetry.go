@@ -112,14 +112,6 @@ func (c *Collector) SetNow(ns float64) {
 	c.nowNs = ns
 }
 
-// Now reads the simulated clock (0 for a nil collector).
-func (c *Collector) Now() float64 {
-	if c == nil {
-		return 0
-	}
-	return c.nowNs
-}
-
 // Event annotates the timeline at the current simulated time.
 func (c *Collector) Event(name string) {
 	if c == nil {

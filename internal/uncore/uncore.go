@@ -90,9 +90,6 @@ func (m *Monitor) Read() ([]uint64, error) {
 // Stop ends the session.
 func (m *Monitor) Stop() { m.running = false }
 
-// Slices returns the number of monitored slices.
-func (m *Monitor) Slices() int { return m.llc.Slices() }
-
 func pick(ev llc.CBoEvents, e Event) uint64 {
 	switch e {
 	case EventLookups:

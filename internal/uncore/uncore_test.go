@@ -74,10 +74,6 @@ func TestMonitorEvents(t *testing.T) {
 	if d[l.Hash().Slice(pa+64)] != 1 {
 		t.Errorf("ddio delta = %d, want 1", d[l.Hash().Slice(pa+64)])
 	}
-
-	if m.Slices() != 8 {
-		t.Errorf("Slices = %d", m.Slices())
-	}
 }
 
 func TestReadBeforeStart(t *testing.T) {

@@ -211,9 +211,6 @@ func (h *Hypervisor) Warmup() {
 // VMResult is one guest's measured performance.
 type VMResult struct {
 	Name        string
-	Noisy       bool
-	Ops         int
-	Cycles      uint64
 	CyclesPerOp float64
 }
 
@@ -240,9 +237,6 @@ func (h *Hypervisor) Run(ops int) ([]VMResult, error) {
 		cy := v.core.Cycles() - starts[i]
 		out[i] = VMResult{
 			Name:        v.cfg.Name,
-			Noisy:       v.cfg.Noisy,
-			Ops:         ops,
-			Cycles:      cy,
 			CyclesPerOp: float64(cy) / float64(ops),
 		}
 	}

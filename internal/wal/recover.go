@@ -8,14 +8,13 @@ import (
 
 // State is the durable shard state recovery rebuilds: the per-key version
 // table, the last seqno the journal+snapshot cover, and the lifetime
-// counters the snapshot carried. Gets/Served are snapshot-resolution only
-// (reads are not journaled); Sets is exact through the durable prefix.
+// counters the snapshot carried. Gets is snapshot-resolution only (reads
+// are not journaled); Sets is exact through the durable prefix.
 type State struct {
 	Versions []uint64
 	LastSeq  uint64
 	Gets     uint64
 	Sets     uint64
-	Served   uint64
 }
 
 // Report describes what one recovery did — the daemon logs it and the
@@ -61,7 +60,7 @@ func Recover(dir string, shard int, keys uint64, apply func(Record)) (*State, Re
 		}
 		copy(st.Versions, snap.Versions)
 		st.LastSeq = snap.LastSeq
-		st.Gets, st.Sets, st.Served = snap.Gets, snap.Sets, snap.Served
+		st.Gets, st.Sets = snap.Gets, snap.Sets
 		rep.SnapshotLoaded = true
 		rep.SnapshotSeq = snap.LastSeq
 	case errors.Is(err, ErrNoSnapshot):

@@ -131,7 +131,6 @@ func decodeRecord(src []byte) (Record, string) {
 // poisoned state are safe to read from any goroutine.
 type Journal struct {
 	f       *os.File
-	path    string
 	shard   int
 	buf     []byte // encoded records not yet detached
 	spare   []byte // the buffer of the last detached Batch, reused next
@@ -190,7 +189,7 @@ func OpenJournal(dir string, shard int, lastSeq uint64) (*Journal, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	j := &Journal{f: f, path: path, shard: shard, lastSeq: lastSeq}
+	j := &Journal{f: f, shard: shard, lastSeq: lastSeq}
 	j.durable.Store(lastSeq)
 	return j, nil
 }
