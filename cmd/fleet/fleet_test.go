@@ -165,20 +165,25 @@ func TestRetryPolicy(t *testing.T) {
 	}
 }
 
-// Expected artifacts demote a pass when missing or empty.
+// Expected artifacts demote a pass when missing or empty; a directory
+// artifact counts as empty when it holds no entries.
 func TestArtifactCheck(t *testing.T) {
 	doc := `{
 	  "scenarios": [
-	    {"id": "has",   "tool": "raw", "argv": ["sh", "-c", "echo data > out.txt"], "artifacts": ["out.txt"]},
-	    {"id": "empty", "tool": "raw", "argv": ["sh", "-c", ": > out.txt"],         "artifacts": ["out.txt"]},
-	    {"id": "gone",  "tool": "raw", "argv": ["true"],                            "artifacts": ["out.txt"]}
+	    {"id": "has",     "tool": "raw", "argv": ["sh", "-c", "echo data > out.txt"],          "artifacts": ["out.txt"]},
+	    {"id": "has-dir", "tool": "raw", "argv": ["sh", "-c", "mkdir d && echo data > d/a"], "artifacts": ["d"]},
+	    {"id": "empty",   "tool": "raw", "argv": ["sh", "-c", ": > out.txt"],                 "artifacts": ["out.txt"]},
+	    {"id": "gone",    "tool": "raw", "argv": ["true"],                                    "artifacts": ["out.txt"]},
+	    {"id": "bare-dir", "tool": "raw", "argv": ["mkdir", "d"],                             "artifacts": ["d"]}
 	  ]
 	}`
 	res := runRaw(t, doc)
-	if res[0].Status != StatusPass || len(res[0].Artifacts) != 1 {
-		t.Errorf("has: status %s artifacts %v", res[0].Status, res[0].Artifacts)
+	for _, r := range res[:2] {
+		if r.Status != StatusPass || len(r.Artifacts) != 1 {
+			t.Errorf("%s: status %s artifacts %v", r.ID, r.Status, r.Artifacts)
+		}
 	}
-	for _, r := range res[1:] {
+	for _, r := range res[2:] {
 		if r.Status != StatusFailed || len(r.Missing) != 1 {
 			t.Errorf("%s: status %s missing %v, want failed with 1 missing", r.ID, r.Status, r.Missing)
 		}

@@ -1,12 +1,11 @@
 // Command fleet is the multi-process experiment orchestrator: it
 // expands a declarative JSON scenario file (see internal/scenario)
-// into concrete scenarios, fans them across N
-// worker processes running the repo's own binaries (reproduce,
-// nfvbench, kvsbench, isobench, or a slicekvsd+loadgen+statsink
-// serving trio), enforces per-scenario timeouts with process-group
-// kill, retries crashed scenarios, collects stdout/tables/metrics
-// artifacts into per-scenario run directories with a merged
-// manifest.json, diffs table output against checked-in goldens, and
+// into concrete scenarios, fans them across N worker processes running
+// the repo's own binaries (reproduce, or a slicekvsd+loadgen+statsink
+// serving trio) or a raw argv, enforces per-scenario timeouts with
+// process-group kill, retries crashed scenarios, collects
+// stdout/tables/metrics artifacts into per-scenario run directories with
+// a merged manifest.json, diffs table output against checked-in goldens, and
 // prints a final summary distinguishing pass / golden-mismatch /
 // timeout / crash / failed with a non-zero exit if anything failed.
 //

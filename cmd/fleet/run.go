@@ -238,11 +238,12 @@ func describeOutcome(out procOutcome) string {
 }
 
 // checkArtifacts demotes a pass when an expected artifact is missing or
-// empty, and records the produced ones.
+// empty (a file of no bytes, a directory of no entries), and records the
+// produced ones.
 func (o *orchestrator) checkArtifacts(sc *scenario.Scenario, res *Result) {
 	for _, a := range sc.Artifacts {
 		p := filepath.Join(res.Dir, filepath.FromSlash(a))
-		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+		if !nonEmpty(p) {
 			res.Missing = append(res.Missing, a)
 			continue
 		}
@@ -252,6 +253,20 @@ func (o *orchestrator) checkArtifacts(sc *scenario.Scenario, res *Result) {
 		res.Status = StatusFailed
 		appendDetail(res, "missing artifact(s): "+strings.Join(res.Missing, ", "))
 	}
+}
+
+// nonEmpty reports whether p is a file holding bytes or a directory
+// holding entries.
+func nonEmpty(p string) bool {
+	st, err := os.Stat(p)
+	if err != nil {
+		return false
+	}
+	if st.IsDir() {
+		ents, err := os.ReadDir(p)
+		return err == nil && len(ents) > 0
+	}
+	return st.Size() > 0
 }
 
 // checkGolden diffs the normalized stdout against the checked-in

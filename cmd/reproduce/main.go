@@ -24,10 +24,11 @@
 //
 // -metrics-dir gives every experiment a telemetry collector of its own,
 // arms it on the experiment's DuTs and dumps it as one Prometheus text
-// file (DIR/<id>.prom) plus the experiment's slice heat timeline
-// (DIR/<id>.timeline.json). Telemetry is observation-only: the printed
-// tables and the dumps are byte-identical with and without it and for
-// every -jobs value. Experiments still overlap under -jobs N; only the
+// file (DIR/<id>.prom), the experiment's slice heat timeline
+// (DIR/<id>.timeline.json) and its flight recorder's sampled packet
+// spans and drops as a chrome://tracing trace (DIR/<id>.trace.json).
+// Telemetry is observation-only: the printed tables and the dumps are
+// byte-identical with and without it and for every -jobs value. Experiments still overlap under -jobs N; only the
 // trials within one armed experiment run one after another, because its
 // timeline is single-writer.
 //
@@ -158,7 +159,7 @@ func main() {
 	allFlag := flag.Bool("all", false, "also run ablations and extensions (A-*, S*)")
 	seedFlag := flag.Int64("seed", 1, "run-wide seed; same seed reproduces the same numbers")
 	jobsFlag := flag.Int("jobs", 1, "workers for experiments and their independent trials (0 = GOMAXPROCS); tables are byte-identical for any value")
-	metricsDir := flag.String("metrics-dir", "", "dump per-figure telemetry (Prometheus text + slice timeline JSON) into this directory")
+	metricsDir := flag.String("metrics-dir", "", "dump per-figure telemetry (Prometheus text, slice timeline JSON, chrome trace) into this directory")
 	listFlag := flag.Bool("list", false, "print the experiment catalog (IDs, kinds, scales) as JSON and exit")
 	profFlags := prof.Register(flag.CommandLine)
 	flag.Parse()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -149,8 +150,8 @@ func TestRunTasksOneWorkerFinishesEachTaskBeforeTheNextStarts(t *testing.T) {
 	}
 	checkEvents(t, log.snapshot(), []string{
 		"start A after ", printed("A"),
-		"start B after a.prom,a.timeline.json", printed("B"),
-		"start C after a.prom,a.timeline.json,b.prom,b.timeline.json", printed("C"),
+		"start B after a.prom,a.timeline.json,a.trace.json", printed("B"),
+		"start C after a.prom,a.timeline.json,a.trace.json,b.prom,b.timeline.json,b.trace.json", printed("C"),
 	})
 }
 
@@ -164,6 +165,7 @@ func TestRunTasksGivesEachTaskItsOwnCollector(t *testing.T) {
 				return nil, fmt.Errorf("task %s ran on %+v, want %+v with a collector", id, got, env)
 			}
 			got.Telemetry.Registry().Counter("task_"+id+"_total", "runs of task "+id).Inc(0)
+			got.Telemetry.Flight().Drop(1, 64, 0, 10, "task"+id)
 			return fakeTable(id), nil
 		}})
 	}
@@ -183,6 +185,17 @@ func TestRunTasksGivesEachTaskItsOwnCollector(t *testing.T) {
 		}
 		if _, err := os.Stat(filepath.Join(dir, strings.ToLower(id)+".timeline.json")); err != nil {
 			t.Error(err)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, strings.ToLower(id)+".trace.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var trace []struct{ Name string }
+		if err := json.Unmarshal(raw, &trace); err != nil {
+			t.Fatalf("%s.trace.json does not parse: %v\n%s", id, err, raw)
+		}
+		if len(trace) != 1 || trace[0].Name != "drop:task"+id {
+			t.Errorf("%s.trace.json = %+v, want only task %s's drop", id, trace, id)
 		}
 	}
 }

@@ -99,14 +99,18 @@ func runTasks(tasks []task, env experiments.Env, metricsDir string, stdout, stde
 }
 
 // dumpTelemetry writes one experiment's collector into dir: its metrics as
-// Prometheus text (<id>.prom) and its slice heat timeline
-// (<id>.timeline.json).
+// Prometheus text (<id>.prom), its slice heat timeline
+// (<id>.timeline.json) and its flight recorder as a chrome://tracing trace
+// (<id>.trace.json).
 func dumpTelemetry(dir, id string, c *telemetry.Collector) error {
 	base := filepath.Join(dir, strings.ToLower(id))
 	if err := writeTo(base+".prom", c.Registry().WritePrometheus); err != nil {
 		return err
 	}
-	return writeTo(base+".timeline.json", c.Timeline().WriteJSON)
+	if err := writeTo(base+".timeline.json", c.Timeline().WriteJSON); err != nil {
+		return err
+	}
+	return writeTo(base+".trace.json", c.WriteChromeTrace)
 }
 
 // writeTo renders through fn into path, creating/truncating it.

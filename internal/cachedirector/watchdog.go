@@ -52,14 +52,6 @@ type WatchdogConfig struct {
 	RecoverAfter int
 }
 
-// WatchdogStats counts probe activity and mode transitions.
-type WatchdogStats struct {
-	Probes       uint64 // placement verifications performed
-	ProbeMisses  uint64 // probes whose polled slice contradicted the belief
-	Degradations uint64 // Active→Degraded transitions
-	Recoveries   uint64 // Degraded→Active transitions
-}
-
 // watchdog verifies, by the same uncore polling that reverse-engineered
 // the hash in the first place (§2.1), that the slice the director believes
 // an mbuf's target line maps to is the slice that actually serves it. A
@@ -76,8 +68,6 @@ type watchdog struct {
 	wfill    int
 	streak   int    // consecutive verified probes
 	prepared uint64 // mbufs prepared since EnableWatchdog
-
-	stats WatchdogStats
 }
 
 // EnableWatchdog arms placement verification on the director. Call once,
@@ -121,15 +111,6 @@ func (d *Director) Mode() Mode {
 	return d.wd.mode
 }
 
-// WatchdogStats returns probe and transition counters (zero when no
-// watchdog is armed).
-func (d *Director) WatchdogStats() WatchdogStats {
-	if d.wd == nil {
-		return WatchdogStats{}
-	}
-	return d.wd.stats
-}
-
 // due advances the prepared-mbuf counter and reports whether this mbuf
 // should be probed.
 func (w *watchdog) due() bool {
@@ -144,7 +125,6 @@ func (w *watchdog) due() bool {
 // core — the price of supervision.
 func (d *Director) probePlacement(m *dpdk.Mbuf, queue, lines int) {
 	w := d.wd
-	w.stats.Probes++
 	va := m.DataBaseVA() + uint64(lines*64) + uint64(d.cfg.TargetOffset)
 	pa := m.Pool().Mapping().Phys(va)
 	core := d.machine.Core(queue)
@@ -181,7 +161,6 @@ func (w *watchdog) record(verified bool) string {
 		w.streak++
 	} else {
 		w.streak = 0
-		w.stats.ProbeMisses++
 	}
 	w.window[w.wpos] = verified
 	w.wpos = (w.wpos + 1) % len(w.window)
@@ -202,13 +181,11 @@ func (w *watchdog) record(verified bool) string {
 		}
 		if float64(healthy) < w.cfg.MinHealthy*float64(len(w.window)) {
 			w.mode = ModeDegraded
-			w.stats.Degradations++
 			return "degraded"
 		}
 	case ModeDegraded:
 		if w.streak >= w.cfg.RecoverAfter {
 			w.mode = ModeActive
-			w.stats.Recoveries++
 			// Re-enter with a clean bill of health so a single stale miss
 			// in the ring cannot immediately re-trip the threshold.
 			for i := range w.window {

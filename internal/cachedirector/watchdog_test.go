@@ -7,6 +7,7 @@ import (
 	"sliceaware/internal/chash"
 	"sliceaware/internal/dpdk"
 	"sliceaware/internal/faults"
+	"sliceaware/internal/telemetry"
 )
 
 // Satellite coverage: every Config rejection path at construction, as a
@@ -77,8 +78,10 @@ func TestWatchdogConfigValidation(t *testing.T) {
 	}
 }
 
-// withWatchdog builds a director over pool-backed mbufs with a per-packet
-// probing watchdog, using hash as the believed mapping.
+// watchdogFixture builds a director over pool-backed mbufs with a
+// per-packet probing watchdog, using hash as the believed mapping. The
+// director is instrumented, so tests count probes and mode transitions
+// through its telemetry.
 func watchdogFixture(t *testing.T, hash chash.Hash) (*Director, *dpdk.Mempool) {
 	t.Helper()
 	m := newMachine(t)
@@ -86,6 +89,7 @@ func watchdogFixture(t *testing.T, hash chash.Hash) (*Director, *dpdk.Mempool) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.SetTelemetry(telemetry.New(telemetry.Config{}))
 	pool, err := dpdk.NewMempool(m.Space, dpdk.MempoolConfig{
 		Name: "wd", Mbufs: 64, HeadroomCap: dpdk.CacheDirectorHeadroom,
 	})
@@ -103,21 +107,41 @@ func watchdogFixture(t *testing.T, hash chash.Hash) (*Director, *dpdk.Mempool) {
 	return d, pool
 }
 
+// probes reports the watchdog's verifications and how many of them
+// contradicted the believed mapping.
+func probes(d *Director) (total, misses uint64) {
+	reg := d.tele.Registry()
+	return reg.Counter("cachedirector_watchdog_probes_total", "").Value(),
+		reg.CounterL("cachedirector_watchdog_probes_total", "", `outcome="miss"`).Value()
+}
+
+// transitions counts the timeline events the watchdog emitted for one
+// transition ("degraded" or "recovered").
+func transitions(d *Director, name string) int {
+	n := 0
+	for _, ev := range d.tele.Timeline().Events() {
+		if ev.Name == "watchdog_"+name {
+			n++
+		}
+	}
+	return n
+}
+
 func TestWatchdogStaysActiveOnCorrectProfile(t *testing.T) {
 	d, pool := watchdogFixture(t, nil) // believed mapping == silicon
 	mb := pool.Get()
 	for i := 0; i < 32; i++ {
 		d.Prepare(mb, i%8)
 	}
-	st := d.WatchdogStats()
-	if st.Probes != 32 {
-		t.Errorf("probes = %d, want 32", st.Probes)
+	total, misses := probes(d)
+	if total != 32 {
+		t.Errorf("probes = %d, want 32", total)
 	}
-	if st.ProbeMisses != 0 {
-		t.Errorf("probe misses = %d on a correct profile", st.ProbeMisses)
+	if misses != 0 {
+		t.Errorf("probe misses = %d on a correct profile", misses)
 	}
-	if d.Mode() != ModeActive || st.Degradations != 0 {
-		t.Errorf("mode %v, degradations %d; wanted to stay active", d.Mode(), st.Degradations)
+	if n := transitions(d, "degraded"); d.Mode() != ModeActive || n != 0 {
+		t.Errorf("mode %v, degradations %d; wanted to stay active", d.Mode(), n)
 	}
 }
 
@@ -137,10 +161,13 @@ func TestWatchdogDegradesAndRecovers(t *testing.T) {
 		d.Prepare(mb, i%8)
 	}
 	if d.Mode() != ModeDegraded {
-		t.Fatalf("watchdog never degraded: %+v", d.WatchdogStats())
+		t.Fatal("watchdog never degraded")
 	}
-	if st := d.WatchdogStats(); st.Degradations != 1 {
-		t.Errorf("degradations = %d, want 1", st.Degradations)
+	if n := transitions(d, "degraded"); n != 1 {
+		t.Errorf("degradations = %d, want 1", n)
+	}
+	if _, misses := probes(d); misses == 0 {
+		t.Error("degraded without a probe miss")
 	}
 
 	// Degraded placement is plain DPDK default, not the (wrong) table.
@@ -158,10 +185,10 @@ func TestWatchdogDegradesAndRecovers(t *testing.T) {
 		d.Prepare(mb, i%8)
 	}
 	if d.Mode() != ModeActive {
-		t.Fatalf("watchdog never recovered: %+v", d.WatchdogStats())
+		t.Fatal("watchdog never recovered")
 	}
-	if st := d.WatchdogStats(); st.Recoveries != 1 {
-		t.Errorf("recoveries = %d, want 1", st.Recoveries)
+	if n := transitions(d, "recovered"); n != 1 {
+		t.Errorf("recoveries = %d, want 1", n)
 	}
 
 	// Back in active mode the table applies again.

@@ -17,13 +17,12 @@ import (
 // FigFaultsPoint is one chaos configuration of the fault-injection
 // ablation: forwarding at 100 Gbps under a misbehaving pipeline.
 type FigFaultsPoint struct {
-	Label         string
-	AchievedGbps  float64
-	P99Us         float64
-	DroppedPct    float64
-	Mode          cachedirector.Mode
-	Faults        faults.Counts
-	WatchdogStats cachedirector.WatchdogStats
+	Label        string
+	AchievedGbps float64
+	P99Us        float64
+	DroppedPct   float64
+	Mode         cachedirector.Mode
+	Faults       faults.Counts
 }
 
 // faultsCase describes one row of the ablation.
@@ -146,7 +145,6 @@ func FigFaults(env Env) ([]FigFaultsPoint, *Table, error) {
 		}
 		if dir != nil {
 			p.Mode = dir.Mode()
-			p.WatchdogStats = dir.WatchdogStats()
 		}
 		return p, nil
 	})

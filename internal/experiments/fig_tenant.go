@@ -82,7 +82,6 @@ type FigTenantPoint struct {
 	MissedFirst     uint64
 	Level           int
 	Stats           llcmgmt.ControllerStats
-	Decisions       []llcmgmt.Decision
 }
 
 // tenantSetup is one freshly built two-tenant machine.
@@ -272,7 +271,6 @@ func (r *tenantRun) runPoint(on bool, factor float64) (FigTenantPoint, *tenantSe
 		VictimP99Us:  steadyP99Us(res[0].LatenciesNs),
 		Level:        s.ctrl.Level(),
 		Stats:        s.ctrl.Stats(),
-		Decisions:    s.ctrl.Decisions(),
 	}
 	if len(res) > 1 {
 		p.HogAchievedGbps = res[1].AchievedGbps
@@ -293,34 +291,6 @@ func (r *tenantRun) runPoint(on bool, factor float64) (FigTenantPoint, *tenantSe
 		p.MissedFirst += ev.DDIOMissedFirstTouch
 	}
 	return p, s, res[0].EndNs, nil
-}
-
-// FigTenantSingle runs one configuration of the multi-tenant study — the
-// solo baseline plus the requested point — and returns both. cmd/isobench
-// uses it for one-shot runs without the full sweep.
-func FigTenantSingle(env Env, controllerOn bool, hogFactor float64) (solo, point FigTenantPoint, err error) {
-	r, err := tenantCalibrate(env)
-	if err != nil {
-		return FigTenantPoint{}, FigTenantPoint{}, err
-	}
-	// The baseline and the requested point are independent machines.
-	ps, err := runTrials(env, 2, func(trial int) (FigTenantPoint, error) {
-		if trial == 0 {
-			p, _, _, err := r.runPoint(false, 0)
-			return p, err
-		}
-		p, _, _, err := r.runPoint(controllerOn, hogFactor)
-		return p, err
-	})
-	if err != nil {
-		return FigTenantPoint{}, FigTenantPoint{}, err
-	}
-	solo, point = ps[0], ps[1]
-	solo.RatioVsSolo = 1
-	if solo.VictimP99Us > 0 {
-		point.RatioVsSolo = point.VictimP99Us / solo.VictimP99Us
-	}
-	return solo, point, nil
 }
 
 // FigTenant is the F-TENANT experiment: a latency-critical DPI tenant and
@@ -402,7 +372,6 @@ func FigTenant(env Env) ([]FigTenantPoint, *Table, error) {
 		HogFactor:    0,
 		Level:        recoverySetup.ctrl.Level(),
 		Stats:        recoverySetup.ctrl.Stats(),
-		Decisions:    recoverySetup.ctrl.Decisions(),
 	}
 	if len(lastBatch) > 0 {
 		rp.VictimP99Us = steadyP99Us(lastBatch)

@@ -62,9 +62,6 @@ func TestFigTenantClosedLoop(t *testing.T) {
 	if on3.Level != 1 {
 		t.Errorf("controller on, hog 3x: level %d, want 1 (isolated)", on3.Level)
 	}
-	if len(on3.Decisions) != 1 || on3.Decisions[0].Direction != "isolate" {
-		t.Errorf("controller on, hog 3x: decisions %+v, want one isolate", on3.Decisions)
-	}
 
 	// No point in the sweep moves more than once per direction.
 	for _, p := range pts {

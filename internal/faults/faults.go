@@ -149,18 +149,6 @@ func (c Counts) Total() uint64 {
 		c.MempoolFails + c.SlowedPackets + c.ContendedMoves
 }
 
-// Add accumulates o's counters — used when pooling the counts of several
-// injector replicas (e.g. nfvbench's parallel runs).
-func (c *Counts) Add(o Counts) {
-	c.NICDrops += o.NICDrops
-	c.NICCorrupts += o.NICCorrupts
-	c.TruncatedBursts += o.TruncatedBursts
-	c.RingOverflows += o.RingOverflows
-	c.MempoolFails += o.MempoolFails
-	c.SlowedPackets += o.SlowedPackets
-	c.ContendedMoves += o.ContendedMoves
-}
-
 // Injector evaluates a Plan at the pipeline's injection points. A nil
 // *Injector is valid everywhere and injects nothing, so components thread
 // it through unconditionally. Not safe for concurrent use — the simulated

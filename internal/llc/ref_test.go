@@ -1,8 +1,9 @@
 package llc
 
 import (
+	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"sliceaware/internal/arch"
@@ -162,7 +163,9 @@ func (o *llcOps) mask() cachesim.WayMask {
 // refLLC. After each operation it compares the result, the counters, every
 // slice's occupancy and the resident lines of the slices the operation
 // touched; at the end, every slice's lines and its lines in the DDIO ways.
-func checkLLCAgainstRef(t *testing.T, data []byte) {
+// The first byte picks the Haswell or the Skylake profile and hash; sets,
+// when not 0, replaces the profile's per-slice set count.
+func checkLLCAgainstRef(t *testing.T, data []byte, sets int) {
 	o := &llcOps{data: data}
 	p, h := arch.HaswellE52667v3(), chash.Hash(chash.Haswell8())
 	if o.byte()&1 == 1 {
@@ -172,6 +175,9 @@ func checkLLCAgainstRef(t *testing.T, data []byte) {
 			t.Fatal(err)
 		}
 		h = g
+	}
+	if sets != 0 {
+		p.LLCSlice.SizeBytes = sets * p.LLCSlice.Ways * p.LLCSlice.LineSize
 	}
 	runLLCAgainstRef(t, p, h, o)
 }
@@ -233,7 +239,7 @@ func runLLCAgainstRef(t *testing.T, p *arch.Profile, h chash.Hash, o *llcOps) {
 		if got != want {
 			t.Fatalf("step %d (op %d): llc %+v, reference %+v", step, op%8, got, want)
 		}
-		if ev := l.AllEvents(); !reflect.DeepEqual(ev, r.events) {
+		if ev := l.AllEvents(); !slices.Equal(ev, r.events) {
 			t.Fatalf("step %d (op %d): events %+v, reference %+v", step, op%8, ev, r.events)
 		}
 		for core := 0; core < 2; core++ {
@@ -249,7 +255,7 @@ func runLLCAgainstRef(t *testing.T, p *arch.Profile, h chash.Hash, o *llcOps) {
 				t.Fatalf("step %d (op %d): slice %d holds %d lines, reference %d",
 					step, op%8, s, c.MaskLen(cachesim.AllWays), ref.MaskLen(cachesim.AllWays))
 			}
-			if (s == touched || touched == len(r.slices)) && !reflect.DeepEqual(c.Lines(), ref.Lines()) {
+			if (s == touched || touched == len(r.slices)) && !slices.Equal(c.Lines(), ref.Lines()) {
 				t.Fatalf("step %d (op %d): slice %d's resident lines differ from the reference", step, op%8, s)
 			}
 		}
@@ -259,26 +265,58 @@ func runLLCAgainstRef(t *testing.T, p *arch.Profile, h chash.Hash, o *llcOps) {
 		if c.MaskLen(r.ddio) != ref.MaskLen(r.ddio) {
 			t.Fatalf("slice %d: %d lines in the DDIO ways, reference %d", s, c.MaskLen(r.ddio), ref.MaskLen(r.ddio))
 		}
-		if !reflect.DeepEqual(c.Lines(), ref.Lines()) {
+		if !slices.Equal(c.Lines(), ref.Lines()) {
 			t.Fatalf("slice %d: resident lines differ from the reference", s)
 		}
 	}
 }
 
+// llcSeedPrograms are long random programs, three for each profile.
+func llcSeedPrograms() [][]byte {
+	rng := rand.New(rand.NewSource(34))
+	var progs [][]byte
+	for i := 0; i < 6; i++ {
+		prog := make([]byte, 6000)
+		rng.Read(prog)
+		prog[0] = byte(i)
+		progs = append(progs, prog)
+	}
+	return progs
+}
+
+// fuzzLLCSets is the per-slice set count the fuzz target runs on: the four
+// sets pa() addresses in every slice, so New and the per-op comparison of
+// a slice's lines stay cheap while every program hits, fills and evicts
+// exactly as it does on the full-size slice.
+const fuzzLLCSets = 4
+
+// fuzzSeedLen is how much of each seed program the fuzz target starts
+// from. The fuzzer minimizes every new interesting input by re-running
+// shortened copies of it, at a cost that grows with its length; whole
+// 6000-byte seeds spent the fuzzing time there.
+const fuzzSeedLen = 1024
+
 // FuzzSlicedLLCMatchesReference drives Insert, DMAInsertMasked,
 // LookupCore, Invalidate, Contains, FlushAll and SetDDIOWays on the
 // Haswell and the 18-slice Skylake LLC, plus Contains and FlushAll on
-// single slices, and checks them against refLLC.
-// The seeds are long random programs for each profile.
+// single slices, and checks them against refLLC. It keeps the profiles'
+// slice counts, ways, DDIO ways and hashes but shrinks every slice to
+// fuzzLLCSets sets and starts from the head of each seed program;
+// TestSlicedLLCSeedsMatchReferenceAtFullSize replays the whole programs
+// on the real geometry.
 func FuzzSlicedLLCMatchesReference(f *testing.F) {
-	rng := rand.New(rand.NewSource(34))
-	for i := 0; i < 6; i++ {
-		seed := make([]byte, 6000)
-		rng.Read(seed)
-		seed[0] = byte(i)
-		f.Add(seed)
+	for _, prog := range llcSeedPrograms() {
+		f.Add(prog[:fuzzSeedLen])
 	}
-	f.Fuzz(checkLLCAgainstRef)
+	f.Fuzz(func(t *testing.T, data []byte) { checkLLCAgainstRef(t, data, fuzzLLCSets) })
+}
+
+// TestSlicedLLCSeedsMatchReferenceAtFullSize replays the fuzz target's seed
+// programs on the profiles' real slice geometry.
+func TestSlicedLLCSeedsMatchReferenceAtFullSize(t *testing.T) {
+	for i, prog := range llcSeedPrograms() {
+		t.Run(fmt.Sprint(i), func(t *testing.T) { checkLLCAgainstRef(t, prog, 0) })
+	}
 }
 
 // TestPrivateSlicesPast255SlotsMatchReference runs a random program on a

@@ -38,15 +38,6 @@ type ControllerConfig struct {
 	ProbationEpochs int
 }
 
-// Decision is one reallocation the controller committed, kept for tests
-// and mirrored to the telemetry timeline.
-type Decision struct {
-	TimeNs    float64
-	Direction string // "isolate" | "release"
-	Level     int
-	Pressure  float64
-}
-
 // ControllerStats counts the controller's epoch activity.
 type ControllerStats struct {
 	Epochs             uint64
@@ -81,8 +72,7 @@ type Controller struct {
 	probation    bool
 	releaseEpoch uint64
 
-	decisions []Decision
-	stats     ControllerStats
+	stats ControllerStats
 
 	ctrIsolate *telemetry.Counter
 	ctrRelease *telemetry.Counter
@@ -158,9 +148,6 @@ func (c *Controller) Arm() {
 // Level reports the currently applied plan level.
 func (c *Controller) Level() int { return c.level }
 
-// Decisions returns every committed reallocation, oldest first.
-func (c *Controller) Decisions() []Decision { return c.decisions }
-
 // Stats reports cumulative epoch activity.
 func (c *Controller) Stats() ControllerStats { return c.stats }
 
@@ -231,7 +218,7 @@ func (c *Controller) step(nowNs, pressure float64) {
 
 // apply commits a plan level: 0 restores every tenant's registered
 // allocation, ≥1 applies the isolation plan. The transition is recorded as
-// a Decision, a timeline event and a direction-labelled counter.
+// a timeline event and a direction-labelled counter.
 func (c *Controller) apply(level int, nowNs, pressure float64) {
 	direction := "release"
 	if level > c.level {
@@ -247,9 +234,6 @@ func (c *Controller) apply(level int, nowNs, pressure float64) {
 		c.ctrRelease.Inc(0)
 	}
 	c.level = level
-	c.decisions = append(c.decisions, Decision{
-		TimeNs: nowNs, Direction: direction, Level: level, Pressure: pressure,
-	})
 	c.reg.tele.SetNow(nowNs)
 	c.reg.tele.Event(fmt.Sprintf("llcmgmt: %s level=%d pressure=%.3f", direction, level, pressure))
 }

@@ -1,9 +1,9 @@
 // Package scenario defines the declarative experiment-scenario schema
-// behind cmd/fleet: a typed JSON document describing which repo
-// tool to run (reproduce, nfvbench, kvsbench, isobench, a serving
-// daemon+loadgen+statsink trio, or a raw argv), at what scale, with
-// which experiment IDs, knobs, seed, timeout and expected artifacts —
-// plus matrix blocks that expand axes into concrete scenario lists.
+// behind cmd/fleet: a typed JSON document describing what to run
+// (reproduce, a serving daemon+loadgen+statsink trio, or a raw argv),
+// at what scale, with which experiment IDs, knobs, seed, timeout and
+// expected artifacts — plus matrix blocks that expand axes into
+// concrete scenario lists.
 //
 // Three properties the package guarantees:
 //
@@ -30,6 +30,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -65,7 +66,7 @@ type Matrix struct {
 	Base *Spec `json:"base"`
 	// Axes maps an axis key to its value list. Keys address scenario
 	// fields ("scale", "seed", "jobs", "only", "timeout", "retries",
-	// "golden") or dotted extensions ("flags.gbps", "env.GODEBUG",
+	// "golden") or dotted extensions ("flags.metrics-dir", "env.GODEBUG",
 	// "daemon.shards", "loadgen.conns", "statsink.out").
 	Axes map[string][]any `json:"axes"`
 }
@@ -85,7 +86,7 @@ type Spec struct {
 	Env       map[string]string `json:"env"`
 	Golden    string            `json:"golden"`
 	Artifacts []string          `json:"artifacts"`
-	// Flags are additional tool flags, validated against the tool's
+	// Flags are additional reproduce flags, validated against its
 	// allowlist. Values may be strings, numbers or booleans.
 	Flags map[string]any `json:"flags"`
 	// Argv is the full command line of a "raw" scenario (argv[0] may be
@@ -158,60 +159,13 @@ const (
 	kDuration
 )
 
-// toolInfo describes how one repo tool consumes the typed scenario
-// fields and which extra flags it accepts.
-type toolInfo struct {
-	flags     map[string]kind
-	seedFlag  string // "" = tool has no run-wide seed flag
-	jobsFlag  string
-	scaleMode int // scale handling, see below
-	only      bool
-}
+// tools are the scenario kinds: the reproduce binary, a serving
+// daemon+loadgen(+statsink) trio, or a raw argv.
+var tools = []string{"raw", "reproduce", "serving"}
 
-const (
-	scaleNone     = iota // tool has no scale notion
-	scaleFlag            // -scale quick|full (reproduce)
-	scaleFullBool        // -full at full scale, nothing at quick (isobench)
-)
-
-var tools = map[string]*toolInfo{
-	"reproduce": {
-		seedFlag: "seed", jobsFlag: "jobs", scaleMode: scaleFlag, only: true,
-		flags: map[string]kind{
-			"metrics-dir": kString,
-		},
-	},
-	"nfvbench": {
-		jobsFlag: "jobs", scaleMode: scaleNone,
-		flags: map[string]kind{
-			"chain": kString, "steering": kString, "gbps": kFloat, "pps": kFloat,
-			"packets": kInt, "size": kInt, "cachedirector": kBool, "queues": kInt,
-			"overload": kBool, "aqm": kString, "runs": kInt,
-			"fault-drop": kFloat, "fault-corrupt": kFloat, "fault-ring": kFloat,
-			"fault-pool": kFloat, "fault-slowdown": kFloat, "fault-slowdown-p": kFloat,
-			"fault-seed": kInt, "mispredict": kFloat, "watchdog": kBool,
-			"metrics-out": kString, "metrics-addr": kString,
-			"trace-out": kString, "trace-sample": kInt, "slice-timeline": kString,
-		},
-	},
-	"kvsbench": {
-		jobsFlag: "jobs", scaleMode: scaleNone,
-		flags: map[string]kind{
-			"keys": kInt, "get": kFloat, "skew": kFloat, "requests": kInt,
-			"sliceaware": kBool, "core": kInt, "trials": kInt,
-			"metrics-out": kString, "metrics-addr": kString,
-		},
-	},
-	"isobench": {
-		seedFlag: "seed", jobsFlag: "jobs", scaleMode: scaleFullBool,
-		flags: map[string]kind{
-			"mode": kString, "ops": kInt, "noise": kInt, "write": kBool,
-			"hog": kFloat, "controller": kBool, "metrics-out": kString,
-		},
-	},
-	"serving": {scaleMode: scaleNone},
-	"raw":     {scaleMode: scaleNone},
-}
+// reproduceFlags are the reproduce flags a scenario sets through flags;
+// seed, jobs, scale and only/all have typed fields of their own.
+var reproduceFlags = map[string]kind{"metrics-dir": kString}
 
 // daemonFlags / loadgenFlags / statsinkFlags are the per-process
 // allowlists of a serving trio. Address wiring (loadgen addr, both
@@ -509,12 +463,11 @@ func (f *File) finalize(s *Spec, index int) (*Scenario, error) {
 	if !idRe.MatchString(s.ID) {
 		return fail("id contains characters outside [A-Za-z0-9._+=/-]")
 	}
-	ti, ok := tools[s.Tool]
-	if !ok {
+	if !slices.Contains(tools, s.Tool) {
 		if s.Tool == "" {
-			return fail("missing tool (valid: %s)", strings.Join(sortedKeys(tools), " "))
+			return fail("missing tool (valid: %s)", strings.Join(tools, " "))
 		}
-		return fail("unknown tool %q (valid: %s)", s.Tool, strings.Join(sortedKeys(tools), " "))
+		return fail("unknown tool %q (valid: %s)", s.Tool, strings.Join(tools, " "))
 	}
 
 	sc := &Scenario{
@@ -561,7 +514,7 @@ func (f *File) finalize(s *Spec, index int) (*Scenario, error) {
 	default:
 		return fail("unknown scale %q (want quick or full)", s.Scale)
 	}
-	if s.Scale != "" && ti.scaleMode == scaleNone {
+	if s.Scale != "" && s.Tool != "reproduce" {
 		return fail("tool %s has no scale; drop the scale field", s.Tool)
 	}
 
@@ -572,7 +525,7 @@ func (f *File) finalize(s *Spec, index int) (*Scenario, error) {
 	if s.Tool != "serving" && s.Serving != nil {
 		return fail("serving block is only valid with tool serving")
 	}
-	if !ti.only && (len(s.Only) > 0 || s.All != nil) {
+	if s.Tool != "reproduce" && (len(s.Only) > 0 || s.All != nil) {
 		return fail("only/all are only valid with tool reproduce")
 	}
 
@@ -601,73 +554,44 @@ func (f *File) finalize(s *Spec, index int) (*Scenario, error) {
 		return sc, nil
 	}
 
-	// Single-binary tools: render the deterministic argument tail.
-	reserved := map[string]string{}
-	if ti.seedFlag != "" {
-		reserved[ti.seedFlag] = "use the scenario seed field"
-	}
-	if ti.jobsFlag != "" {
-		reserved[ti.jobsFlag] = "use the scenario jobs field"
-	}
-	if ti.scaleMode == scaleFlag {
-		reserved["scale"] = "use the scenario scale field"
-	}
-	if ti.scaleMode == scaleFullBool {
-		reserved["full"] = "use the scenario scale field"
-	}
-	if ti.only {
-		reserved["only"] = "use the scenario only field"
-		reserved["all"] = "use the scenario all field"
-		reserved["list"] = "fleet queries the catalog itself"
-	}
-	flags, err := renderFlagMap(s.Flags, ti.flags, reserved)
+	// reproduce: render the deterministic argument tail.
+	flags, err := renderFlagMap(s.Flags, reproduceFlags, map[string]string{
+		"seed":  "use the scenario seed field",
+		"jobs":  "use the scenario jobs field",
+		"scale": "use the scenario scale field",
+		"only":  "use the scenario only field",
+		"all":   "use the scenario all field",
+		"list":  "fleet queries the catalog itself",
+	})
 	if err != nil {
 		return fail("%v", err)
 	}
-
-	var args []string
-	switch ti.scaleMode {
-	case scaleFlag:
-		scale := s.Scale
-		if scale == "" {
-			scale = "quick"
-		}
-		args = append(args, "-scale="+scale)
-	case scaleFullBool:
-		if s.Scale == "full" {
-			args = append(args, "-full=true")
-		}
+	scale := s.Scale
+	if scale == "" {
+		scale = "quick"
 	}
-	if ti.seedFlag != "" {
-		args = append(args, "-"+ti.seedFlag+"="+strconv.FormatInt(sc.Seed, 10))
-	}
-	if ti.jobsFlag != "" {
-		jobs := 1
-		if s.Jobs != nil {
-			if *s.Jobs < 0 {
-				return fail("jobs %d must be >= 0", *s.Jobs)
-			}
-			jobs = *s.Jobs
+	jobs := 1
+	if s.Jobs != nil {
+		if *s.Jobs < 0 {
+			return fail("jobs %d must be >= 0", *s.Jobs)
 		}
-		args = append(args, "-"+ti.jobsFlag+"="+strconv.Itoa(jobs))
+		jobs = *s.Jobs
 	}
-	if ti.only {
-		if len(s.Only) > 0 {
-			ids, err := experiments.ValidateIDs(s.Only)
-			if err != nil {
-				return fail("only: %v", err)
-			}
-			if len(ids) == 0 {
-				return fail("only selected no experiments")
-			}
-			args = append(args, "-only="+strings.Join(ids, ","))
+	args := []string{"-scale=" + scale, "-seed=" + strconv.FormatInt(sc.Seed, 10), "-jobs=" + strconv.Itoa(jobs)}
+	if len(s.Only) > 0 {
+		ids, err := experiments.ValidateIDs(s.Only)
+		if err != nil {
+			return fail("only: %v", err)
 		}
-		if s.All != nil && *s.All {
-			args = append(args, "-all=true")
+		if len(ids) == 0 {
+			return fail("only selected no experiments")
 		}
+		args = append(args, "-only="+strings.Join(ids, ","))
 	}
-	args = append(args, RenderArgs(flags)...)
-	sc.Args = args
+	if s.All != nil && *s.All {
+		args = append(args, "-all=true")
+	}
+	sc.Args = append(args, RenderArgs(flags)...)
 	return sc, nil
 }
 

@@ -64,9 +64,9 @@ func TestUnknownExperimentIDRejected(t *testing.T) {
 
 func TestUnknownToolFlagRejected(t *testing.T) {
 	_, err := decode(t, `{
-		"scenarios": [{"id": "x", "tool": "nfvbench", "flags": {"gpbs": 100}}]
+		"scenarios": [{"id": "x", "tool": "reproduce", "flags": {"metrics-dri": "m"}}]
 	}`).Expand()
-	if err == nil || !strings.Contains(err.Error(), `"gpbs"`) {
+	if err == nil || !strings.Contains(err.Error(), `"metrics-dri"`) {
 		t.Fatalf("unknown tool flag accepted: %v", err)
 	}
 }
@@ -91,12 +91,15 @@ func TestStrictUnknownFieldRejected(t *testing.T) {
 }
 
 func TestScaleValidation(t *testing.T) {
-	if _, err := decode(t, `{"scenarios": [{"id": "x", "tool": "kvsbench", "scale": "quick"}]}`).Expand(); err == nil {
+	if _, err := decode(t, `{"scenarios": [{"id": "x", "tool": "raw", "argv": ["true"], "scale": "quick"}]}`).Expand(); err == nil {
 		t.Fatal("scale accepted on a scale-less tool")
 	}
-	scs := expand(t, `{"scenarios": [{"id": "x", "tool": "isobench", "scale": "full", "flags": {"mode": "tenant"}}]}`)
-	if got := strings.Join(scs[0].Args, " "); !strings.Contains(got, "-full=true") {
-		t.Fatalf("isobench full scale args = %q, want -full=true", got)
+	if _, err := decode(t, `{"scenarios": [{"id": "x", "tool": "reproduce", "scale": "huge"}]}`).Expand(); err == nil {
+		t.Fatal("unknown scale accepted")
+	}
+	scs := expand(t, `{"scenarios": [{"id": "x", "tool": "reproduce", "scale": "full"}]}`)
+	if got := strings.Join(scs[0].Args, " "); !strings.Contains(got, "-scale=full") {
+		t.Fatalf("reproduce full scale args = %q, want -scale=full", got)
 	}
 }
 
@@ -119,22 +122,22 @@ func TestDuplicateIDRejected(t *testing.T) {
 
 func TestDefaultsMergeScenarioWins(t *testing.T) {
 	scs := expand(t, `{
-		"defaults": {"tool": "nfvbench", "timeout": "30s",
-			"flags": {"packets": 1000, "runs": 1}},
+		"defaults": {"tool": "reproduce", "timeout": "30s",
+			"flags": {"metrics-dir": "m"}, "env": {"A": "1", "B": "2"}},
 		"scenarios": [
 			{"id": "a"},
-			{"id": "b", "timeout": "9s", "flags": {"packets": 2000}}
+			{"id": "b", "timeout": "9s", "flags": {"metrics-dir": "n"}, "env": {"A": "3"}}
 		]
 	}`)
 	if scs[0].TimeoutNS != 30*time.Second || scs[1].TimeoutNS != 9*time.Second {
 		t.Fatalf("timeouts = %v, %v", scs[0].TimeoutNS, scs[1].TimeoutNS)
 	}
 	a, b := strings.Join(scs[0].Args, " "), strings.Join(scs[1].Args, " ")
-	if !strings.Contains(a, "-packets=1000") || !strings.Contains(b, "-packets=2000") {
+	if !strings.Contains(a, "-metrics-dir=m") || !strings.Contains(b, "-metrics-dir=n") {
 		t.Fatalf("flag merge wrong: a=%q b=%q", a, b)
 	}
-	if !strings.Contains(b, "-runs=1") {
-		t.Fatalf("default flag lost in b=%q", b)
+	if env := scs[1].Env; env["A"] != "3" || env["B"] != "2" {
+		t.Fatalf("env merge wrong in b: %v", env)
 	}
 }
 
@@ -330,21 +333,18 @@ func TestCommittedScenariosLoadAndExpand(t *testing.T) {
 	want := []struct {
 		id   string
 		seed int64
-		ctl  string
-		hog  string
+		only string
 	}{
-		{"tenant/controller=true/hog=1.5", 524191535851366083, "true", "1.5"},
-		{"tenant/controller=true/hog=3", 8502538112461898388, "true", "3"},
-		{"tenant/controller=false/hog=1.5", -7128351859584036209, "false", "1.5"},
-		{"tenant/controller=false/hog=3", -7983348648006785787, "false", "3"},
+		{"tenant/only=F-TENANT", -1179079030909437877, "F-TENANT"},
+		{"tenant/only=F-OVERLOAD", 5746019825519173258, "F-OVERLOAD"},
 	}
 	if len(scs) != len(want) {
 		t.Fatalf("tenant-sweep expanded to %d scenarios, want %d", len(scs), len(want))
 	}
 	for i, w := range want {
 		sc := scs[i]
-		args := []string{"-seed=" + strconv.FormatInt(w.seed, 10), "-jobs=1", "-controller=" + w.ctl,
-			"-hog=" + w.hog, "-metrics-out=telemetry.json", "-mode=tenant"}
+		args := []string{"-scale=quick", "-seed=" + strconv.FormatInt(w.seed, 10), "-jobs=1",
+			"-only=" + w.only, "-metrics-dir=telemetry"}
 		if sc.ID != w.id || sc.Seed != w.seed || !sc.SeedDerived || !reflect.DeepEqual(sc.Args, args) {
 			t.Errorf("scenario %d = %q seed %d (derived %v) args %q; want %q seed %d args %q",
 				i, sc.ID, sc.Seed, sc.SeedDerived, sc.Args, w.id, w.seed, args)

@@ -8,10 +8,9 @@ import (
 )
 
 // MetricsHandler serves the registry in the Prometheus text exposition
-// format — the live counterpart of the file-based -metrics-out flags. One
-// handler is shared by every HTTP surface in the repo: slicekvsd's sidecar
-// mounts it at /metrics, and nfvbench/kvsbench expose it with
-// -metrics-addr. Safe for a nil registry (serves an empty exposition).
+// format — the live counterpart of reproduce's file-based -metrics-dir
+// dumps. slicekvsd's sidecar mounts it at /metrics. Safe for a nil
+// registry (serves an empty exposition).
 func MetricsHandler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -54,9 +53,6 @@ func StartMetricsServer(addr string, handler http.Handler) (*MetricsServer, erro
 
 // Addr reports the bound address (useful with :0).
 func (s *MetricsServer) Addr() net.Addr { return s.addr }
-
-// URL reports the http:// base URL of the server.
-func (s *MetricsServer) URL() string { return "http://" + s.addr.String() }
 
 // Close stops the server immediately and reports any serve-loop error.
 func (s *MetricsServer) Close() error {

@@ -44,7 +44,7 @@ func TestStartMetricsServerRoundTrip(t *testing.T) {
 	}
 	defer s.Close()
 
-	resp, err := http.Get(s.URL() + "/metrics")
+	resp, err := http.Get("http://" + s.Addr().String() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -304,8 +304,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Unlock()
 	sort.Strings(names)
 	for _, name := range names {
+		// Registration appends to a family's series under r.mu, so copy
+		// the slice headers while holding it and render from the copies.
 		r.mu.Lock()
-		f := r.families[name]
+		f := *r.families[name]
 		r.mu.Unlock()
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind); err != nil {
 			return err
@@ -353,62 +355,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// registryJSON is the JSON shape of one export.
-type registryJSON struct {
-	Counters   []counterJSON `json:"counters"`
-	Gauges     []gaugeJSON   `json:"gauges"`
-	Histograms []histJSON    `json:"histograms"`
-}
-
-type counterJSON struct {
-	Name   string `json:"name"`
-	Labels string `json:"labels,omitempty"`
-	Value  uint64 `json:"value"`
-}
-
-type gaugeJSON struct {
-	Name   string  `json:"name"`
-	Labels string  `json:"labels,omitempty"`
-	Value  float64 `json:"value"`
-}
-
-type histJSON struct {
-	Name   string    `json:"name"`
-	Labels string    `json:"labels,omitempty"`
-	Bounds []float64 `json:"bounds"`
-	Counts []uint64  `json:"counts"`
-	Sum    float64   `json:"sum"`
-	Count  uint64    `json:"count"`
-}
-
-func (r *Registry) snapshotJSON() registryJSON {
-	out := registryJSON{Counters: []counterJSON{}, Gauges: []gaugeJSON{}, Histograms: []histJSON{}}
-	if r == nil {
-		return out
-	}
-	r.mu.Lock()
-	names := append([]string(nil), r.names...)
-	r.mu.Unlock()
-	sort.Strings(names)
-	for _, name := range names {
-		r.mu.Lock()
-		f := r.families[name]
-		r.mu.Unlock()
-		for _, c := range f.counters {
-			out.Counters = append(out.Counters, counterJSON{Name: c.name, Labels: c.labels, Value: c.Value()})
-		}
-		for _, g := range f.gauges {
-			out.Gauges = append(out.Gauges, gaugeJSON{Name: g.name, Labels: g.labels, Value: g.Value()})
-		}
-		for _, gf := range f.gaugeFuncs {
-			out.Gauges = append(out.Gauges, gaugeJSON{Name: f.name, Labels: gf.labels, Value: gf.fn()})
-		}
-		for _, h := range f.hists {
-			counts, sum, count := h.Merged()
-			out.Histograms = append(out.Histograms, histJSON{Name: h.name, Labels: h.labels, Bounds: h.bounds, Counts: counts, Sum: sum, Count: count})
-		}
-	}
-	return out
 }

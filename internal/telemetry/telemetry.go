@@ -12,24 +12,17 @@
 // (telemetry reads the simulated machine but never charges cycles, draws
 // randomness, or reorders work).
 //
-// Exports: Prometheus text exposition (Registry.WritePrometheus),
-// combined JSON (Collector.WriteJSON), and chrome://tracing-loadable
+// Exports: Prometheus text exposition (Registry.WritePrometheus), the
+// heat timeline as JSON (Timeline.WriteJSON), and chrome://tracing-loadable
 // span JSON (Collector.WriteChromeTrace).
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"sliceaware/internal/llc"
 )
-
-func writeJSONIndent(w io.Writer, v interface{}) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
-}
 
 // Config sizes a Collector. Zero values take the documented defaults.
 type Config struct {
@@ -187,41 +180,4 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		return nil
 	}
 	return c.flight.WriteChromeTrace(w, c.timeline.Events())
-}
-
-// WriteJSON renders one combined JSON document: metrics, the flight
-// recorder's retained records, and the heat timeline.
-func (c *Collector) WriteJSON(w io.Writer) error {
-	if c == nil {
-		return nil
-	}
-	doc := struct {
-		Metrics  registryJSON `json:"metrics"`
-		Flight   flightJSON   `json:"flight"`
-		Timeline timelineJSON `json:"timeline"`
-	}{
-		Metrics:  c.reg.snapshotJSON(),
-		Timeline: c.timeline.snapshotJSON(),
-	}
-	doc.Flight = flightJSON{
-		Seq:       c.flight.Seq(),
-		Records:   c.flight.Records(),
-		Drops:     c.flight.Drops(),
-		DropsLost: c.flight.DropsLost(),
-	}
-	if doc.Flight.Records == nil {
-		doc.Flight.Records = []*PacketRecord{}
-	}
-	if doc.Flight.Drops == nil {
-		doc.Flight.Drops = []*PacketRecord{}
-	}
-	return writeJSONIndent(w, doc)
-}
-
-// flightJSON is the flight recorder's JSON export shape.
-type flightJSON struct {
-	Seq       uint64          `json:"packets_observed"`
-	Records   []*PacketRecord `json:"ring"`
-	Drops     []*PacketRecord `json:"drops"`
-	DropsLost uint64          `json:"drops_lost"`
 }

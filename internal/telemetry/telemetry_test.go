@@ -161,26 +161,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 }
 
-func TestRegistryJSON(t *testing.T) {
-	r := NewRegistry(1)
-	r.Counter("a_total", "a").Inc(0)
-	r.Histogram("h_ns", "h", []float64{1}).Observe(0, 0.5)
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(r.snapshotJSON()); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Counters   []json.RawMessage `json:"counters"`
-		Histograms []json.RawMessage `json:"histograms"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("WriteJSON output does not parse: %v\n%s", err, buf.String())
-	}
-	if len(doc.Counters) != 1 || len(doc.Histograms) != 1 {
-		t.Errorf("JSON export has %d counters / %d histograms, want 1/1", len(doc.Counters), len(doc.Histograms))
-	}
-}
-
 func TestFlightRecorderRingKeepsLastK(t *testing.T) {
 	f := NewFlightRecorder(4, 1, 16)
 	for i := 0; i < 10; i++ {
@@ -502,17 +482,15 @@ func TestCollectorDefaultsAndClock(t *testing.T) {
 		t.Errorf("Event not stamped with the collector clock: %v", evs)
 	}
 	var buf bytes.Buffer
-	if err := c.WriteJSON(&buf); err != nil {
+	if err := c.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("combined JSON does not parse: %v", err)
+	var trace []chromeEvent
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatalf("chrome trace does not parse: %v", err)
 	}
-	for _, key := range []string{"metrics", "flight", "timeline"} {
-		if _, ok := doc[key]; !ok {
-			t.Errorf("combined JSON missing section %q", key)
-		}
+	if len(trace) != 1 || trace[0].Name != "mark" || trace[0].Ts != 1.234 {
+		t.Errorf("chrome trace = %+v, want the one timeline mark at 1.234 µs", trace)
 	}
 }
 
@@ -544,9 +522,6 @@ func TestNilCollectorZeroAlloc(t *testing.T) {
 		t.Error("nil collector recorded state")
 	}
 	var buf bytes.Buffer
-	if err := c.WriteJSON(&buf); err != nil || buf.Len() != 0 {
-		t.Errorf("nil WriteJSON wrote %d bytes, err %v", buf.Len(), err)
-	}
 	if err := c.WriteChromeTrace(&buf); err != nil || buf.Len() != 0 {
 		t.Errorf("nil WriteChromeTrace wrote %d bytes, err %v", buf.Len(), err)
 	}

@@ -184,31 +184,23 @@ func (t *Timeline) Totals() []llc.CBoEvents {
 	return out
 }
 
-// timelineJSON is the export shape.
-type timelineJSON struct {
-	IntervalNs float64         `json:"interval_ns"`
-	Slices     int             `json:"slices"`
-	Samples    []SliceSample   `json:"samples"`
-	Events     []TimelineEvent `json:"events"`
-}
-
-func (t *Timeline) snapshotJSON() timelineJSON {
-	out := timelineJSON{Samples: []SliceSample{}, Events: []TimelineEvent{}}
-	if t == nil {
-		return out
-	}
-	out.IntervalNs = t.intervalNs
-	if t.src != nil {
-		out.Slices = t.src.Slices()
-	}
-	out.Samples = append(out.Samples, t.samples...)
-	out.Events = append(out.Events, t.events...)
-	return out
-}
-
 // WriteJSON renders the timeline as one JSON document. Nil-safe.
 func (t *Timeline) WriteJSON(w io.Writer) error {
+	out := struct {
+		IntervalNs float64         `json:"interval_ns"`
+		Slices     int             `json:"slices"`
+		Samples    []SliceSample   `json:"samples"`
+		Events     []TimelineEvent `json:"events"`
+	}{Samples: []SliceSample{}, Events: []TimelineEvent{}}
+	if t != nil {
+		out.IntervalNs = t.intervalNs
+		if t.src != nil {
+			out.Slices = t.src.Slices()
+		}
+		out.Samples = append(out.Samples, t.samples...)
+		out.Events = append(out.Events, t.events...)
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(t.snapshotJSON())
+	return enc.Encode(out)
 }

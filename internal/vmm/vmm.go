@@ -46,20 +46,13 @@ type VMConfig struct {
 
 // VM is one placed guest.
 type VM struct {
-	cfg    VMConfig
-	core   *cpusim.Core
-	lines  []uint64
-	slices []int
-	pos    int // streaming position for noisy guests
+	cfg   VMConfig
+	core  *cpusim.Core
+	lines []uint64
+	pos   int // streaming position for noisy guests
 
 	rng *rand.Rand
 }
-
-// Name returns the VM name.
-func (v *VM) Name() string { return v.cfg.Name }
-
-// Slices returns the slice set backing the VM (nil-ish spread for Shared).
-func (v *VM) Slices() []int { return v.slices }
 
 // Hypervisor owns placement and scheduling of the guests.
 type Hypervisor struct {
@@ -84,9 +77,6 @@ func New(machine *cpusim.Machine, policy Policy) (*Hypervisor, error) {
 		ownedSlice: make(map[int]string),
 	}, nil
 }
-
-// VMs returns the placed guests.
-func (h *Hypervisor) VMs() []*VM { return h.vms }
 
 // AddVM places a guest. Under SliceIsolated the guest receives the
 // unowned slices closest to its vCPU — enough of them to hold its working
@@ -120,7 +110,6 @@ func (h *Hypervisor) AddVM(cfg VMConfig) (*VM, error) {
 			return nil, err
 		}
 		vm.lines = region.Lines()
-		vm.slices = region.Slices()
 	case SliceIsolated:
 		slices, err := h.claimSlices(cfg)
 		if err != nil {
@@ -131,7 +120,6 @@ func (h *Hypervisor) AddVM(cfg VMConfig) (*VM, error) {
 			return nil, err
 		}
 		vm.lines = region.Lines()
-		vm.slices = slices
 	default:
 		return nil, fmt.Errorf("vmm: unknown policy %d", h.policy)
 	}

@@ -42,8 +42,8 @@ func TestAddVMValidation(t *testing.T) {
 	if _, err := h.AddVM(VMConfig{Name: "a", Core: 1, WorkingSet: 1 << 20}); err == nil {
 		t.Error("duplicate name accepted")
 	}
-	if len(h.VMs()) != 1 {
-		t.Errorf("VMs = %d", len(h.VMs()))
+	if len(h.vms) != 1 {
+		t.Errorf("VMs = %d", len(h.vms))
 	}
 }
 
@@ -61,35 +61,34 @@ func TestSliceIsolatedPlacementDisjoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owned := map[int]string{}
-	for _, s := range a.Slices() {
-		owned[s] = "a"
-	}
-	for _, s := range b.Slices() {
-		if owner, clash := owned[s]; clash {
-			t.Fatalf("slice %d owned by both %s and b", s, owner)
-		}
-	}
 	// 2 MB needs two 1.375 MB slices; 1 MB needs one.
-	if len(a.Slices()) != 1 || len(b.Slices()) != 2 {
-		t.Errorf("slice counts = %d/%d, want 1/2", len(a.Slices()), len(b.Slices()))
+	if na, nb := len(claimed(h, "a")), len(claimed(h, "b")); na != 1 || nb != 2 {
+		t.Errorf("slice counts = %d/%d, want 1/2", na, nb)
 	}
-	// Every line of each VM maps into its claimed slices.
+	// Every line of each VM maps into a slice it owns, so no slice serves
+	// both.
 	for _, vm := range []*VM{a, b} {
-		claim := map[int]bool{}
-		for _, s := range vm.Slices() {
-			claim[s] = true
-		}
 		for _, va := range vm.lines {
 			pa, err := m.Space.Translate(va)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !claim[m.LLC.SliceOf(pa)] {
-				t.Fatalf("VM %s line outside its slices", vm.Name())
+			if s := m.LLC.SliceOf(pa); h.ownedSlice[s] != vm.cfg.Name {
+				t.Fatalf("VM %s line in slice %d, owned by %q", vm.cfg.Name, s, h.ownedSlice[s])
 			}
 		}
 	}
+}
+
+// claimed lists the slices the hypervisor handed to the named VM.
+func claimed(h *Hypervisor, name string) []int {
+	var out []int
+	for s, owner := range h.ownedSlice {
+		if owner == name {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 func TestOversizedVMGetsCappedAllotment(t *testing.T) {
@@ -103,18 +102,16 @@ func TestOversizedVMGetsCappedAllotment(t *testing.T) {
 	}
 	// 8 slices of 2.5 MB: a VM wanting 25 MB gets at most half the free
 	// slices — its LLC footprint is bounded, leaving room for neighbours.
-	big, err := h.AddVM(VMConfig{Name: "big", Core: 0, WorkingSet: 25 << 20})
-	if err != nil {
+	if _, err := h.AddVM(VMConfig{Name: "big", Core: 0, WorkingSet: 25 << 20}); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(big.Slices()); n == 0 || n > 4 {
+	if n := len(claimed(h, "big")); n == 0 || n > 4 {
 		t.Errorf("oversized VM claimed %d slices, want 1..4", n)
 	}
-	small, err := h.AddVM(VMConfig{Name: "small", Core: 1, WorkingSet: 1 << 20})
-	if err != nil {
+	if _, err := h.AddVM(VMConfig{Name: "small", Core: 1, WorkingSet: 1 << 20}); err != nil {
 		t.Fatalf("neighbour could not be placed after a big VM: %v", err)
 	}
-	if len(small.Slices()) == 0 {
+	if len(claimed(h, "small")) == 0 {
 		t.Error("neighbour got no slices")
 	}
 }

@@ -38,7 +38,6 @@ var reachAllow = map[string]string{
 	"dpdk.Mbuf.Headroom":                       "cachedirector's TestHeadroomMissFallback and ladder tests read the headroom CacheDirector chose through it",
 	"dpdk.Port.DDIOMask":                       "llcmgmt's TestIsolationPlanMasks reads the I/O-way mask programmed into a port through it",
 	"dpdk.Port.FlowRules":                      "llcmgmt's TestAttachNet and netsim's machineDigest count installed FlowDirector rules through it",
-	"experiments.FigFaultsPoint.WatchdogStats": "TestFigFaults checks that the watchdog probed, missed and degraded through it",
 	"experiments.FigOverloadPoint.LadderStats": "TestFigOverload checks that the degradation ladder escalated and recovered through it",
 	"experiments.FigTenantPoint.ControllerOn":  "TestFigTenantClosedLoop picks the controller-on and -off sweep points through it",
 	"experiments.HashRecoveryResult.Recovered": "TestFigure4RecoversExactly checks that Fig 4's recovered hash passed every verification probe through it",
@@ -48,10 +47,15 @@ var reachAllow = map[string]string{
 	"experiments.PreferenceResult.Prefs":       "TestFigure16AndTable4 checks Table 4's per-core primary and secondary slices through it",
 	"faults.Injector.Opportunities":            "netsim's TestWindowBoundariesUnderSaturation counts injection opportunities through it",
 	"faults.MispredictedHash.SetRate":          "cachedirector's TestWatchdogDegradesAndRecovers changes the misprediction rate mid-run through it",
+	"kvs.Result.Dropped":                       "TestRunCountsAndRatio checks that gets, sets and NIC drops add up to every offered request through it",
+	"kvs.Result.Gets":                          "TestRunCountsAndRatio checks that gets, sets and NIC drops add up to every offered request, and the get share, through it",
+	"kvs.Result.Sets":                          "TestRunCountsAndRatio checks that gets, sets and NIC drops add up to every offered request through it",
 	"netsim.DuT.CoreOffset":                    "llcmgmt's TestAttachNet checks the DuT polls from the tenant's first core through it",
 	"nfv.Router.routes":                        "TestRouterProcessAndOffload checks that PopulateDefaultAndRandom installs §5.2's 3120-route table, and TestRouterLPM counts AddRoute's routes, through it",
 	"obs.Monitor.Firing":                       "TestMonitorFiresAndResolves counts firing SLOs through it",
 	"overload.Shedder.Threshold":               "slicekvsd's TestOverloadShedsLowClassFirst reads the per-class shed thresholds through it",
+	"telemetry.FlightRecorder.DropsLost":       "TestFlightRecorderDropsSurviveRotation checks that a drop past the side-log cap is counted, not silently lost, through it",
+	"telemetry.FlightRecorder.Seq":             "netsim's TestTelemetryStageCoverage checks that the flight recorder observed every offered packet through it",
 	"telemetry.Timeline.Samples":               "netsim's TestTelemetryStageCoverage and TestWatchdogDegradedOnTimeline read the uncore timeline through it",
 	"wal.Batch.Len":                            "slicekvsd's committer tests (TestCommitterOneBatchInFlight, the warm-restart and drain hand-overs) and wal's TestCommitAdvancesDurableSeq check that a batch holds exactly the records it should through it",
 }
