@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-serving fuzz vet lint bench bench-json bench-compare bench-gate bench-smoke determinism daemon-smoke obs-smoke crash-smoke fleet-smoke paper-golden ci
+.PHONY: all build test race race-serving fuzz vet lint bench bench-smoke determinism daemon-smoke obs-smoke crash-smoke fleet-smoke paper-golden ci
 
 all: build test
 
@@ -58,50 +58,6 @@ lint: vet
 bench:
 	$(GO) test -bench . -benchtime=1x ./...
 
-# Machine-readable micro-benchmark numbers for the simulator hot paths
-# (slice hash, cache insert/lookup, netsim per-packet loop, table render)
-# plus the observability primitives and the durability layer — the
-# disabled-tracer benchmark in ./internal/obs/ and the no-WAL shard
-# serve benchmark in ./cmd/slicekvsd/ are the proofs that tracing off
-# and journaling off mean zero hot-path cost.
-# BENCH_10.json in the repo root is a committed snapshot of this output.
-# The list covers the run path's array passes too (dpdk steering and
-# presteered delivery, batched slice hash) and the multi-core scaling
-# curve (BenchmarkJobsScaling, whose jobs>1 points only record on
-# multi-core machines). BenchmarkRunRateForwarding times netsim's one
-# run path.
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -json \
-		./internal/chash/ ./internal/cachesim/ ./internal/netsim/ \
-		./internal/dpdk/ ./internal/parallel/ ./internal/experiments/ \
-		./internal/obs/ ./internal/wal/ ./cmd/slicekvsd/ > BENCH_10.json
-
-# Benchstat-style delta of two committed snapshots:
-#   make bench-compare                          # BENCH_8 -> BENCH_10
-#   make bench-compare OLD=BENCH_7.json NEW=BENCH_8.json
-OLD ?= BENCH_8.json
-NEW ?= BENCH_10.json
-bench-compare:
-	$(GO) run ./cmd/benchcompare $(OLD) $(NEW)
-
-# Perf-regression gate, run by hand (CI does not run it: the box drifts
-# 10-30% on unchanged code, see ROADMAP item 3): re-measure the headline
-# forwarding benchmark and the zero-alloc batch paths on this machine,
-# then compare against the committed BENCH_10.json snapshot. Fails on a
-# >20% ns/op regression of BenchmarkRunRateForwarding or on any benchmark
-# that was zero-alloc in the snapshot reporting allocations now. The headline
-# runs at full benchtime (the conditions the snapshot was recorded
-# under — short runs read up to 30% high and trip the gate on noise);
-# the batch micro-benchmarks run 100 iterations, enough for their
-# allocs/op to be exact.
-bench-gate:
-	$(GO) test -run '^$$' -bench 'BenchmarkRunRateForwarding$$' -benchmem -json \
-		./internal/netsim/ > /tmp/sliceaware-bench-head.json
-	$(GO) test -run '^$$' -bench 'Batch' -benchmem -benchtime=100x -json \
-		./internal/dpdk/ ./internal/chash/ \
-		>> /tmp/sliceaware-bench-head.json
-	$(GO) run ./cmd/benchcompare -gate BENCH_10.json /tmp/sliceaware-bench-head.json
-
 # The repository's benchmark (BENCHMARK.json, bench/) at its smallest
 # size: builds the harness and every binary it drives, runs all four
 # workloads once, and fails unless each one's correctness checks hold.
@@ -138,9 +94,10 @@ determinism:
 # seeded fault plan must hold the chaos acceptance (top-class p99 within
 # 2x of the unloaded baseline, class 0 shed), then drain cleanly on
 # SIGTERM with /healthz walking ready -> draining -> down and a
-# checkpoint on disk.
+# checkpoint on disk whose transitions end in stopped. Every assertion is
+# fleet's serving contract; the scenario file only sets the flags.
 daemon-smoke:
-	bash scripts/daemon_smoke.sh
+	$(GO) run ./cmd/fleet -f scenarios/serving-smoke.json
 
 # End-to-end observability smoke: statsink + slicekvsd (sampled tracing,
 # availability SLO armed) + loadgen streaming wide events. The merged

@@ -315,3 +315,31 @@ func TestTimeoutScale(t *testing.T) {
 		t.Fatalf("timeout scale ignored; took %v", e)
 	}
 }
+
+// A serving run passes only if the drain checkpoint records the daemon
+// reaching stopped; a checkpoint without that transition, one cut short,
+// or none at all fails it.
+func TestCheckStopped(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name, doc string
+		ok        bool
+	}{
+		{"stopped", `{"transitions": ["starting", "ready", "draining", "stopped"]}`, true},
+		{"no stopped", `{"transitions": ["starting", "ready", "draining"]}`, false},
+		{"stopped not last", `{"transitions": ["stopped", "ready"]}`, false},
+		{"no transitions", `{"uptime_seconds": 3}`, false},
+		{"torn", `{"transitions": ["starting", "re`, false},
+		{"absent", "", false},
+	} {
+		p := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "-")+".json")
+		if tc.doc != "" {
+			if err := os.WriteFile(p, []byte(tc.doc), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := checkStopped(p); (err == nil) != tc.ok {
+			t.Errorf("%s: checkStopped = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}

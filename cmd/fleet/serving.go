@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -18,8 +19,8 @@ import (
 // runServing executes a daemon+loadgen(+statsink) trio: start the
 // sink, start the daemon, wait for /healthz = ready, drive the load
 // generator to completion, then SIGTERM the daemon and assert the
-// graceful drain (ready -> draining -> exit 0). It is the declarative
-// replacement for scripts/daemon_smoke.sh's flag soup.
+// graceful drain (ready -> draining -> exit 0, and a checkpoint whose
+// transitions end in stopped when the daemon's flags name one).
 //
 // Address wiring is orchestrator-owned: daemon addr/http and statsink
 // listen come from the scenario or are auto-assigned loopback ports,
@@ -161,7 +162,35 @@ func (o *orchestrator) runServing(sc *scenario.Scenario, dir string, timeout tim
 			killGroup(sink.cmd)
 		}
 	}
+	if cp, ok := sv.DaemonFlags["checkpoint"]; ok {
+		if !filepath.IsAbs(cp) {
+			cp = filepath.Join(dir, cp)
+		}
+		if err := checkStopped(cp); err != nil {
+			return fail("checkpoint: %v", err)
+		}
+	}
 	return procOutcome{}, ""
+}
+
+// checkStopped requires the daemon's drain checkpoint to record the
+// lifecycle ending in stopped: the drain ran to its end, not merely
+// exited 0.
+func checkStopped(path string) error {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var doc struct {
+		Transitions []string `json:"transitions"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		return err
+	}
+	if n := len(doc.Transitions); n == 0 || doc.Transitions[n-1] != "stopped" {
+		return fmt.Errorf("transitions %v do not end in stopped", doc.Transitions)
+	}
+	return nil
 }
 
 // trioProc is one supervised process of a serving trio.

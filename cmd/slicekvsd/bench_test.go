@@ -47,10 +47,9 @@ func benchServe(b *testing.B, sh *shard) {
 	}
 }
 
-// BenchmarkShardServeSetNoWAL pins the nil-is-free contract: with
+// BenchmarkShardServeSetNoWAL measures the nil-is-free contract: with
 // journaling disabled the SET path pays one nil check over the pre-WAL
-// hot path, and this number must not regress against earlier BENCH_*
-// snapshots of the shard service path.
+// hot path. TestAdmittedPathAllocs pins its allocation side.
 func BenchmarkShardServeSetNoWAL(b *testing.B) {
 	benchServe(b, benchShard(b, false))
 }

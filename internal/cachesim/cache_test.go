@@ -212,15 +212,16 @@ func TestMaskHelpers(t *testing.T) {
 	}
 }
 
-// A private cache's memory is fixed at New: inserting, probing and
-// invalidating lines 2^20 apart — each in a region no earlier line touched
-// — allocates nothing.
+// A private cache's memory is fixed at New: inserting (into all ways or a
+// 2-way partition), probing and invalidating lines 2^20 apart — each in a
+// region no earlier line touched — allocates nothing.
 func TestPrivateCacheAllocatesNothingAfterNew(t *testing.T) {
 	c := MustNew("l1d", 64, 8) // the L1D geometry of both arch profiles
 	line := uint64(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		line += 1 << 20
 		c.Insert(line, true, AllWays)
+		c.Insert(line+1, true, MaskOfWayRange(6, 8))
 		c.Lookup(line, false)
 		c.Invalidate(line - 1<<21)
 	})

@@ -93,6 +93,37 @@ func (oddHash) Slices() int         { return 3 }
 
 var sinkSlice int
 
+// The slice hash runs on every simulated memory access, so evaluating it
+// allocates nothing: bit by bit, through a LUT, or over a batch.
+func TestSliceHashAllocatesNothing(t *testing.T) {
+	xor := Haswell8()
+	gen, err := NewGeneralizedHash(18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xorLUT, genLUT := NewSliceLUT(xor), NewSliceLUT(gen)
+	pas := make([]uint64, 256)
+	for i := range pas {
+		pas[i] = 0x2_0000_0000 + uint64(i)*64
+	}
+	out := make([]int, len(pas))
+	pa := uint64(0)
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"XORHash.Slice", func() { pa += 64; sinkSlice = xor.Slice(pa) }},
+		{"GeneralizedHash.Slice", func() { pa += 64; sinkSlice = gen.Slice(pa) }},
+		{"SliceLUT.Slice (XOR)", func() { pa += 64; sinkSlice = xorLUT.Slice(pa) }},
+		{"SliceLUT.Slice (generalized)", func() { pa += 64; sinkSlice = genLUT.Slice(pa) }},
+		{"SliceOfBatch", func() { xorLUT.SliceOfBatch(pas, out) }},
+	} {
+		if allocs := testing.AllocsPerRun(1000, tc.run); allocs != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", tc.name, allocs)
+		}
+	}
+}
+
 // The benchmark pair quantifies the LUT's win over the popcount loop on
 // the Haswell 8-slice matrix — the hash on the simulator's hottest path.
 func BenchmarkXORHashSlice(b *testing.B) {

@@ -103,6 +103,26 @@ func TestDeliverPresteeredMatchesDeliver(t *testing.T) {
 	}
 }
 
+// Steering runs once per delivered packet and is an array pass on the
+// batch path; either way it allocates nothing.
+func TestSteeringAllocatesNothing(t *testing.T) {
+	port := batchTestPort(t, RSS)
+	pkts := randomPackets(256, 42)
+	out := make([]int32, len(pkts))
+	i := 0
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"SteerBatch", func() { port.SteerBatch(pkts, out) }},
+		{"SteerQueue", func() { i++; out[0] = int32(port.SteerQueue(pkts[i%len(pkts)])) }},
+	} {
+		if allocs := testing.AllocsPerRun(1000, tc.run); allocs != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", tc.name, allocs)
+		}
+	}
+}
+
 // BenchmarkSteerBatch measures the batched RSS pass against per-packet
 // steering.
 func BenchmarkSteerBatch(b *testing.B) {

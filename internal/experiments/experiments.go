@@ -1,8 +1,8 @@
 // Package experiments contains one harness per table and figure of the
 // paper's evaluation. Each harness builds the simulated testbed it needs,
 // runs the workload, and returns a structured result that renders as a
-// paper-style table (cmd/reproduce prints them; bench_test.go wraps them
-// as benchmarks; EXPERIMENTS.md records paper-vs-measured).
+// paper-style table (cmd/reproduce prints them; EXPERIMENTS.md records
+// paper-vs-measured).
 //
 // Every harness that draws randomness, sizes its samples or builds a DuT
 // takes an Env: the run-wide seed, the worker count its independent

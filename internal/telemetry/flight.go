@@ -99,16 +99,11 @@ type FlightRecorder struct {
 }
 
 // NewFlightRecorder builds a recorder keeping the last ringSize packets
-// and sampling full spans every sampleEvery packets (≤1 samples all).
+// and up to maxDrops dropped ones (both positive), sampling full spans
+// every sampleEvery packets (≤1 samples all).
 func NewFlightRecorder(ringSize, sampleEvery, maxDrops int) *FlightRecorder {
-	if ringSize < 1 {
-		ringSize = 1024
-	}
 	if sampleEvery < 1 {
 		sampleEvery = 1
-	}
-	if maxDrops < 1 {
-		maxDrops = 1 << 16
 	}
 	return &FlightRecorder{sampleEvery: sampleEvery, ring: make([]*PacketRecord, ringSize), maxDrops: maxDrops}
 }

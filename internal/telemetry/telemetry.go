@@ -32,19 +32,22 @@ type Config struct {
 	// SampleEvery records full stage spans for every N-th packet
 	// (default 64; 1 samples every packet).
 	SampleEvery int
-	// RingSize is how many most-recent packets the flight recorder
-	// retains (default 1024).
-	RingSize int
-	// MaxDrops caps the retained dropped/fault-injected records
-	// (default 65536).
-	MaxDrops int
-	// TimelineIntervalNs is the heat-sampling period in simulated ns
-	// (default 10 µs).
-	TimelineIntervalNs float64
-	// TimelineMaxSamples bounds the series before pairwise decimation
-	// doubles the interval (default 4096).
-	TimelineMaxSamples int
 }
+
+// The flight recorder's and heat timeline's sizes in every Collector.
+const (
+	// flightRingSize is how many most-recent packets the flight recorder
+	// retains.
+	flightRingSize = 1024
+	// flightMaxDrops caps the retained dropped/fault-injected records.
+	flightMaxDrops = 1 << 16
+	// timelineIntervalNs is the heat-sampling period in simulated ns
+	// (10 µs).
+	timelineIntervalNs = 10_000
+	// timelineMaxSamples bounds the series before pairwise decimation
+	// doubles the interval.
+	timelineMaxSamples = 4096
+)
 
 // Collector bundles the three telemetry surfaces and the simulated clock
 // they share.
@@ -66,8 +69,8 @@ func New(cfg Config) *Collector {
 	}
 	return &Collector{
 		reg:      NewRegistry(cfg.Shards),
-		flight:   NewFlightRecorder(cfg.RingSize, sample, cfg.MaxDrops),
-		timeline: NewTimeline(cfg.TimelineIntervalNs, cfg.TimelineMaxSamples),
+		flight:   NewFlightRecorder(flightRingSize, sample, flightMaxDrops),
+		timeline: NewTimeline(timelineIntervalNs, timelineMaxSamples),
 	}
 }
 

@@ -47,15 +47,9 @@ type Timeline struct {
 	events  []TimelineEvent
 }
 
-// NewTimeline builds an unbound timeline sampling every intervalNs of
-// simulated time, decimating beyond maxSamples.
+// NewTimeline builds an unbound timeline sampling every intervalNs (> 0)
+// of simulated time, decimating beyond maxSamples (≥ 2).
 func NewTimeline(intervalNs float64, maxSamples int) *Timeline {
-	if intervalNs <= 0 {
-		intervalNs = 10_000 // 10 µs of simulated time
-	}
-	if maxSamples < 2 {
-		maxSamples = 4096
-	}
 	maxSamples &^= 1 // pairwise decimation needs an even budget
 	return &Timeline{intervalNs: intervalNs, maxSamples: maxSamples}
 }
