@@ -117,7 +117,7 @@ crash-smoke:
 	bash scripts/crash_smoke.sh
 
 # Orchestrator smoke: fleet expands the fleet-smoke scenario file
-# (reproduce matrix + F-TENANT + a serving trio), fans it across
+# (reproduce matrix + a serving trio), fans it across
 # worker processes, and the goldens must match byte-for-byte. The
 # failure-demo file then proves a hung/crashed/non-zero scenario is
 # classified as such and makes fleet exit non-zero.

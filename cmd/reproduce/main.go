@@ -7,7 +7,7 @@
 //	          [-jobs N] [-metrics-dir DIR] [-cpuprofile F] [-memprofile F]
 //	          [-list]
 //
-// -list prints the experiment catalog (IDs, kinds, titles, scales) as
+// -list prints the experiment catalog (IDs, kinds, titles) as
 // JSON and exits; cmd/fleet and scenario validation discover valid
 // targets from it instead of hardcoding them. -only entries are
 // validated against the same catalog: an unknown ID is a hard error
@@ -35,9 +35,9 @@
 // Paper artifacts: T1 F4 F5 F6 F7 F8 HR F12 F13 F14 T3 F15 F16 T4 F17
 // (T3 is derived from F13+F14 and runs them if not already selected).
 // Ablations/extensions (with -all or by ID): A-DDIO A-PLACE A-STEER
-// A-MULTI A-PF S6 S8V S8M S9C F-FAULTS F-OVERLOAD (the overload sweep
-// also prints the F-OVERLOAD/B migration circuit-breaker table) and
-// F-TENANT (the multi-tenant leaky-DMA isolation loop).
+// A-MULTI A-PF A-RP S6 S8V S8M S9C S7H S8S S4V F-FAULTS F-OVERLOAD (the
+// overload sweep also prints the F-OVERLOAD/B migration circuit-breaker
+// table).
 //
 // -seed fixes the run-wide seed every experiment derives its randomness
 // from: two invocations with the same seed and selection print identical
@@ -149,7 +149,6 @@ func plan(want map[string]bool, all bool, fig13, fig14 nfvRunner) (tasks []task)
 		t.Fprint(w)
 		return experiments.OverloadBreakerStorm(env)
 	})
-	show("F-TENANT", tableOf(experiments.FigTenant))
 	return tasks
 }
 
@@ -160,7 +159,7 @@ func main() {
 	seedFlag := flag.Int64("seed", 1, "run-wide seed; same seed reproduces the same numbers")
 	jobsFlag := flag.Int("jobs", 1, "workers for experiments and their independent trials (0 = GOMAXPROCS); tables are byte-identical for any value")
 	metricsDir := flag.String("metrics-dir", "", "dump per-figure telemetry (Prometheus text, slice timeline JSON, chrome trace) into this directory")
-	listFlag := flag.Bool("list", false, "print the experiment catalog (IDs, kinds, scales) as JSON and exit")
+	listFlag := flag.Bool("list", false, "print the experiment catalog (IDs, kinds, titles) as JSON and exit")
 	profFlags := prof.Register(flag.CommandLine)
 	flag.Parse()
 

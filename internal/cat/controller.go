@@ -18,8 +18,7 @@ type Controller struct {
 	machine *cpusim.Machine
 	ways    int
 	masks   []cachesim.WayMask
-	assoc   []int            // core → COS
-	protect cachesim.WayMask // DDIO-protect guard; 0 = disabled
+	assoc   []int // core → COS
 }
 
 // NewController initializes CAT with numCOS classes of service. As on real
@@ -44,25 +43,6 @@ func NewController(machine *cpusim.Machine, numCOS int) (*Controller, error) {
 	return c, nil
 }
 
-// NumCOS returns the number of classes of service.
-func (c *Controller) NumCOS() int { return len(c.masks) }
-
-// Mask returns a class's capacity bitmask.
-func (c *Controller) Mask(cos int) (cachesim.WayMask, error) {
-	if cos < 0 || cos >= len(c.masks) {
-		return 0, fmt.Errorf("cat: COS %d out of range", cos)
-	}
-	return c.masks[cos], nil
-}
-
-// COSOf returns the class a core is associated with.
-func (c *Controller) COSOf(core int) (int, error) {
-	if core < 0 || core >= len(c.assoc) {
-		return 0, fmt.Errorf("cat: core %d out of range", core)
-	}
-	return c.assoc[core], nil
-}
-
 // SetCapacityMask programs a class's capacity bitmask (IA32_L3_QOS_MASK).
 // Hardware rejects empty, oversized, or non-contiguous masks.
 func (c *Controller) SetCapacityMask(cos int, mask uint64) error {
@@ -78,25 +58,10 @@ func (c *Controller) SetCapacityMask(cos int, mask uint64) error {
 	if !contiguous(mask) {
 		return fmt.Errorf("cat: mask %#x is not a contiguous run of ways (hardware requirement)", mask)
 	}
-	if c.protect != 0 && cachesim.WayMask(mask)&c.protect == c.protect {
-		return fmt.Errorf("cat: %w: mask %#x swallows the protected DDIO ways %#x", ErrDDIOProtected, mask, uint64(c.protect))
-	}
 	c.masks[cos] = cachesim.WayMask(mask)
 	c.applyAll()
 	return nil
 }
-
-// ErrDDIOProtected rejects a capacity mask that fully contains the
-// DDIO-protected ways (see SetDDIOProtect).
-var ErrDDIOProtected = fmt.Errorf("cat: capacity mask swallows DDIO ways")
-
-// SetDDIOProtect arms an opt-in guard (the policy IOCA/A4 argue for, not a
-// hardware rule): once set, SetCapacityMask rejects any mask that fully
-// contains the protected DDIO ways, because a class owning every I/O way
-// lets its demand fills churn in-flight RX lines. Partial overlap stays
-// legal — hardware allows it and DDIO fills ignore CAT anyway. A zero mask
-// disables the guard. Masks already programmed are not re-validated.
-func (c *Controller) SetDDIOProtect(mask cachesim.WayMask) { c.protect = mask }
 
 // Associate binds a core to a class of service (IA32_PQR_ASSOC).
 func (c *Controller) Associate(core, cos int) error {

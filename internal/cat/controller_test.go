@@ -1,7 +1,6 @@
 package cat
 
 import (
-	"errors"
 	"math/bits"
 	"testing"
 
@@ -17,8 +16,8 @@ func TestControllerDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.NumCOS() != 4 {
-		t.Errorf("NumCOS = %d", c.NumCOS())
+	if len(c.masks) != 4 {
+		t.Errorf("COS count = %d", len(c.masks))
 	}
 	// Every COS starts with the full 11-way mask; every core in COS0.
 	for cos := 0; cos < 4; cos++ {
@@ -27,7 +26,7 @@ func TestControllerDefaults(t *testing.T) {
 		}
 	}
 	for core := 0; core < m.Cores(); core++ {
-		if cos, _ := c.COSOf(core); cos != 0 {
+		if cos := c.assoc[core]; cos != 0 {
 			t.Errorf("core %d starts in COS%d", core, cos)
 		}
 	}
@@ -63,15 +62,6 @@ func TestControllerValidation(t *testing.T) {
 	if err := c.Associate(0, 9); err == nil {
 		t.Error("bad COS accepted")
 	}
-	if _, err := c.Mask(9); err == nil {
-		t.Error("Mask(9) accepted")
-	}
-	if _, err := c.COSOf(99); err == nil {
-		t.Error("COSOf(99) accepted")
-	}
-	if _, err := c.Mask(-1); err == nil {
-		t.Error("Mask(-1) accepted")
-	}
 }
 
 func TestControllerIsolatesFills(t *testing.T) {
@@ -96,7 +86,7 @@ func TestControllerIsolatesFills(t *testing.T) {
 	if w := waysOf(c, 1); w != 2 {
 		t.Errorf("COS1 ways = %d", w)
 	}
-	if cos, _ := c.COSOf(0); cos != 1 {
+	if cos := c.assoc[0]; cos != 1 {
 		t.Errorf("core 0 in COS%d", cos)
 	}
 
@@ -138,55 +128,3 @@ func TestControllerIsolatesFills(t *testing.T) {
 		t.Errorf("%d lines live in a 2-way COS set, want ≤2", live)
 	}
 }
-
-// TestSetDDIOProtect pins the opt-in DDIO-protect guard's contract on the
-// 11-way Skylake LLC (DDIO ways 9..10, mask 0x600): fully swallowing the
-// protected ways is rejected, partial overlap and disjoint masks stay
-// legal, zero disarms the guard, and the hardware contiguity rule is
-// still enforced alongside it.
-func TestSetDDIOProtect(t *testing.T) {
-	cases := []struct {
-		name    string
-		protect cachesim.WayMask
-		mask    uint64
-		wantErr error // nil = accepted; ErrDDIOProtected or errAny
-	}{
-		{name: "swallows both DDIO ways", protect: 0x600, mask: 0x7ff, wantErr: ErrDDIOProtected},
-		{name: "exactly the DDIO ways", protect: 0x600, mask: 0x600, wantErr: ErrDDIOProtected},
-		{name: "partial overlap is legal", protect: 0x600, mask: 0x700 &^ 0x400},
-		{name: "disjoint core-side mask", protect: 0x600, mask: 0x0ff},
-		{name: "guard disarmed accepts full mask", protect: 0, mask: 0x7ff},
-		{name: "contiguity still enforced", protect: 0x600, mask: 0x505, wantErr: errAny},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			m := newSkylake(t)
-			c, err := NewController(m, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.SetDDIOProtect(tc.protect)
-			if got := c.protect; got != tc.protect {
-				t.Fatalf("protect = %#x, want %#x", uint64(got), uint64(tc.protect))
-			}
-			err = c.SetCapacityMask(1, tc.mask)
-			switch {
-			case tc.wantErr == nil && err != nil:
-				t.Errorf("mask %#x rejected: %v", tc.mask, err)
-			case tc.wantErr == errAny && err == nil:
-				t.Errorf("mask %#x accepted, want an error", tc.mask)
-			case tc.wantErr == ErrDDIOProtected && !errors.Is(err, ErrDDIOProtected):
-				t.Errorf("mask %#x: err = %v, want ErrDDIOProtected", tc.mask, err)
-			}
-			// A rejected mask must leave the programmed state untouched.
-			if tc.wantErr != nil {
-				if w := waysOf(c, 1); w != 11 {
-					t.Errorf("rejected mask changed COS1 to %d ways", w)
-				}
-			}
-		})
-	}
-}
-
-// errAny marks table rows that expect some error other than the guard's.
-var errAny = errors.New("any error")

@@ -137,6 +137,7 @@ func BenchmarkXORHashSlice(b *testing.B) {
 func BenchmarkSliceLUT(b *testing.B) {
 	l := NewSliceLUT(Haswell8())
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkSlice = l.Slice(uint64(i) * 64)
 	}
@@ -160,6 +161,7 @@ func BenchmarkSliceLUTGeneralized(b *testing.B) {
 	}
 	l := NewSliceLUT(h)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkSlice = l.Slice(uint64(i) * 64)
 	}

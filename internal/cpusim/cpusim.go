@@ -155,11 +155,10 @@ func (m *Machine) ResetCaches() {
 	m.privLines.Clear()
 }
 
-// DMAWriteMasked models the NIC writing size bytes at physical address
-// pa: every touched line is invalidated in all private caches and
-// allocated into the LLC through a DDIO way mask — an explicit one (a
-// tenant's I/O-way share), or the socket-wide DDIO mask when mask is 0.
-func (m *Machine) DMAWriteMasked(pa uint64, size int, mask cachesim.WayMask) {
+// DMAWrite models the NIC writing size bytes at physical address pa:
+// every touched line is invalidated in all private caches and allocated
+// into the LLC through the socket-wide DDIO ways.
+func (m *Machine) DMAWrite(pa uint64, size int) {
 	if size <= 0 {
 		return
 	}
@@ -189,7 +188,7 @@ func (m *Machine) DMAWriteMasked(pa uint64, size int, mask cachesim.WayMask) {
 				c.l2.Invalidate(line)
 			}
 		}
-		v, _ := m.LLC.DMAInsertAt(slices[i], pas[i], mask)
+		v, _ := m.LLC.DMAInsertAt(slices[i], pas[i])
 		m.backInvalidate(v)
 	}
 }
@@ -269,7 +268,7 @@ func (c *Core) access(pa uint64, write bool) uint64 {
 		return uint64(p.L2Latency)
 	}
 
-	hit, slice := c.m.LLC.LookupCore(c.id, pa, false)
+	hit, slice := c.m.LLC.Lookup(pa, false)
 	penalty := uint64(c.m.Topo.Penalty(c.id, slice))
 	if hit {
 		cost := uint64(p.LLCBase) + penalty

@@ -209,7 +209,7 @@ func TestDMAWriteLandsInLLCAndInvalidatesPrivate(t *testing.T) {
 	pa := mp.PhysBase + 128
 
 	c.ReadPhys(pa) // core holds a stale copy
-	m.DMAWriteMasked(pa, 256, 0)
+	m.DMAWrite(pa, 256)
 	if c.L1().Contains(pa >> 6) {
 		t.Error("DMA left a stale L1 copy")
 	}

@@ -94,7 +94,7 @@ func TestMempoolGetResetsState(t *testing.T) {
 	m.Pkt = trace.Packet{Size: 1500}
 	p.Put(m)
 	m = p.Get()
-	if m.DataLen() != 0 || m.Pkt.Size != 0 || m.Next != nil {
+	if m.dataLen != 0 || m.Pkt.Size != 0 || m.Next != nil {
 		t.Error("Get returned stale mbuf state")
 	}
 }

@@ -79,9 +79,6 @@ func (m *Mbuf) SetHeadroom(h int) error {
 // HeadroomCapacity returns the provisioned headroom bytes.
 func (m *Mbuf) HeadroomCapacity() int { return m.headroomCap }
 
-// DataLen returns the packet bytes stored in this segment.
-func (m *Mbuf) DataLen() int { return m.dataLen }
-
 // PktLen returns the total packet bytes across the segment chain.
 func (m *Mbuf) PktLen() int {
 	n := 0

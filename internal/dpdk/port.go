@@ -3,7 +3,6 @@ package dpdk
 import (
 	"fmt"
 
-	"sliceaware/internal/cachesim"
 	"sliceaware/internal/cpusim"
 	"sliceaware/internal/faults"
 	"sliceaware/internal/overload"
@@ -60,10 +59,8 @@ type PortStats struct {
 // and RX/TX rings plus the DMA path into the simulated LLC.
 type Port struct {
 	machine  *cpusim.Machine
-	name     string
 	queues   int
 	steering Steering
-	ddioMask cachesim.WayMask // 0 = socket-wide DDIO mask
 
 	pools []*Mempool
 	rx    []*Ring
@@ -96,34 +93,20 @@ type portMetrics struct {
 
 // SetTelemetry instruments the port: hot-path traffic/drop counters
 // (sharded by queue) plus export-time gauges for RX ring occupancy,
-// mempool availability and installed FlowDirector rules. A named port
-// (PortConfig.Name) tags every series with port="name", so two tenant
-// ports sharing one collector keep distinct counters; unnamed ports keep
-// the exact label set (and output bytes) of earlier releases.
+// mempool availability and installed FlowDirector rules.
 func (p *Port) SetTelemetry(c *telemetry.Collector) {
 	reg := c.Registry()
-	// lbl merges the optional port label into a base label list.
-	lbl := func(base string) string {
-		if p.name == "" {
-			return base
-		}
-		tag := fmt.Sprintf(`port=%q`, p.name)
-		if base == "" {
-			return tag
-		}
-		return base + "," + tag
-	}
 	p.tm = portMetrics{
-		rxPackets:   reg.CounterL("dpdk_port_rx_packets_total", "Packets accepted on the RX path", lbl("")),
-		rxBytes:     reg.CounterL("dpdk_port_rx_bytes_total", "Bytes accepted on the RX path", lbl("")),
-		txPackets:   reg.CounterL("dpdk_port_tx_packets_total", "Packets transmitted", lbl("")),
-		txBytes:     reg.CounterL("dpdk_port_tx_bytes_total", "Bytes transmitted", lbl("")),
-		segments:    reg.CounterL("dpdk_port_segments_total", "Chained segments created for oversized frames", lbl("")),
-		dropRing:    reg.CounterL("dpdk_port_rx_dropped_total", "RX losses by cause", lbl(`cause="ring"`)),
-		dropPool:    reg.CounterL("dpdk_port_rx_dropped_total", "RX losses by cause", lbl(`cause="pool"`)),
-		dropWire:    reg.CounterL("dpdk_port_rx_dropped_total", "RX losses by cause", lbl(`cause="wire"`)),
-		dropCorrupt: reg.CounterL("dpdk_port_rx_dropped_total", "RX losses by cause", lbl(`cause="corrupt"`)),
-		dropAQM:     reg.CounterL("dpdk_port_rx_dropped_total", "RX losses by cause", lbl(`cause="aqm"`)),
+		rxPackets:   reg.CounterL("dpdk_port_rx_packets_total", "Packets accepted on the RX path", ""),
+		rxBytes:     reg.CounterL("dpdk_port_rx_bytes_total", "Bytes accepted on the RX path", ""),
+		txPackets:   reg.CounterL("dpdk_port_tx_packets_total", "Packets transmitted", ""),
+		txBytes:     reg.CounterL("dpdk_port_tx_bytes_total", "Bytes transmitted", ""),
+		segments:    reg.CounterL("dpdk_port_segments_total", "Chained segments created for oversized frames", ""),
+		dropRing:    reg.CounterL("dpdk_port_rx_dropped_total", "RX losses by cause", `cause="ring"`),
+		dropPool:    reg.CounterL("dpdk_port_rx_dropped_total", "RX losses by cause", `cause="pool"`),
+		dropWire:    reg.CounterL("dpdk_port_rx_dropped_total", "RX losses by cause", `cause="wire"`),
+		dropCorrupt: reg.CounterL("dpdk_port_rx_dropped_total", "RX losses by cause", `cause="corrupt"`),
+		dropAQM:     reg.CounterL("dpdk_port_rx_dropped_total", "RX losses by cause", `cause="aqm"`),
 	}
 	if reg == nil {
 		return
@@ -131,17 +114,16 @@ func (p *Port) SetTelemetry(c *telemetry.Collector) {
 	for q := 0; q < p.queues; q++ {
 		q := q
 		reg.GaugeFunc("dpdk_rx_ring_occupancy", "RX descriptors waiting per queue",
-			lbl(fmt.Sprintf(`queue="%d"`, q)), func() float64 { return float64(p.rx[q].Len()) })
+			fmt.Sprintf(`queue="%d"`, q), func() float64 { return float64(p.rx[q].Len()) })
 		reg.GaugeFunc("dpdk_mempool_available", "Free mbufs per queue mempool",
-			lbl(fmt.Sprintf(`queue="%d"`, q)), func() float64 { return float64(p.pools[q].Available()) })
+			fmt.Sprintf(`queue="%d"`, q), func() float64 { return float64(p.pools[q].Available()) })
 	}
-	reg.GaugeFunc("dpdk_fdir_rules", "Installed FlowDirector rules", lbl(""),
+	reg.GaugeFunc("dpdk_fdir_rules", "Installed FlowDirector rules", "",
 		func() float64 { return float64(len(p.fdirTable)) })
 }
 
 // PortConfig sizes a port.
 type PortConfig struct {
-	Name        string // optional; tags telemetry with port="Name" and mempool names
 	Queues      int
 	RingSize    int // per-queue RX/TX descriptor count
 	PoolMbufs   int // per-queue mempool population
@@ -164,20 +146,15 @@ func NewPort(machine *cpusim.Machine, cfg PortConfig) (*Port, error) {
 	if cfg.PoolMbufs <= 0 {
 		cfg.PoolMbufs = 2 * cfg.RingSize
 	}
-	poolPrefix := cfg.Name
-	if poolPrefix == "" {
-		poolPrefix = "port0"
-	}
 	p := &Port{
 		machine:   machine,
-		name:      cfg.Name,
 		queues:    cfg.Queues,
 		steering:  cfg.Steering,
 		fdirTable: make(map[uint64]int),
 	}
 	for q := 0; q < cfg.Queues; q++ {
 		pool, err := NewMempool(machine.Space, MempoolConfig{
-			Name:        fmt.Sprintf("%s-q%d", poolPrefix, q),
+			Name:        fmt.Sprintf("port0-q%d", q),
 			Mbufs:       cfg.PoolMbufs,
 			HeadroomCap: cfg.HeadroomCap,
 			DataRoom:    cfg.DataRoom,
@@ -202,26 +179,6 @@ func NewPort(machine *cpusim.Machine, cfg PortConfig) (*Port, error) {
 
 // Queues returns the queue count.
 func (p *Port) Queues() int { return p.queues }
-
-// SetDDIOMask confines this port's DMA fills to an explicit LLC way mask —
-// the per-tenant I/O-way share the llcmgmt controller programs. A zero
-// mask restores the socket-wide DDIO mask.
-func (p *Port) SetDDIOMask(mask cachesim.WayMask) { p.ddioMask = mask }
-
-// DDIOMask reports the port's DDIO override (0 = socket-wide mask).
-func (p *Port) DDIOMask() cachesim.WayMask { return p.ddioMask }
-
-// InstallFlowRule pins a FlowDirector perfect-filter rule: packets of
-// flowID steer to queue. Rules are consulted only in FlowDirector mode;
-// installing one in RSS mode is allowed (the tenant registry pre-installs
-// rules before choosing a steering mode) but has no steering effect.
-func (p *Port) InstallFlowRule(flowID uint64, queue int) error {
-	if queue < 0 || queue >= p.queues {
-		return fmt.Errorf("dpdk: flow rule queue %d out of range 0..%d", queue, p.queues-1)
-	}
-	p.fdirTable[flowID] = queue
-	return nil
-}
 
 // Pool returns queue q's mempool.
 func (p *Port) Pool(q int) *Mempool { return p.pools[q] }
@@ -391,7 +348,7 @@ func (p *Port) deliver(pkt trace.Packet, pre int) (queue int, ok bool) {
 	// DMA each segment's bytes into memory; DDIO allocates the lines in
 	// the LLC (this is the step CacheDirector's headroom choice targets).
 	for s := head; s != nil; s = s.Next {
-		p.machine.DMAWriteMasked(s.DataPhys(), s.dataLen, p.ddioMask)
+		p.machine.DMAWrite(s.DataPhys(), s.dataLen)
 	}
 
 	if p.faults.Fire(faults.RingOverflow) {

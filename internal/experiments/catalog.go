@@ -20,45 +20,40 @@ type ExperimentInfo struct {
 	Kind string `json:"kind"`
 	// Title is a one-line description.
 	Title string `json:"title"`
-	// Scales lists the sample-count scales the experiment accepts.
-	// Scale-independent experiments (pure tables) list both: selecting
-	// them at either scale is valid and identical.
-	Scales []string `json:"scales"`
 }
 
 // catalog lists every experiment in the order cmd/reproduce runs them.
 var catalog = []ExperimentInfo{
-	{ID: "T1", Kind: "paper", Title: "Table 1: cache specification (Xeon E5-2667 v3)", Scales: []string{"quick", "full"}},
-	{ID: "F4", Kind: "paper", Title: "Fig 4: reverse-engineered Complex Addressing matrix", Scales: []string{"quick", "full"}},
-	{ID: "F5", Kind: "paper", Title: "Fig 5: access time from core 0 to each slice", Scales: []string{"quick", "full"}},
-	{ID: "F6", Kind: "paper", Title: "Fig 6: speedup of slice-aware allocation", Scales: []string{"quick", "full"}},
-	{ID: "F7", Kind: "paper", Title: "Fig 7: aggregate OPS vs per-core array size", Scales: []string{"quick", "full"}},
-	{ID: "F8", Kind: "paper", Title: "Fig 8: emulated KVS TPS", Scales: []string{"quick", "full"}},
-	{ID: "HR", Kind: "paper", Title: "§4.2: dynamic headroom distribution", Scales: []string{"quick", "full"}},
-	{ID: "F12", Kind: "paper", Title: "Fig 12: 64 B @ 1000 pps (no queueing)", Scales: []string{"quick", "full"}},
-	{ID: "F13", Kind: "paper", Title: "Fig 13: forwarding, campus mix @ 100 Gbps, RSS", Scales: []string{"quick", "full"}},
-	{ID: "F14", Kind: "paper", Title: "Fig 14: Router-NAPT-LB @ 100 Gbps, FlowDirector", Scales: []string{"quick", "full"}},
-	{ID: "T3", Kind: "paper", Title: "Table 3: throughput + improvement (derived from F13+F14)", Scales: []string{"quick", "full"}},
-	{ID: "F15", Kind: "paper", Title: "Fig 15: tail latency vs offered load + piecewise fit", Scales: []string{"quick", "full"}},
-	{ID: "F16", Kind: "paper", Title: "Fig 16: Skylake access times (18 slices)", Scales: []string{"quick", "full"}},
-	{ID: "T4", Kind: "paper", Title: "Table 4: preferable slices per core (Gold 6134)", Scales: []string{"quick", "full"}},
-	{ID: "F17", Kind: "paper", Title: "Fig 17: slice isolation vs CAT", Scales: []string{"quick", "full"}},
-	{ID: "A-DDIO", Kind: "ablation", Title: "DDIO way-count sweep", Scales: []string{"quick", "full"}},
-	{ID: "A-PLACE", Kind: "ablation", Title: "placement policy ablation", Scales: []string{"quick", "full"}},
-	{ID: "A-STEER", Kind: "ablation", Title: "NIC steering ablation", Scales: []string{"quick", "full"}},
-	{ID: "A-MULTI", Kind: "ablation", Title: "multi-slice spreading ablation", Scales: []string{"quick", "full"}},
-	{ID: "A-PF", Kind: "ablation", Title: "prefetcher ablation", Scales: []string{"quick", "full"}},
-	{ID: "A-RP", Kind: "ablation", Title: "replacement policy ablation", Scales: []string{"quick", "full"}},
-	{ID: "S6", Kind: "extension", Title: "CacheDirector on Skylake (SF non-inclusive)", Scales: []string{"quick", "full"}},
-	{ID: "S8V", Kind: "extension", Title: "large-value KVS placement", Scales: []string{"quick", "full"}},
-	{ID: "S8M", Kind: "extension", Title: "hot-key migration", Scales: []string{"quick", "full"}},
-	{ID: "S9C", Kind: "extension", Title: "page-coloring demo", Scales: []string{"quick", "full"}},
-	{ID: "S7H", Kind: "extension", Title: "VM isolation (§7 hypervisor)", Scales: []string{"quick", "full"}},
-	{ID: "S8S", Kind: "extension", Title: "shared-data placement", Scales: []string{"quick", "full"}},
-	{ID: "S4V", Kind: "extension", Title: "offset-targeted allocation", Scales: []string{"quick", "full"}},
-	{ID: "F-FAULTS", Kind: "extension", Title: "seeded fault-injection ablation", Scales: []string{"quick", "full"}},
-	{ID: "F-OVERLOAD", Kind: "extension", Title: "overload control past saturation (+ breaker storm)", Scales: []string{"quick", "full"}},
-	{ID: "F-TENANT", Kind: "extension", Title: "multi-tenant leaky-DMA isolation loop", Scales: []string{"quick", "full"}},
+	{ID: "T1", Kind: "paper", Title: "Table 1: cache specification (Xeon E5-2667 v3)"},
+	{ID: "F4", Kind: "paper", Title: "Fig 4: reverse-engineered Complex Addressing matrix"},
+	{ID: "F5", Kind: "paper", Title: "Fig 5: access time from core 0 to each slice"},
+	{ID: "F6", Kind: "paper", Title: "Fig 6: speedup of slice-aware allocation"},
+	{ID: "F7", Kind: "paper", Title: "Fig 7: aggregate OPS vs per-core array size"},
+	{ID: "F8", Kind: "paper", Title: "Fig 8: emulated KVS TPS"},
+	{ID: "HR", Kind: "paper", Title: "§4.2: dynamic headroom distribution"},
+	{ID: "F12", Kind: "paper", Title: "Fig 12: 64 B @ 1000 pps (no queueing)"},
+	{ID: "F13", Kind: "paper", Title: "Fig 13: forwarding, campus mix @ 100 Gbps, RSS"},
+	{ID: "F14", Kind: "paper", Title: "Fig 14: Router-NAPT-LB @ 100 Gbps, FlowDirector"},
+	{ID: "T3", Kind: "paper", Title: "Table 3: throughput + improvement (derived from F13+F14)"},
+	{ID: "F15", Kind: "paper", Title: "Fig 15: tail latency vs offered load + piecewise fit"},
+	{ID: "F16", Kind: "paper", Title: "Fig 16: Skylake access times (18 slices)"},
+	{ID: "T4", Kind: "paper", Title: "Table 4: preferable slices per core (Gold 6134)"},
+	{ID: "F17", Kind: "paper", Title: "Fig 17: slice isolation vs CAT"},
+	{ID: "A-DDIO", Kind: "ablation", Title: "DDIO way-count sweep"},
+	{ID: "A-PLACE", Kind: "ablation", Title: "placement policy ablation"},
+	{ID: "A-STEER", Kind: "ablation", Title: "NIC steering ablation"},
+	{ID: "A-MULTI", Kind: "ablation", Title: "multi-slice spreading ablation"},
+	{ID: "A-PF", Kind: "ablation", Title: "prefetcher ablation"},
+	{ID: "A-RP", Kind: "ablation", Title: "replacement policy ablation"},
+	{ID: "S6", Kind: "extension", Title: "CacheDirector on Skylake (SF non-inclusive)"},
+	{ID: "S8V", Kind: "extension", Title: "large-value KVS placement"},
+	{ID: "S8M", Kind: "extension", Title: "hot-key migration"},
+	{ID: "S9C", Kind: "extension", Title: "page-coloring demo"},
+	{ID: "S7H", Kind: "extension", Title: "VM isolation (§7 hypervisor)"},
+	{ID: "S8S", Kind: "extension", Title: "shared-data placement"},
+	{ID: "S4V", Kind: "extension", Title: "offset-targeted allocation"},
+	{ID: "F-FAULTS", Kind: "extension", Title: "seeded fault-injection ablation"},
+	{ID: "F-OVERLOAD", Kind: "extension", Title: "overload control past saturation (+ breaker storm)"},
 }
 
 // Catalog returns a copy of the experiment catalog in execution order.

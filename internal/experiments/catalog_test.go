@@ -21,9 +21,6 @@ func TestCatalogIDsUniqueAndWellFormed(t *testing.T) {
 		default:
 			t.Errorf("catalog ID %q has unknown kind %q", e.ID, e.Kind)
 		}
-		if len(e.Scales) == 0 {
-			t.Errorf("catalog ID %q lists no scales", e.ID)
-		}
 		if e.Title == "" {
 			t.Errorf("catalog ID %q has no title", e.ID)
 		}
@@ -32,12 +29,12 @@ func TestCatalogIDsUniqueAndWellFormed(t *testing.T) {
 
 func TestValidateIDs(t *testing.T) {
 	t.Parallel()
-	norm, err := ValidateIDs([]string{" t1", "f4", "F-TENANT", ""})
+	norm, err := ValidateIDs([]string{" t1", "f4", "F-faults", ""})
 	if err != nil {
 		t.Fatalf("ValidateIDs(valid set) = %v", err)
 	}
-	if got := strings.Join(norm, ","); got != "T1,F4,F-TENANT" {
-		t.Fatalf("normalized = %q, want T1,F4,F-TENANT", got)
+	if got := strings.Join(norm, ","); got != "T1,F4,F-FAULTS" {
+		t.Fatalf("normalized = %q, want T1,F4,F-FAULTS", got)
 	}
 
 	_, err = ValidateIDs([]string{"T1", "NOPE", "f99"})

@@ -6,45 +6,16 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"sliceaware/internal/arch"
-	"sliceaware/internal/cpusim"
-	"sliceaware/internal/llcmgmt"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the pinned seed golden files")
 
-// TestTenantSubsystemLeavesSeedOutputUnchanged pins the F8/F13/F14 quick
-// seed-1 tables to a golden file and proves the tenant subsystem is
-// pay-for-what-you-use: a constructed-but-empty registry and a disarmed,
-// ticking controller must leave every pre-existing experiment
-// byte-identical to the seed. If the golden ever drifts, either a shared
-// code path (llc, dpdk, netsim) changed behaviour for unregistered
-// machines — a regression — or the change is intentional and the golden
-// is regenerated with -update.
-func TestTenantSubsystemLeavesSeedOutputUnchanged(t *testing.T) {
+// TestF8F13F14QuickSeed1MatchGolden pins the F8/F13/F14 quick seed-1
+// tables to a golden file. If the golden ever drifts, either a shared
+// code path (llc, dpdk, netsim) changed behaviour — a regression — or the
+// change is intentional and the golden is regenerated with -update.
+func TestF8F13F14QuickSeed1MatchGolden(t *testing.T) {
 	t.Parallel()
-	// Construct the subsystem's objects on a scratch machine first; they
-	// must not perturb any global state the experiments depend on.
-	m, err := cpusim.NewMachine(arch.HaswellE52667v3())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg, err := llcmgmt.NewRegistry(m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := llcmgmt.NewController(reg, llcmgmt.ControllerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		ctrl.Tick(float64(i) * 1e5) // disarmed ticks are no-ops
-	}
-	if got := ctrl.Stats(); got.Epochs != 0 {
-		t.Fatalf("disarmed controller closed %d epochs, want 0", got.Epochs)
-	}
-
 	var buf bytes.Buffer
 	if _, tab, err := Figure8(quick); err != nil {
 		t.Fatal(err)
@@ -82,22 +53,22 @@ func TestTenantSubsystemLeavesSeedOutputUnchanged(t *testing.T) {
 }
 
 // TestParallelJobsLeaveTablesByteIdentical is the determinism guard for the
-// worker-pool trial engine: the F-TENANT and F-OVERLOAD quick seed-1 tables
-// — the two harnesses with the most intricate trial structure (calibration
-// fan-out, two-point recovery trials, a stateful recovery phase) — must be
-// byte-identical at -jobs 1 and -jobs 4, and both must match the golden
-// pinned from the sequential pre-engine output. Any divergence means a
+// worker-pool trial engine: the F-FAULTS and F-OVERLOAD quick seed-1 tables
+// — two harnesses that fan out on runTrials, one with five independently
+// configured trials and one with a stateful recovery phase — must be
+// byte-identical at -jobs 1 and -jobs 4, and both must match the pinned
+// golden. Any divergence means a
 // trial leaked state across workers or collection order broke.
 func TestParallelJobsLeaveTablesByteIdentical(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
-		t.Skip("two full quick renders of F-TENANT+F-OVERLOAD")
+		t.Skip("two full quick renders of F-FAULTS+F-OVERLOAD")
 	}
 	render := func(jobs int) []byte {
 		env := quick
 		env.Jobs = jobs
 		var buf bytes.Buffer
-		if _, tab, err := FigTenant(env); err != nil {
+		if _, tab, err := FigFaults(env); err != nil {
 			t.Fatal(err)
 		} else {
 			tab.Fprint(&buf)
@@ -115,7 +86,7 @@ func TestParallelJobsLeaveTablesByteIdentical(t *testing.T) {
 		t.Errorf("-jobs 4 output diverges from -jobs 1:\njobs=1:\n%s\njobs=4:\n%s", seq, par)
 	}
 
-	golden := filepath.Join("testdata", "seed1_quick_ftenant_foverload.golden")
+	golden := filepath.Join("testdata", "seed1_quick_ffaults_foverload.golden")
 	if *updateGolden {
 		if err := os.WriteFile(golden, seq, 0o644); err != nil {
 			t.Fatal(err)
@@ -126,7 +97,7 @@ func TestParallelJobsLeaveTablesByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(seq, want) {
-		t.Errorf("F-TENANT/F-OVERLOAD quick seed-1 output drifted from %s (rerun with -update if intentional)\ngot:\n%s\nwant:\n%s",
+		t.Errorf("F-FAULTS/F-OVERLOAD quick seed-1 output drifted from %s (rerun with -update if intentional)\ngot:\n%s\nwant:\n%s",
 			golden, seq, want)
 	}
 }

@@ -29,14 +29,6 @@ type CBoEvents struct {
 	DDIOMissedFirstTouch uint64 // first core reads that missed because the line leaked
 }
 
-// FirstTouchStats counts, per consuming core, how the first read of each
-// DMA-filled line fared — the per-tenant attribution signal the llcmgmt
-// controller steers on.
-type FirstTouchStats struct {
-	Hits   uint64 // first touch served from the LLC (DDIO worked)
-	Misses uint64 // first touch went to DRAM (the line leaked first)
-}
-
 // SlicedLLC is the shared last-level cache of one socket.
 type SlicedLLC struct {
 	hash     chash.Hash
@@ -54,7 +46,6 @@ type SlicedLLC struct {
 	// line recycling.
 	dmaUnread cachesim.LineSet
 	dmaLeaked cachesim.LineSet
-	perCore   []FirstTouchStats
 	reconfig  func(effectiveWays int)
 }
 
@@ -120,15 +111,9 @@ func (l *SlicedLLC) line(pa uint64) uint64 { return pa >> l.lineBits }
 // Lookup probes the owning slice for pa. It returns whether it hit and
 // which slice served the probe. CBo lookup counters advance either way —
 // that observability is what makes polling-based reverse engineering work.
+// A core's first read of a DMA-filled line also advances the slice's
+// first-touch counters: a hit if DDIO kept the line, a miss if it leaked.
 func (l *SlicedLLC) Lookup(pa uint64, write bool) (hit bool, slice int) {
-	return l.LookupCore(-1, pa, write)
-}
-
-// LookupCore is Lookup with the probing core identified, so first-touch
-// reads of DMA-filled lines can be attributed per core (and from there per
-// tenant). core < 0 means "unattributed" and only the per-slice counters
-// advance.
-func (l *SlicedLLC) LookupCore(core int, pa uint64, write bool) (hit bool, slice int) {
 	slice = l.SliceOf(pa)
 	l.events[slice].Lookups++
 	line := l.line(pa)
@@ -136,36 +121,20 @@ func (l *SlicedLLC) LookupCore(core int, pa uint64, write bool) (hit bool, slice
 	if hit {
 		if l.dmaUnread.Remove(line) {
 			l.events[slice].DDIOFirstTouchHits++
-			l.firstTouch(core).Hits++
 		}
 	} else {
 		l.events[slice].Misses++
 		if l.dmaLeaked.Remove(line) {
 			l.events[slice].DDIOMissedFirstTouch++
-			l.firstTouch(core).Misses++
 		}
 	}
 	return hit, slice
 }
 
-// firstTouch returns the per-core stats cell for core, growing the table on
-// demand; core < 0 maps to a discard cell.
-func (l *SlicedLLC) firstTouch(core int) *FirstTouchStats {
-	if core < 0 {
-		return &FirstTouchStats{}
-	}
-	for core >= len(l.perCore) {
-		l.perCore = append(l.perCore, FirstTouchStats{})
-	}
-	return &l.perCore[core]
-}
-
-// FirstTouch returns a copy of the first-touch counters for one core.
-func (l *SlicedLLC) FirstTouch(core int) FirstTouchStats {
-	if core < 0 || core >= len(l.perCore) {
-		return FirstTouchStats{}
-	}
-	return l.perCore[core]
+// LookupCore is Lookup; the probing core does not change the result or
+// the counters.
+func (l *SlicedLLC) LookupCore(_ int, pa uint64, write bool) (hit bool, slice int) {
+	return l.Lookup(pa, write)
 }
 
 // Contains probes without disturbing LRU state or counters.
@@ -204,28 +173,17 @@ func (l *SlicedLLC) Insert(pa uint64, dirty bool, mask cachesim.WayMask) (caches
 // DDIO ways (2 of 20 by default — the 10 % limit of §5.2/§8). The inserted
 // line is dirty from the cache's point of view (DMA wrote fresh data).
 func (l *SlicedLLC) DMAInsert(pa uint64) (cachesim.Victim, int) {
-	return l.DMAInsertMasked(pa, 0)
+	return l.DMAInsertAt(l.SliceOf(pa), pa)
 }
 
-// DMAInsertMasked is DMAInsert confined to an explicit way mask — the
-// per-tenant DDIO partition the llcmgmt controller programs per port. A
-// zero mask falls back to the socket-wide DDIO mask, so untagged traffic
-// behaves exactly as before.
-func (l *SlicedLLC) DMAInsertMasked(pa uint64, mask cachesim.WayMask) (cachesim.Victim, int) {
-	return l.DMAInsertAt(l.SliceOf(pa), pa, mask)
-}
-
-// DMAInsertAt is DMAInsertMasked with the owning slice already resolved —
-// the per-line step of the batched DMA pass, which hashes a whole burst of
+// DMAInsertAt is DMAInsert with the owning slice already resolved — the
+// per-line step of the batched DMA pass, which hashes a whole burst of
 // line addresses with SliceOfBatch and then fills each line here. slice
 // must equal SliceOf(pa); the semantics and counters are exactly those of
-// DMAInsertMasked.
-func (l *SlicedLLC) DMAInsertAt(slice int, pa uint64, mask cachesim.WayMask) (cachesim.Victim, int) {
-	if mask == 0 {
-		mask = l.ddioMask
-	}
+// DMAInsert.
+func (l *SlicedLLC) DMAInsertAt(slice int, pa uint64) (cachesim.Victim, int) {
 	line := l.line(pa)
-	v := l.slices[slice].Insert(line, true, mask)
+	v := l.slices[slice].Insert(line, true, l.ddioMask)
 	l.events[slice].DDIOFills++
 	l.noteEviction(slice, v)
 	// Fresh DMA data, not yet read by any core. A re-DMA of a recycled mbuf
@@ -235,14 +193,11 @@ func (l *SlicedLLC) DMAInsertAt(slice int, pa uint64, mask cachesim.WayMask) (ca
 	return v, slice
 }
 
-// DDIOWayMask exposes the way mask DMA fills are confined to.
-func (l *SlicedLLC) DDIOWayMask() cachesim.WayMask { return l.ddioMask }
-
 // DDIOWays returns the current number of DDIO ways.
 func (l *SlicedLLC) DDIOWays() int { return bits.OnesCount64(uint64(l.ddioMask)) }
 
 // SetDDIOWays reconfigures the number of ways DMA may allocate into; used
-// by the DDIO-budget ablation and the llcmgmt controller. Out-of-range
+// by the DDIO-budget ablation. Out-of-range
 // requests clamp to [1, total ways]; the effective way count is returned
 // and reported to the reconfiguration hook, if one is installed.
 func (l *SlicedLLC) SetDDIOWays(ways int) int {
@@ -304,14 +259,10 @@ func (l *SlicedLLC) AllEvents() []CBoEvents {
 	return out
 }
 
-// ResetEvents zeroes all CBo counters (writing the CBo control MSRs) and
-// the per-core first-touch attribution counters.
+// ResetEvents zeroes all CBo counters (writing the CBo control MSRs).
 func (l *SlicedLLC) ResetEvents() {
 	for i := range l.events {
 		l.events[i] = CBoEvents{}
-	}
-	for i := range l.perCore {
-		l.perCore[i] = FirstTouchStats{}
 	}
 }
 

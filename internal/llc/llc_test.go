@@ -107,19 +107,19 @@ func TestSetDDIOWaysClamps(t *testing.T) {
 	if got := l.SetDDIOWays(0); got != 1 {
 		t.Errorf("SetDDIOWays(0) = %d, want 1 (clamped low)", got)
 	}
-	if got := countBits(uint64(l.DDIOWayMask())); got != 1 {
+	if got := l.DDIOWays(); got != 1 {
 		t.Errorf("clamped-low mask has %d ways, want 1", got)
 	}
 	if got := l.SetDDIOWays(100); got != 20 {
 		t.Errorf("SetDDIOWays(100) = %d, want 20 (clamped high)", got)
 	}
-	if got := countBits(uint64(l.DDIOWayMask())); got != 20 {
+	if got := l.DDIOWays(); got != 20 {
 		t.Errorf("clamped-high mask has %d ways, want 20", got)
 	}
 	if got := l.SetDDIOWays(4); got != 4 {
 		t.Errorf("SetDDIOWays(4) = %d, want 4", got)
 	}
-	if got := countBits(uint64(l.DDIOWayMask())); got != 4 {
+	if got := l.DDIOWays(); got != 4 {
 		t.Errorf("mask has %d ways, want 4", got)
 	}
 	if got := l.DDIOWays(); got != 4 {
@@ -169,13 +169,13 @@ func TestLeakyDMACounters(t *testing.T) {
 		t.Fatalf("DDIOEvictUnread = %d after overflowing the DDIO budget by one, want 1", ev.DDIOEvictUnread)
 	}
 
-	// First touch of the leaked line misses to DRAM and is charged to the
-	// reading core; first touch of a resident line is a hit.
+	// First touch of the leaked line misses to DRAM; first touch of a
+	// resident line is a hit.
 	leaked, resident := addrs[0], addrs[1]
-	if hit, _ := l.LookupCore(3, leaked, false); hit {
+	if hit, _ := l.Lookup(leaked, false); hit {
 		t.Error("leaked line still hits")
 	}
-	if hit, _ := l.LookupCore(3, resident, false); !hit {
+	if hit, _ := l.Lookup(resident, false); !hit {
 		t.Error("resident DMA line misses")
 	}
 	ev = l.Events(target)
@@ -185,27 +185,19 @@ func TestLeakyDMACounters(t *testing.T) {
 	if ev.DDIOFirstTouchHits != 1 {
 		t.Errorf("DDIOFirstTouchHits = %d, want 1", ev.DDIOFirstTouchHits)
 	}
-	ft := l.FirstTouch(3)
-	if ft.Hits != 1 || ft.Misses != 1 {
-		t.Errorf("core 3 first-touch stats = %+v, want {Hits:1 Misses:1}", ft)
-	}
-	if other := l.FirstTouch(0); other.Hits != 0 || other.Misses != 0 {
-		t.Errorf("core 0 first-touch stats = %+v, want zero (attribution leaked across cores)", other)
-	}
 
 	// A second read of the same lines is no longer a first touch: the
 	// counters must not move again.
-	l.LookupCore(3, leaked, false)
-	l.LookupCore(3, resident, false)
+	l.Lookup(leaked, false)
+	l.Lookup(resident, false)
 	ev = l.Events(target)
 	if ev.DDIOMissedFirstTouch != 1 || ev.DDIOFirstTouchHits != 1 {
 		t.Errorf("re-reads moved first-touch counters: %+v", ev)
 	}
 
-	// ResetEvents clears both the slice events and per-core attribution.
 	l.ResetEvents()
-	if ft := l.FirstTouch(3); ft.Hits != 0 || ft.Misses != 0 {
-		t.Errorf("first-touch stats survive ResetEvents: %+v", ft)
+	if ev := l.Events(target); ev != (CBoEvents{}) {
+		t.Errorf("counters survive ResetEvents: %+v", ev)
 	}
 }
 
@@ -232,14 +224,6 @@ func TestDDIOOccupancy(t *testing.T) {
 			t.Errorf("slice %d DDIO occupancy = %d, want %d", s, n, want)
 		}
 	}
-}
-
-func countBits(v uint64) int {
-	n := 0
-	for ; v != 0; v &= v - 1 {
-		n++
-	}
-	return n
 }
 
 func TestInvalidateAndFlushAll(t *testing.T) {

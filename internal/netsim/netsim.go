@@ -74,10 +74,6 @@ type DuTConfig struct {
 	Machine *cpusim.Machine
 	Port    *dpdk.Port
 	Chain   *nfv.Chain
-	// CoreOffset maps queue q to machine core CoreOffset+q (default 0 —
-	// queue 0 on core 0). A tenant DuT sharing the machine with others
-	// sets it so each tenant polls its own cores.
-	CoreOffset int
 	// OverheadCycles overrides DefaultOverheadCycles when non-zero.
 	OverheadCycles uint64
 	// Burst overrides DefaultBurst when non-zero.
@@ -117,13 +113,12 @@ type OverloadConfig struct {
 
 // DuT is the device under test: one port polled by one core per queue.
 type DuT struct {
-	machine    *cpusim.Machine
-	port       *dpdk.Port
-	chain      *nfv.Chain
-	coreOffset int
-	overhead   uint64
-	burst      int
-	faults     *faults.Injector
+	machine  *cpusim.Machine
+	port     *dpdk.Port
+	chain    *nfv.Chain
+	overhead uint64
+	burst    int
+	faults   *faults.Injector
 
 	freq float64 // Hz
 
@@ -176,22 +171,17 @@ func NewDuT(cfg DuTConfig) (*DuT, error) {
 	if cfg.Machine == nil || cfg.Port == nil || cfg.Chain == nil {
 		return nil, fmt.Errorf("netsim: machine, port and chain are all required")
 	}
-	if cfg.CoreOffset < 0 {
-		return nil, fmt.Errorf("netsim: negative core offset %d", cfg.CoreOffset)
-	}
-	if cfg.CoreOffset+cfg.Port.Queues() > cfg.Machine.Cores() {
-		return nil, fmt.Errorf("netsim: %d queues at core offset %d exceed %d cores",
-			cfg.Port.Queues(), cfg.CoreOffset, cfg.Machine.Cores())
+	if cfg.Port.Queues() > cfg.Machine.Cores() {
+		return nil, fmt.Errorf("netsim: %d queues exceed %d cores", cfg.Port.Queues(), cfg.Machine.Cores())
 	}
 	d := &DuT{
-		machine:    cfg.Machine,
-		port:       cfg.Port,
-		chain:      cfg.Chain,
-		coreOffset: cfg.CoreOffset,
-		overhead:   cfg.OverheadCycles,
-		burst:      cfg.Burst,
-		faults:     cfg.Faults,
-		freq:       cfg.Machine.Profile.FrequencyHz,
+		machine:  cfg.Machine,
+		port:     cfg.Port,
+		chain:    cfg.Chain,
+		overhead: cfg.OverheadCycles,
+		burst:    cfg.Burst,
+		faults:   cfg.Faults,
+		freq:     cfg.Machine.Profile.FrequencyHz,
 	}
 	if cfg.Faults != nil {
 		cfg.Port.SetFaultInjector(cfg.Faults)
@@ -248,14 +238,10 @@ func NewDuT(cfg DuTConfig) (*DuT, error) {
 	return d, nil
 }
 
-// Arrive lands a packet at simulated time t (ns). Cores first advance to t
+// arrive lands a packet at simulated time t (ns). Cores first advance to t
 // (processing whatever queued work starts before then), mirroring how the
-// real DuT overlaps reception with processing.
-func (d *DuT) Arrive(pkt trace.Packet, t float64) bool {
-	return d.arrive(&pkt, t, -1) == VerdictDelivered
-}
-
-// arrive is the shared arrival path behind Arrive and RunBurst. preQ,
+// real DuT overlaps reception with processing. It is RunBurst's per-packet
+// step. preQ,
 // when >= 0, is the RX queue already resolved by dpdk.SteerBatch (pure RSS
 // steering only); -1 makes the port steer at delivery. The packet is
 // mutated in place (timestamped), which lets the burst path stamp its
@@ -401,7 +387,7 @@ func (d *DuT) advanceQueue(q int, t float64) {
 			n = avail
 		}
 		d.rxScratch = d.port.RxBurstInto(q, n, d.rxScratch[:0])
-		core := d.machine.Core(d.coreOffset + q)
+		core := d.machine.Core(q)
 		for _, mb := range d.rxScratch {
 			arr := d.arrivals[q][d.arrHead[q]]
 			d.arrHead[q]++
@@ -494,9 +480,6 @@ func (d *DuT) Drain() float64 {
 	d.tele.Timeline().Sample(end)
 	return end
 }
-
-// CoreOffset reports the first machine core this DuT's queues poll on.
-func (d *DuT) CoreOffset() int { return d.coreOffset }
 
 // Latencies returns per-packet DuT residency in ns (queueing + service),
 // i.e. end-to-end latency without the loopback component.

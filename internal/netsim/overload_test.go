@@ -101,7 +101,7 @@ func TestDropCauseExhaustive(t *testing.T) {
 	// label whatever the port reports.
 	for k, plan := range dropKinds {
 		dut := buildFaultyDuT(t, faults.MustNewInjector(plan))
-		if ok := dut.Arrive(trace.Packet{Size: 64}, 0); ok {
+		if v := dut.arrive(&trace.Packet{Size: 64}, 0, -1); v == VerdictDelivered {
 			t.Fatalf("%v: P=1 plan did not drop the first packet", k)
 		}
 		cause := dut.Port().LastDropCause()

@@ -6,7 +6,7 @@ import (
 	"sliceaware/internal/trace"
 )
 
-// The per-packet reference run path: generation, pacing and DuT.Arrive
+// The per-packet reference run path: generation, pacing and DuT.arrive
 // interleaved one packet at a time. The equivalence suite in
 // batch_test.go holds RunRate/RunPPS to this output bit for bit, so it
 // shares no code with the Burst pipeline beyond the DuT itself.
@@ -23,7 +23,7 @@ func runLoop(d *DuT, gen trace.Generator, count int, gap func(trace.Packet) floa
 	var windowStartTx uint64
 	for i := 0; i < count; i++ {
 		pkt := gen.Next()
-		d.Arrive(pkt, t)
+		d.arrive(&pkt, t, -1)
 		if i == count/4 {
 			windowStartNs = t
 			windowStartTx = d.port.Stats().TxBytes

@@ -113,7 +113,7 @@ func TestMapZeroWorkersMeansGOMAXPROCS(t *testing.T) { peersMeet(t, 0) }
 
 func TestSeedDeterministicAndDistinct(t *testing.T) {
 	seen := map[int64]string{}
-	for _, fig := range []string{"F8", "F-TENANT", "F-OVERLOAD"} {
+	for _, fig := range []string{"F8", "F-FAULTS", "F-OVERLOAD"} {
 		for trial := 0; trial < 64; trial++ {
 			s := Seed(1, fig, trial)
 			if s != Seed(1, fig, trial) {

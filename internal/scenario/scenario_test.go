@@ -301,7 +301,7 @@ func TestEmptyExpansionRejected(t *testing.T) {
 }
 
 // TestCommittedScenariosLoadAndExpand loads and expands every committed
-// scenario file, and pins tenant-sweep's matrix expansion: IDs, derived
+// scenario file, and pins robustness-sweep's matrix expansion: IDs, derived
 // seeds and rendered flags.
 func TestCommittedScenariosLoadAndExpand(t *testing.T) {
 	paths, err := filepath.Glob("../../scenarios/*.json")
@@ -322,7 +322,7 @@ func TestCommittedScenariosLoadAndExpand(t *testing.T) {
 		}
 	}
 
-	f, err := Load("../../scenarios/tenant-sweep.json")
+	f, err := Load("../../scenarios/robustness-sweep.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,11 +335,11 @@ func TestCommittedScenariosLoadAndExpand(t *testing.T) {
 		seed int64
 		only string
 	}{
-		{"tenant/only=F-TENANT", -1179079030909437877, "F-TENANT"},
-		{"tenant/only=F-OVERLOAD", 5746019825519173258, "F-OVERLOAD"},
+		{"robustness/only=F-FAULTS", 8329273504361656720, "F-FAULTS"},
+		{"robustness/only=F-OVERLOAD", -8714131324656600347, "F-OVERLOAD"},
 	}
 	if len(scs) != len(want) {
-		t.Fatalf("tenant-sweep expanded to %d scenarios, want %d", len(scs), len(want))
+		t.Fatalf("robustness-sweep expanded to %d scenarios, want %d", len(scs), len(want))
 	}
 	for i, w := range want {
 		sc := scs[i]

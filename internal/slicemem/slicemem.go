@@ -133,20 +133,7 @@ func (a *Allocator) AllocContiguous(size int) (*Region, error) {
 	if err := a.ensureScanWindow(uint64(n) * LineSize); err != nil {
 		return nil, err
 	}
-	page := a.pages[len(a.pages)-1]
-	start := a.cursor
-	a.cursor += uint64(n) * LineSize
-	r := &Region{}
-	all := make(map[int]bool)
-	for i := 0; i < n; i++ {
-		va := start + uint64(i)*LineSize
-		r.lines = append(r.lines, va)
-		all[a.hash.Slice(page.Phys(va))] = true
-	}
-	for s := range all {
-		r.slices = append(r.slices, s)
-	}
-	return r, nil
+	return a.takeContiguous(n), nil
 }
 
 // AllocContiguousAligned is AllocContiguous with a start-address alignment
@@ -170,20 +157,29 @@ func (a *Allocator) AllocContiguousAligned(size int, align uint64) (*Region, err
 		s := a.hash.Slice(page.Phys(va))
 		a.pools[s] = append(a.pools[s], va)
 	}
-	n := (size + LineSize - 1) / LineSize
+	return a.takeContiguous((size + LineSize - 1) / LineSize), nil
+}
+
+// takeContiguous carves the n lines from the cursor onward of the newest
+// page into a region. Its slices are the ones those lines land on, in
+// ascending order.
+func (a *Allocator) takeContiguous(n int) *Region {
+	page := a.pages[len(a.pages)-1]
 	start := a.cursor
 	a.cursor += uint64(n) * LineSize
-	r := &Region{}
-	all := make(map[int]bool)
-	for i := 0; i < n; i++ {
+	r := &Region{lines: make([]uint64, n)}
+	touched := make([]bool, a.hash.Slices())
+	for i := range r.lines {
 		va := start + uint64(i)*LineSize
-		r.lines = append(r.lines, va)
-		all[a.hash.Slice(page.Phys(va))] = true
+		r.lines[i] = va
+		touched[a.hash.Slice(page.Phys(va))] = true
 	}
-	for s := range all {
-		r.slices = append(r.slices, s)
+	for s, ok := range touched {
+		if ok {
+			r.slices = append(r.slices, s)
+		}
 	}
-	return r, nil
+	return r
 }
 
 // Free returns a region's lines to the allocator's pools.

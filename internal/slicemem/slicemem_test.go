@@ -2,6 +2,7 @@ package slicemem
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -145,6 +146,41 @@ func TestAllocContiguous(t *testing.T) {
 	}
 	if _, err := a.AllocContiguous(-1); err == nil {
 		t.Error("negative size accepted")
+	}
+}
+
+// TestContiguousSlicesSortedAndStable holds Region.Slices of both
+// contiguous allocators to ascending order, and to the same answer on every
+// run: the slice set must not depend on map iteration order.
+func TestContiguousSlicesSortedAndStable(t *testing.T) {
+	alloc := func() [][]int {
+		a := newAlloc(t)
+		var out [][]int
+		for _, size := range []int{64 << 10, 256, 1000} {
+			r, err := a.AllocContiguous(size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, r.Slices())
+		}
+		r, err := a.AllocContiguousAligned(4096, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(out, r.Slices())
+	}
+	first := alloc()
+	for i, sl := range first {
+		if !slices.IsSorted(sl) {
+			t.Errorf("region %d: Slices() = %v, not ascending", i, sl)
+		}
+	}
+	for run := 0; run < 10; run++ {
+		for i, sl := range alloc() {
+			if !slices.Equal(sl, first[i]) {
+				t.Fatalf("run %d, region %d: Slices() = %v, first run %v", run, i, sl, first[i])
+			}
+		}
 	}
 }
 

@@ -122,7 +122,7 @@ func (c *Collector) Event(name string) {
 // occupancy, cumulative fills and leak counters, and fill/evict-unread
 // rates over the simulated clock. The gauges are registered once per
 // collector and follow rebinds to a different LLC; re-binding the same LLC
-// (two tenant DuTs on one machine) changes nothing.
+// (a second DuT on the same machine) changes nothing.
 func (c *Collector) BindLLC(l *llc.SlicedLLC) {
 	if c == nil {
 		return

@@ -57,7 +57,7 @@ func NewTimeline(intervalNs float64, maxSamples int) *Timeline {
 // Bind attaches the timeline to an LLC's counters and rebases the delta
 // baseline. Re-binding to a different LLC (a new DuT in the same
 // collection) is recorded as an event at the last known time; re-binding
-// the LLC already bound (two tenant DuTs sharing one machine) is a no-op,
+// the LLC already bound (a second DuT on the same machine) is a no-op,
 // so the shared series is neither rebased nor annotated.
 func (t *Timeline) Bind(l *llc.SlicedLLC) {
 	if t == nil {

@@ -29,7 +29,7 @@ const (
 	EventDDIOEvictUnread
 	// EventDDIOMissedFirstTouch counts first-touch reads of DMA-filled
 	// lines that missed to DRAM because the line leaked — the consumer-side
-	// damage the llcmgmt controller steers on.
+	// damage of leaky DMA.
 	EventDDIOMissedFirstTouch
 )
 

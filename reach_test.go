@@ -27,8 +27,6 @@ import (
 var reachAllow = map[string]string{
 	"cachesim.Cache.Lines":                     "FuzzCacheMatchesReference reads a cache's resident lines through it",
 	"cachesim.LineSet.Lines":                   "FuzzCacheMatchesReference reads a slice's resident lines through it",
-	"cat.Controller.COSOf":                     "llcmgmt's TestIsolationPlanMasks reads the class a core was moved to through it",
-	"cat.Controller.Mask":                      "llcmgmt's TestIsolationPlanMasks reads the capacity mask programmed for a class through it",
 	"chash.Sandy2":                             "ROADMAP item 6(b): the published Sandy Bridge hash as a reveng target",
 	"cpusim.Core.L1":                           "netsim's TestBatchMatchesScalar* tests (machineDigest) and nfv's TestForwarder read L1 state through it",
 	"cpusim.Core.L2":                           "netsim's TestBatchMatchesScalar* tests (machineDigest) read L2 state through it",
@@ -36,10 +34,8 @@ var reachAllow = map[string]string{
 	"cpusim.Machine.EnableTLB":                 "§3's page-size claim: TestSpeedupPageSizeIndependent runs with the TLB on",
 	"daemon.Lifecycle.Draining":                "slicekvsd's TestGracefulDrain checks the drain state through it",
 	"dpdk.Mbuf.Headroom":                       "cachedirector's TestHeadroomMissFallback and ladder tests read the headroom CacheDirector chose through it",
-	"dpdk.Port.DDIOMask":                       "llcmgmt's TestIsolationPlanMasks reads the I/O-way mask programmed into a port through it",
-	"dpdk.Port.FlowRules":                      "llcmgmt's TestAttachNet and netsim's machineDigest count installed FlowDirector rules through it",
+	"dpdk.Port.FlowRules":                      "netsim's machineDigest counts installed FlowDirector rules through it",
 	"experiments.FigOverloadPoint.LadderStats": "TestFigOverload checks that the degradation ladder escalated and recovered through it",
-	"experiments.FigTenantPoint.ControllerOn":  "TestFigTenantClosedLoop picks the controller-on and -off sweep points through it",
 	"experiments.HashRecoveryResult.Recovered": "TestFigure4RecoversExactly checks that Fig 4's recovered hash passed every verification probe through it",
 	"experiments.HeadroomResult.Misses":        "TestHeadroomMatchesPaper checks that every (mbuf, core) pair has an in-budget placement (§4.2) through it",
 	"experiments.HeadroomResult.Summary":       "TestHeadroomMatchesPaper checks §4.2's headroom distribution (median near 256 B, all within 832 B) through it",
@@ -50,7 +46,6 @@ var reachAllow = map[string]string{
 	"kvs.Result.Dropped":                       "TestRunCountsAndRatio checks that gets, sets and NIC drops add up to every offered request through it",
 	"kvs.Result.Gets":                          "TestRunCountsAndRatio checks that gets, sets and NIC drops add up to every offered request, and the get share, through it",
 	"kvs.Result.Sets":                          "TestRunCountsAndRatio checks that gets, sets and NIC drops add up to every offered request through it",
-	"netsim.DuT.CoreOffset":                    "llcmgmt's TestAttachNet checks the DuT polls from the tenant's first core through it",
 	"nfv.Router.routes":                        "TestRouterProcessAndOffload checks that PopulateDefaultAndRandom installs §5.2's 3120-route table, and TestRouterLPM counts AddRoute's routes, through it",
 	"obs.Monitor.Firing":                       "TestMonitorFiresAndResolves counts firing SLOs through it",
 	"overload.Shedder.Threshold":               "slicekvsd's TestOverloadShedsLowClassFirst reads the per-class shed thresholds through it",
